@@ -27,7 +27,7 @@ from .decompose import (
 )
 from .jets import DEFAULT_ORDER, Jet1, LaurentJet, LaurentJet2
 from .metric import check_metric
-from .numeric import SampledFunction, glaeser_landau_check
+from .numeric import SampledFunction, check_tolerance, glaeser_landau_check
 from .parser import (
     ParseError,
     format_plot,
@@ -343,6 +343,7 @@ def _cmd_check_metric(ns) -> int:
 
 
 def _cmd_gl_check(ns) -> int:
+    check_tolerance(ns.tol)  # a bad tolerance is invalid input (exit 1), not a failed check
     coeffs = _parse_poly_in_t(ns.f)
     a = parse_rational(ns.interval[0])
     b = parse_rational(ns.interval[1])

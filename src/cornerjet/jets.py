@@ -9,6 +9,11 @@ Conventions:
 
 * every coefficient is a ``fractions.Fraction``; floats are rejected, so no
   operation in this module can round,
+* one-variable products go through a single exact kernel, ``_convolve``: each
+  operand is scaled to integer numerators over the lcm of its denominators
+  (the ``fmpq_poly`` layout of FLINT), the integers are convolved only as far
+  as the requested output degree, and one ``Fraction`` is built per output
+  coefficient; the ``Fraction`` interface of the jet types is unchanged,
 * a ``Jet1`` of order N stores exactly the coefficients of t^0 .. t^N; ring
   operations stay in the truncation ring (result order = min of the inputs),
 * a ``LaurentJet`` is kept canonical: leading and trailing coefficients are
@@ -21,6 +26,8 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -53,11 +60,34 @@ class TruncationError(ValueError):
 
 def as_fraction(value: Rational) -> Fraction:
     """Coerce to an exact rational; floats are refused on purpose."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "floating-point coefficient %r is not allowed in exact arithmetic" % (value,)
         )
     return Fraction(value)
+
+
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
+    """The first ``n`` coefficients of the product of two nonempty coefficient lists.
+
+    Exact: both operands become integer numerators over one denominator each,
+    so the inner loop multiplies and adds plain integers.
+    """
+    da = lcm(*[c.denominator for c in a])
+    db = lcm(*[c.denominator for c in b])
+    na = [c.numerator * (da // c.denominator) for c in a]
+    rb = [c.numerator * (db // c.denominator) for c in reversed(b)]
+    la, lb = len(na), len(rb)
+    den = da * db
+    out = []
+    for k in range(min(n, la + lb - 1)):
+        lo = max(0, k - lb + 1)
+        hi = min(k + 1, la)
+        shift = lb - 1 - k
+        out.append(Fraction(sum(map(mul, na[lo:hi], rb[lo + shift : hi + shift])), den))
+    return out
 
 
 def _format_terms(pairs: Iterable[tuple[int, Fraction]], var: str) -> str:
@@ -170,15 +200,7 @@ class Jet1:
     def __mul__(self, other):
         if isinstance(other, Jet1):
             n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return Jet1(out)
+            return Jet1(_convolve(self.coeffs, other.coeffs, n + 1))
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
             return Jet1(tuple(a * c for a in self.coeffs))
@@ -346,12 +368,13 @@ class LaurentJet:
             return other
         if other.is_zero:
             return self
-        lo = min(self.valuation, other.valuation)
-        hi = max(self.degree, other.degree)
-        return LaurentJet(
-            lo,
-            tuple(self.coefficient(d) + other.coefficient(d) for d in range(lo, hi + 1)),
-        )
+        low, high = (self, other) if self.valuation <= other.valuation else (other, self)
+        out = list(low.coeffs)
+        offset = high.valuation - low.valuation
+        out.extend([Fraction(0)] * (offset + len(high.coeffs) - len(out)))
+        for i, c in enumerate(high.coeffs, offset):
+            out[i] += c
+        return LaurentJet(low.valuation, out)
 
     __radd__ = __add__
 
@@ -378,14 +401,10 @@ class LaurentJet:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return LaurentJet()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return LaurentJet(self.valuation + other.valuation, out)
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        return LaurentJet(
+            self.valuation + other.valuation, _convolve(self.coeffs, other.coeffs, n)
+        )
 
     __rmul__ = __mul__
 

@@ -9,6 +9,7 @@ grid, and probes boundedness of pulled-back tensors by refining the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,9 +145,16 @@ class GlaeserLandauReport:
     tol: float
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is NaN, infinite or negative."""
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError("tolerance must be finite and nonnegative, got %r" % (tol,))
+
+
 def glaeser_landau_check(
     f: SampledFunction, tol: float = 1e-9, enlargement: float = 0.0
 ) -> GlaeserLandauReport:
+    check_tolerance(tol)
     grid = f.grid()
     fv = f.values(grid)
     if not f.sos_certified and float(fv.min()) < -tol:
@@ -179,6 +187,7 @@ class PullbackProbeReport:
 def numeric_pullback_probe(
     tensor: HalfLineTensor, f: SampledFunction, tol: float = 1e-9
 ) -> PullbackProbeReport:
+    check_tolerance(tol)
     base_values = f.values(f.grid())
     if not f.sos_certified and float(base_values.min()) < -tol:
         raise ValueError("function not nonnegative on interval")

@@ -94,6 +94,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # A parsed value is a sum of monomials: (x exp, y exp, dx power, dy power) -> coeff.
+# Sums and products keep monomials whose coefficients cancel, with coefficient
+# zero, so that "x*dx^2 - x*dx^2" still names its basis dx^2.
 _Key = tuple[int, int, int, int]
 _Value = dict[_Key, Fraction]
 
@@ -108,7 +110,7 @@ def _vadd(a: _Value, b: _Value) -> _Value:
     out = dict(a)
     for k, c in b.items():
         out[k] = out.get(k, Fraction(0)) + c
-    return _clean(out)
+    return out
 
 
 def _vneg(a: _Value) -> _Value:
@@ -121,10 +123,11 @@ def _vmul(a: _Value, b: _Value, column: int) -> _Value:
         for (x2, y2, p2, q2), c2 in b.items():
             k = (x1 + x2, y1 + y2, p1 + p2, q1 + q2)
             out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return _clean(out)
+    return out
 
 
 def _single_term(value: _Value, what: str, column: int) -> tuple[_Key, Fraction]:
+    value = _clean(value)
     if len(value) != 1:
         raise ParseError("cannot %s a sum" % what, column)
     return next(iter(value.items()))
@@ -136,16 +139,14 @@ def _vdiv(a: _Value, b: _Value, column: int) -> _Value:
         raise ParseError("cannot divide by a differential symbol", column)
     if c == 0:
         raise ParseError("division by zero", column)
-    return _clean(
-        {(x1 - x, y1 - y, p1, q1): c1 / c for (x1, y1, p1, q1), c1 in a.items()}
-    )
+    return {(x1 - x, y1 - y, p1, q1): c1 / c for (x1, y1, p1, q1), c1 in a.items()}
 
 
 def _vpow(a: _Value, n: int, column: int) -> _Value:
-    if not a:
+    if not _clean(a):
         if n <= 0:
             raise ParseError("zero cannot carry exponent %d" % n, column)
-        return {}
+        return {(x * n, y * n, p * n, q * n): Fraction(0) for (x, y, p, q) in a}
     (x, y, p, q), c = _single_term(a, "exponentiate", column)
     if n < 0 and (p or q):
         raise ParseError("differential symbols cannot carry negative powers", column)
@@ -251,11 +252,16 @@ _CURVE_SYMBOLS = {"t": (1, 0, 0, 0)}
 _QUADRANT_BASES = {(2, 0): "a", (0, 2): "b", (1, 1): "c"}
 
 
-def _parse_value(text: str, symbols: dict[str, _Key]) -> _Value:
+def _parse_raw(text: str, symbols: dict[str, _Key]) -> _Value:
+    """The parsed value, cancelled monomials included (coefficient zero)."""
     parser = _ExprParser(_tokenize(text), symbols)
     value = parser.expr()
     parser.expect_end()
-    return _clean(value)
+    return value
+
+
+def _parse_value(text: str, symbols: dict[str, _Key]) -> _Value:
+    return _clean(_parse_raw(text, symbols))
 
 
 def parse_tensor(
@@ -263,8 +269,10 @@ def parse_tensor(
 ) -> HalfLineTensor | QuadrantTensor:
     """Parse a tensor expression for the given space ("halfline" or "quadrant")."""
     if space == "halfline":
-        value = _parse_value(text, _HALFLINE_SYMBOLS)
-        degrees = {p for (_, _, p, _) in value}
+        raw = _parse_raw(text, _HALFLINE_SYMBOLS)
+        value = _clean(raw)
+        # A tensor whose coefficients all cancel keeps the basis it was written in.
+        degrees = {p for (_, _, p, _) in value or raw}
         if len(degrees) > 1:
             raise ParseError(
                 "mixed tensor degree: %s"

@@ -11,6 +11,9 @@ the highest degree on which the jet is exact (None when the jet is an exact
 polynomial).  The tiny windowed algebra below keeps those tops honest through
 products and sums; a verdict is only ever derived from a valuation that the
 window actually exposes.
+
+The powers of a curve that composition needs are tabulated once per window
+(``_Powers``) and shared by every coefficient composed along that curve.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .jets import (
     LaurentJet,
     LaurentJet2,
     TruncationError,
+    _convolve,
     differentiate,
 )
 from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, SqMap2
@@ -106,10 +110,13 @@ def _wmul(a: _Windowed, b: _Windowed) -> _Windowed:
     if tb is not None:
         tops.append(tb + _val_lb(ja, ta))
     top = min(tops) if tops else None
-    prod = ja * jb
+    if ja.is_zero or jb.is_zero:
+        return LaurentJet(), top
+    val = ja.valuation + jb.valuation
+    n = len(ja.coeffs) + len(jb.coeffs) - 1
     if top is not None:
-        prod = prod.truncated(top)
-    return prod, top
+        n = min(n, top - val + 1)
+    return LaurentJet(val, _convolve(ja.coeffs, jb.coeffs, n)), top
 
 
 def _wadd(a: _Windowed, b: _Windowed) -> _Windowed:
@@ -137,34 +144,53 @@ def _series_inverse(coeffs: tuple[Fraction, ...], n_terms: int) -> list[Fraction
     return inv
 
 
-def _jet_powers(base: Jet1, exponents: set[int], window: int) -> dict[int, Jet1]:
-    """base^i truncated to ``window`` for every requested integer i (unit base)."""
-    base = base.extended(window) if base.order < window else base.truncated(window)
-    powers: dict[int, Jet1] = {0: Jet1.constant(1, window)}
-    pos = max((e for e in exponents if e > 0), default=0)
-    acc = powers[0]
-    for e in range(1, pos + 1):
-        acc = acc * base
-        powers[e] = acc
-    neg = min((e for e in exponents if e < 0), default=0)
-    if neg < 0:
-        inv = Jet1(_series_inverse(base.coeffs, window + 1))
-        acc = powers[0]
-        for e in range(-1, neg - 1, -1):
-            acc = acc * inv
-            powers[e] = acc
-    return powers
+class _Powers:
+    """Powers of a curve's unit part for one window, shared by every coefficient
+    composed along that curve.
+
+    The unit part is ``unit`` for a boundary germ t^(2m) unit(t) and the whole
+    jet for an interior germ.  ``exact(d)`` is its polynomial d-th power;
+    ``windowed(d)`` is its d-th power in the truncation ring of order
+    ``window``, negative d through one series inverse.  Each chain grows on
+    demand and is never rebuilt.
+    """
+
+    def __init__(self, plot: PlotGerm, window: int):
+        if isinstance(plot, BoundaryGerm):
+            base = plot.unit
+        elif isinstance(plot, InteriorGerm):
+            base = plot.jet
+        else:
+            raise TypeError("cannot compose along %r" % (plot,))
+        self.plot = plot
+        self.window = window
+        self._poly = base.to_laurent()
+        self._exact = [LaurentJet(0, (1,))]
+        self._base = base.extended(window) if base.order < window else base.truncated(window)
+        self._inverse: Jet1 | None = None
+        one = Jet1.constant(1, window)
+        self._up = [one]
+        self._down = [one]
+
+    def exact(self, d: int) -> LaurentJet:
+        while len(self._exact) <= d:
+            self._exact.append(self._exact[-1] * self._poly)
+        return self._exact[d]
+
+    def windowed(self, d: int) -> Jet1:
+        if d >= 0:
+            chain, step = self._up, self._base
+        else:
+            if self._inverse is None:
+                self._inverse = Jet1(_series_inverse(self._poly.coeffs, self.window + 1))
+            chain, step, d = self._down, self._inverse, -d
+        while len(chain) <= d:
+            chain.append(chain[-1] * step)
+        return chain[d]
 
 
-def _exact_power(base: Jet1, d: int) -> Jet1:
-    """Exact polynomial power for d >= 0 (no quotient-ring truncation)."""
-    if d == 0:
-        return Jet1.constant(1)
-    return base.extended(base.order * d) ** d
-
-
-def _compose_plot(coeff: LaurentJet, plot: PlotGerm, window: int) -> _Windowed:
-    """coeff evaluated along the curve.
+def _compose_plot(coeff: LaurentJet, powers: _Powers) -> _Windowed:
+    """coeff evaluated along the curve whose unit powers ``powers`` holds.
 
     Polynomial coefficients (valuation >= 0) compose exactly (top None).
     With a pole, the unit part of the curve must be inverted, which
@@ -174,34 +200,29 @@ def _compose_plot(coeff: LaurentJet, plot: PlotGerm, window: int) -> _Windowed:
     """
     if coeff.is_zero:
         return LaurentJet(), None
-    exponents = {d for d, _ in coeff.terms()}
+    plot, window = powers.plot, powers.window
     if isinstance(plot, BoundaryGerm):
+        two_m = 2 * plot.m
         if coeff.valuation >= 0:
             total = LaurentJet()
             for d, c in coeff.terms():
-                power = _exact_power(plot.unit, d)
-                total = total + LaurentJet(2 * plot.m * d, power.coeffs) * c
+                total = total + powers.exact(d).shifted(two_m * d) * c
             return total, None
-        powers = _jet_powers(plot.unit, exponents, window)
-        lo = 2 * plot.m * coeff.valuation
-        top = lo + window
+        top = two_m * coeff.valuation + window
         acc: _Windowed = (LaurentJet(), top)
         for d, c in coeff.terms():
-            piece = LaurentJet(2 * plot.m * d, powers[d].coeffs) * c
+            piece = LaurentJet(two_m * d, powers.windowed(d).coeffs) * c
             acc = _wadd(acc, (piece.truncated(top), top))
         return acc
-    if isinstance(plot, InteriorGerm):
-        if coeff.valuation >= 0:
-            total = LaurentJet()
-            for d, c in coeff.terms():
-                total = total + _exact_power(plot.jet, d).to_laurent() * c
-            return total, None
-        powers = _jet_powers(plot.jet, exponents, window)
-        acc_jet = Jet1.zero(window)
+    if coeff.valuation >= 0:
+        total = LaurentJet()
         for d, c in coeff.terms():
-            acc_jet = acc_jet + powers[d] * c
-        return acc_jet.to_laurent(), window
-    raise TypeError("cannot compose along %r" % (plot,))
+            total = total + powers.exact(d) * c
+        return total, None
+    acc_jet = Jet1.zero(window)
+    for d, c in coeff.terms():
+        acc_jet = acc_jet + powers.windowed(d) * c
+    return acc_jet.to_laurent(), window
 
 
 def _curve_derivative(plot: PlotGerm) -> LaurentJet:
@@ -253,7 +274,7 @@ def pullback_halfline(
         if tensor.pole_order <= k // 2:
             return SmoothnessVerdict(Status.FLAT_SMOOTH)
         return SmoothnessVerdict(Status.FLAT_INDETERMINATE)
-    composed = _compose_plot(tensor.coeff, plot, order)
+    composed = _compose_plot(tensor.coeff, _Powers(plot, order))
     dpk = _curve_derivative(plot) ** k
     witness, top = _wmul(composed, (dpk, None))
     zero_is_exact = top is None or tensor.coeff.is_zero or (k > 0 and dpk.is_zero)
@@ -330,9 +351,13 @@ def pullback_quadrant_path(
     )
     window = order
     for _ in range(6):
+        # Built once per window and shared by the three components.
+        x_powers = _Powers(germ.px, window)
+        y_powers = _Powers(germ.py, window)
+        x_parts: dict[int, _Windowed] = {}
         acc: _Windowed = (LaurentJet(), None)
         for component, deriv in factors:
-            part = _evaluate_two_var(component, germ, window)
+            part = _evaluate_two_var(component, x_powers, y_powers, x_parts)
             acc = _wadd(acc, _wmul(part, (deriv, None)))
         witness, top = acc
         if top is None or (not witness.is_zero and top - witness.valuation >= order):
@@ -351,12 +376,22 @@ def pullback_quadrant_path(
     raise TruncationError("insufficient truncation: window did not stabilize")
 
 
-def _evaluate_two_var(component: LaurentJet2, germ: PairGerm, window: int) -> _Windowed:
+def _evaluate_two_var(
+    component: LaurentJet2,
+    x_powers: _Powers,
+    y_powers: _Powers,
+    x_parts: dict[int, _Windowed],
+) -> _Windowed:
+    """component(px, py) as the sum over x-slices of px^i * slice_i(py).
+
+    ``x_parts`` memoises the compositions px^i for the current window.
+    """
     if component.is_zero:
         return LaurentJet(), None
     acc: _Windowed = (LaurentJet(), None)
     for i in sorted({i for i, _, _ in component.terms()}):
-        x_pow = _compose_plot(LaurentJet(i, (1,)), germ.px, window)
-        y_part = _compose_plot(component.slice_x(i), germ.py, window)
-        acc = _wadd(acc, _wmul(x_pow, y_part))
+        if i not in x_parts:
+            x_parts[i] = _compose_plot(LaurentJet(i, (1,)), x_powers)
+        y_part = _compose_plot(component.slice_x(i), y_powers)
+        acc = _wadd(acc, _wmul(x_parts[i], y_part))
     return acc

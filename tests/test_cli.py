@@ -89,6 +89,19 @@ class TestParseTensor:
         with pytest.raises(ParseError, match="at 1:8"):
             parse_tensor("x*dx^2 )", "halfline")
 
+    @pytest.mark.parametrize("text", ["0*dx^2", "x*dx^2 - x*dx^2", "(x - x)^3*dx^2", "(1/x)*(x*dx^2 - x*dx^2)"])
+    def test_cancelled_coefficients_keep_the_basis(self, text):
+        t = parse_tensor(text, "halfline")
+        assert t.degree == 2
+        assert t.coeff.is_zero
+
+    def test_cancelled_terms_do_not_mix_degrees(self):
+        t = parse_tensor("x*dx - x*dx + x*dx^2", "halfline")
+        assert (t.degree, t.coeff) == (2, LaurentJet(1, [1]))
+
+    def test_cancelled_terms_below_minimum_are_ignored(self):
+        assert parse_tensor("x^-9*dx^2 - x^-9*dx^2 + dx^2", "halfline").coeff == LaurentJet(0, [1])
+
 
 class TestParsePlot:
     def test_square_map(self):
@@ -240,6 +253,22 @@ class TestCliScenarios:
     def test_gl_check_nonnegativity_failure_exits_two(self, capsys):
         assert run(["gl-check", "--f", "t", "--interval", "-1", "1"]) == 2
         assert "not nonnegative" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", [["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--tol=-inf"]])
+    def test_gl_check_rejects_bad_tolerance(self, capsys, tol):
+        assert run(["gl-check", "--f", "t^2", *tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and nonnegative" in captured.err
+
+    @pytest.mark.parametrize("text", ["0*dx^2", "x*dx^2 - x*dx^2"])
+    def test_cancelled_tensor_is_a_two_tensor(self, capsys, text):
+        assert run(["decompose", text]) == 0
+        assert capsys.readouterr().out.rstrip("\n") == "c = 0\nregular = 0"
+        assert run(["check-metric", text]) == 2
+        captured = capsys.readouterr()
+        assert "symmetric 2-tensor" not in captured.out + captured.err
+        assert "clause = definiteness-nonzero-required" in captured.out
 
     def test_flat_plot_verdicts(self, capsys):
         assert run(["pullback", "--plot", "flat", "(1/x)*dx^2"]) == 0

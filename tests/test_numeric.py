@@ -99,6 +99,14 @@ class TestGlaeserLandau:
         f = SampledFunction.sum_of_squares([[-1, 1, 1]], (0, F(1, 2)))
         assert glaeser_landau_check(f, enlargement=1.0).passed
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        f = SampledFunction.polynomial([0, 0, 1], (-1, 1))
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            glaeser_landau_check(f, tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            numeric_pullback_probe(tau_sing(), f, tol=tol)
+
     def test_interval_validation(self):
         with pytest.raises(ValueError, match="a < b"):
             SampledFunction.polynomial([1], (1, 1))

@@ -280,6 +280,32 @@ class TestPullbackQuadrantPath:
         with pytest.raises(TypeError, match="pullback_sq2"):
             pullback_quadrant_path(make_quadrant_tensor(1, 1, 0), SqMap2())
 
+    def test_window_doubling_rebuilds_the_power_tables(self):
+        # a = 1/x along px = t^2 u with u = 1 + t/2 gives S(t) = px'^2 / px, a
+        # unit-series with a nonzero tail.  b(y) = -S_20(y - 1), the degree-20
+        # Taylor polynomial of S, cancels it along py = 1 + t through t^20, so
+        # the first window (16) sees nothing, the second (32) exposes too
+        # little, and only the 64-wide tables reach the verdict.
+        from math import comb
+
+        from cornerjet import laurent_divide
+
+        unit = Jet1([1, F(1, 2)])
+        px = make_boundary_plot(1, unit)
+        py = make_interior_plot(1)
+        # Oracle, slice by slice: (2u + t u')^2 / u by long division.
+        lead = LaurentJet(0, [2, F(3, 2)])
+        series = laurent_divide(lead * lead, unit.to_laurent(), terms=64)
+        s = [series.coefficient(k) for k in range(64)]
+        cut = 20
+        b = {(0, j): -sum(s[k] * comb(k, j) * (-1) ** (k - j) for k in range(j, cut + 1))
+             for j in range(cut + 1)}
+        tensor = make_quadrant_tensor({(-1, 0): 1}, b, 0)
+        verdict = pullback_quadrant_path(tensor, PairGerm(px, py), order=16)
+        assert verdict.status is Status.SMOOTH
+        assert verdict.witness == LaurentJet(cut + 1, s[cut + 1 : cut + 18])
+        assert verdict.vanishing_order == cut + 1
+
     def test_exact_cancellation_along_diagonal(self):
         # a = 1, b = -1 along (t^2, t^2): px'^2 and py'^2 cancel exactly
         t = make_quadrant_tensor(1, {(0, 0): -1}, 0)
