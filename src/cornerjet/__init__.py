@@ -20,15 +20,11 @@ from .decompose import (
 from .jets import (
     DEFAULT_ORDER,
     Jet1,
-    Jet2,
     LaurentJet,
     LaurentJet2,
-    ParityParts,
     TruncationError,
-    compose,
     differentiate,
     laurent_divide,
-    parity_decompose2,
     parity_masses,
     whitney_descend,
 )
@@ -46,6 +42,7 @@ from .parser import (
     format_plot,
     format_quadrant_tensor,
     parse_plot,
+    parse_polynomial,
     parse_rational,
     parse_tensor,
 )
@@ -55,18 +52,15 @@ from .plots import (
     InteriorGerm,
     PairGerm,
     PlotGerm,
-    QuadrantPlotGerm,
     SqMap2,
     make_boundary_plot,
     make_interior_plot,
-    realize_jet,
 )
 from .pullback import (
     NotSmoothError,
     SmoothnessVerdict,
     SquarePullback,
     Status,
-    pullback_form,
     pullback_halfline,
     pullback_quadrant_path,
     pullback_sq2,
@@ -87,18 +81,17 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # jets
-    "DEFAULT_ORDER", "TruncationError", "Jet1", "LaurentJet", "Jet2", "LaurentJet2",
-    "ParityParts", "compose", "differentiate", "laurent_divide", "whitney_descend",
-    "parity_decompose2", "parity_masses",
+    "DEFAULT_ORDER", "TruncationError", "Jet1", "LaurentJet", "LaurentJet2",
+    "differentiate", "laurent_divide", "whitney_descend", "parity_masses",
     # plots
     "InteriorGerm", "BoundaryGerm", "FlatGerm", "PlotGerm", "PairGerm", "SqMap2",
-    "QuadrantPlotGerm", "make_boundary_plot", "make_interior_plot", "realize_jet",
+    "make_boundary_plot", "make_interior_plot",
     # tensors
     "MIN_VALUATION", "HalfLineTensor", "QuadrantTensor", "Decomposition",
     "DecompositionTrace", "tau_sing", "make_halfline_tensor", "make_quadrant_tensor",
     # pullback
     "Status", "SmoothnessVerdict", "NotSmoothError", "SquarePullback",
-    "pullback_halfline", "pullback_form", "pullback_sq2", "pullback_quadrant_path",
+    "pullback_halfline", "pullback_sq2", "pullback_quadrant_path",
     # decompose
     "ComponentParity", "ParityReport", "QuadrantDecomposition",
     "decompose_halfline", "decompose_quadrant", "check_gamma_parity",
@@ -110,6 +103,6 @@ __all__ = [
     "SampledFunction", "GlaeserLandauReport", "PullbackProbeReport",
     "glaeser_landau_check", "numeric_pullback_probe",
     # parser
-    "ParseError", "parse_tensor", "parse_plot", "parse_rational",
+    "ParseError", "parse_tensor", "parse_plot", "parse_polynomial", "parse_rational",
     "format_halfline_tensor", "format_quadrant_tensor", "format_plot",
 ]

@@ -33,6 +33,7 @@ from .parser import (
     format_plot,
     format_quadrant_tensor,
     parse_plot,
+    parse_polynomial,
     parse_rational,
     parse_tensor,
 )
@@ -40,7 +41,6 @@ from .pullback import (
     NotSmoothError,
     SmoothnessVerdict,
     Status,
-    pullback_form,
     pullback_halfline,
 )
 from .tensors import HalfLineTensor
@@ -260,10 +260,7 @@ def _cmd_pullback(ns) -> int:
     plot = parse_plot(ns.plot)
     if not isinstance(tensor, HalfLineTensor):  # pragma: no cover - parse guarantees
         raise ParseError("pullback expects a half-line tensor")
-    if tensor.degree == 1:
-        verdict = pullback_form(tensor, plot, order)
-    else:
-        verdict = pullback_halfline(tensor, plot, order)
+    verdict = pullback_halfline(tensor, plot, order)
     _emit(ns, _verdict_lines(verdict), {
         "command": "pullback",
         "plot": format_plot(plot),
@@ -344,7 +341,7 @@ def _cmd_check_metric(ns) -> int:
 
 def _cmd_gl_check(ns) -> int:
     check_tolerance(ns.tol)  # a bad tolerance is invalid input (exit 1), not a failed check
-    coeffs = _parse_poly_in_t(ns.f)
+    coeffs = parse_polynomial(ns.f).coeffs
     a = parse_rational(ns.interval[0])
     b = parse_rational(ns.interval[1])
     f = SampledFunction.polynomial(coeffs, (a, b), grid_n=ns.grid)
@@ -371,12 +368,6 @@ def _cmd_gl_check(ns) -> int:
         },
     )
     return 0 if report.passed else 2
-
-
-def _parse_poly_in_t(text: str):
-    from .parser import _CURVE_SYMBOLS, _parse_value, _value_to_jet1
-
-    return _value_to_jet1(_parse_value(text, _CURVE_SYMBOLS)).coeffs
 
 
 def _cmd_parity(ns) -> int:

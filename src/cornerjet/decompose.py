@@ -18,14 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import (
-    DEFAULT_ORDER,
-    Jet1,
-    LaurentJet,
-    LaurentJet2,
-    parity_masses,
-    whitney_descend,
-)
+from .jets import Jet1, LaurentJet, LaurentJet2, parity_masses, whitney_descend
 from .plots import make_boundary_plot
 from .pullback import NotSmoothError, SquarePullback, pullback_halfline, pullback_sq2
 from .tensors import (
@@ -131,16 +124,7 @@ def _parity_report(pulled: SquarePullback) -> ParityReport:
 def check_gamma_parity(tensor: QuadrantTensor) -> ParityReport:
     """Which parity sectors each pulled-back component occupies, and whether
     the corner selection rule (axial even-even, cross odd-odd, no poles) holds."""
-    return _parity_report(pullback_sq2(tensor, order=_wide_enough(tensor)))
-
-
-def _wide_enough(tensor: QuadrantTensor) -> int:
-    spans = [DEFAULT_ORDER]
-    for component in (tensor.a, tensor.b, tensor.c):
-        vx, vy = component.valuations
-        dx, dy = component.max_degrees
-        spans.append(max(abs(vx), abs(vy), dx, dy))
-    return max(spans)
+    return _parity_report(pullback_sq2(tensor))
 
 
 @dataclass(frozen=True)
@@ -174,7 +158,7 @@ def decompose_quadrant(
     degree, and axial poles deeper than one violate smoothness of the
     pulled-back even-even coefficients.
     """
-    pulled = pullback_sq2(tensor, order=_wide_enough(tensor))
+    pulled = pullback_sq2(tensor)
     report = _parity_report(pulled)
     cx, cy = tensor.c.valuations
     if cx < 0 or cy < 0:

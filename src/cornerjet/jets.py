@@ -18,9 +18,12 @@ Conventions:
   operations stay in the truncation ring (result order = min of the inputs),
 * a ``LaurentJet`` is kept canonical: leading and trailing coefficients are
   nonzero, and the zero jet is (valuation 0, no coefficients),
-* operations that genuinely truncate (``laurent_divide``, plot composition in
-  ``cornerjet.pullback``) document the window on which their result is exact;
-  degrees beyond a documented window are unknown, never assumed zero.
+* curve germs and tensor coefficients are polynomials and Laurent
+  polynomials, so a pullback clears its denominators and stays polynomial
+  until one final series division (``cornerjet.pullback``); that division,
+  ``laurent_divide``, is the only operation that truncates, and it returns
+  exactly the number of quotient terms asked for; degrees beyond them are
+  unknown, never assumed zero.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -41,14 +44,10 @@ __all__ = [
     "as_fraction",
     "Jet1",
     "LaurentJet",
-    "Jet2",
     "LaurentJet2",
-    "ParityParts",
-    "compose",
     "differentiate",
     "laurent_divide",
     "whitney_descend",
-    "parity_decompose2",
     "parity_masses",
     "SECTOR_NAMES",
 ]
@@ -237,22 +236,6 @@ def differentiate(j: Jet1) -> Jet1:
     if j.order < 1:
         raise ValueError("cannot differentiate order-0 jet")
     return Jet1(tuple(i * c for i, c in enumerate(j.coeffs) if i >= 1))
-
-
-def compose(outer: Jet1, inner: Jet1) -> Jet1:
-    """Substitute ``inner`` into ``outer``; result order is ``inner.order``.
-
-    ``inner`` must have vanishing constant term.  The outer jet is treated as
-    a polynomial (its coefficients above the stored order are exact zeros),
-    matching how every jet in this package is constructed.
-    """
-    if inner.constant_term != 0:
-        raise ValueError("composition requires vanishing constant term")
-    n = inner.order
-    acc = Jet1.zero(n)
-    for c in reversed(outer.coeffs):
-        acc = acc * inner + c
-    return acc
 
 
 def whitney_descend(g: Jet1) -> Jet1:
@@ -468,123 +451,6 @@ def laurent_divide(num: LaurentJet, den: LaurentJet, terms: int | None = None) -
     return LaurentJet(num.valuation - den.valuation, q)
 
 
-class Jet2:
-    """Dense triangular two-variable jet: coefficients of u^i v^j for i+j <= order."""
-
-    __slots__ = ("coeffs",)
-
-    coeffs: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, rows: Iterable[Iterable[Rational]]):
-        built = tuple(tuple(as_fraction(c) for c in row) for row in rows)
-        if not built:
-            raise ValueError("a two-variable jet stores at least its constant term")
-        n = len(built) - 1
-        for i, row in enumerate(built):
-            if len(row) != n + 1 - i:
-                raise ValueError("row %d must hold %d coefficients" % (i, n + 1 - i))
-        object.__setattr__(self, "coeffs", built)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Jet2 is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "Jet2":
-        return cls([[0] * (order + 1 - i) for i in range(order + 1)])
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[tuple[int, int], Rational], order: int) -> "Jet2":
-        rows = [[Fraction(0)] * (order + 1 - i) for i in range(order + 1)]
-        for (i, j), c in terms.items():
-            if i < 0 or j < 0 or i + j > order:
-                raise ValueError("term u^%d v^%d is outside total degree %d" % (i, j, order))
-            rows[i][j] = as_fraction(c)
-        return cls(rows)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for row in self.coeffs for c in row)
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        if i < 0 or j < 0:
-            return Fraction(0)
-        if i + j > self.order:
-            raise TruncationError(
-                "degree u^%d v^%d is beyond truncation order %d" % (i, j, self.order)
-            )
-        return self.coeffs[i][j]
-
-    def terms(self) -> Iterator[tuple[int, int, Fraction]]:
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != 0:
-                    yield i, j, c
-
-    def truncated(self, order: int) -> "Jet2":
-        if order >= self.order:
-            return self
-        return Jet2([row[: order + 1 - i] for i, row in enumerate(self.coeffs[: order + 1])])
-
-    def to_laurent2(self) -> "LaurentJet2":
-        return LaurentJet2.from_terms({(i, j): c for i, j, c in self.terms()})
-
-    def __add__(self, other):
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return Jet2(
-            [
-                [self.coeffs[i][j] + other.coeffs[i][j] for j in range(n + 1 - i)]
-                for i in range(n + 1)
-            ]
-        )
-
-    def __neg__(self):
-        return Jet2([[-c for c in row] for row in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return Jet2([[a * c for a in row] for row in self.coeffs])
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        n = min(self.order, other.order)
-        rows = [[Fraction(0)] * (n + 1 - i) for i in range(n + 1)]
-        for i1, j1, c1 in self.terms():
-            for i2, j2, c2 in other.terms():
-                i, j = i1 + i2, j1 + j2
-                if i + j <= n:
-                    rows[i][j] += c1 * c2
-        return Jet2(rows)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, Jet2) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("Jet2", self.coeffs))
-
-    def __str__(self):
-        parts = sorted(self.terms())
-        return _format_terms2(parts)
-
-    def __repr__(self):
-        return "Jet2.from_terms(%r, order=%d)" % (
-            {(i, j): str(c) for i, j, c in self.terms()},
-            self.order,
-        )
-
-
 def _format_terms2(terms: Sequence[tuple[int, int, Fraction]], vars=("u", "v")) -> str:
     parts: list[str] = []
     for i, j, coeff in terms:
@@ -603,31 +469,6 @@ def _format_terms2(terms: Sequence[tuple[int, int, Fraction]], vars=("u", "v")) 
         else:
             parts.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(parts) if parts else "0"
-
-
-class ParityParts(NamedTuple):
-    even_even: Jet2
-    even_odd: Jet2
-    odd_even: Jet2
-    odd_odd: Jet2
-
-
-def parity_decompose2(j: Jet2) -> ParityParts:
-    """Split a two-variable jet by coefficient parity in each variable.
-
-    Part (p, q) keeps exactly the coefficients c_{i,j} with i = p and j = q
-    mod 2; the four parts sum to the input and have disjoint support.
-    """
-    buckets = {(0, 0): {}, (0, 1): {}, (1, 0): {}, (1, 1): {}}
-    for i, jj, c in j.terms():
-        buckets[(i % 2, jj % 2)][(i, jj)] = c
-    n = j.order
-    return ParityParts(
-        Jet2.from_terms(buckets[(0, 0)], n),
-        Jet2.from_terms(buckets[(0, 1)], n),
-        Jet2.from_terms(buckets[(1, 0)], n),
-        Jet2.from_terms(buckets[(1, 1)], n),
-    )
 
 
 SECTOR_NAMES = {
@@ -736,17 +577,6 @@ class LaurentJet2:
             return LaurentJet()
         lo, hi = min(picked), max(picked)
         return LaurentJet(lo, tuple(picked.get(d, Fraction(0)) for d in range(lo, hi + 1)))
-
-    def to_jet2(self, order: int | None = None) -> Jet2:
-        vx, vy = self.valuations
-        if vx < 0 or vy < 0:
-            raise ValueError("cannot convert a jet with poles to a triangular jet")
-        total = max((i + j for i, j, _ in self.terms()), default=0)
-        if order is None:
-            order = total
-        elif total > order:
-            raise ValueError("total degree %d exceeds requested order %d" % (total, order))
-        return Jet2.from_terms(dict(((i, j), c) for i, j, c in self.terms()), order)
 
     def __add__(self, other):
         if not isinstance(other, LaurentJet2):

@@ -14,6 +14,9 @@ quadrant tensors use ``x``, ``y`` and the degree-2 symbols ``dx^2``, ``dy^2``,
 coefficient (it is stored as-is, not halved).
 
 Plot germs:  ``t^2``, ``t^4*(1+t)``, ``interior(1; 1+t)``, ``flat``.
+
+Parentheses nest at most ``MAX_NESTING`` deep; deeper input is a parse error,
+not a recursion failure.
 """
 
 from __future__ import annotations
@@ -42,11 +45,15 @@ __all__ = [
     "ParseError",
     "parse_tensor",
     "parse_plot",
+    "parse_polynomial",
     "parse_rational",
     "format_halfline_tensor",
     "format_quadrant_tensor",
     "format_plot",
 ]
+
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -158,6 +165,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.symbols = symbols
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -229,8 +237,12 @@ class _ExprParser:
                 raise ParseError("unknown symbol %r" % tok.text, tok.column)
             return {key: Fraction(1)}
         if tok.kind == "op" and tok.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("expression nested too deeply", tok.column)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError("unexpected %s" % (tok.text or "end of input"), tok.column)
 
@@ -325,6 +337,11 @@ def _value_to_jet1(value: _Value) -> Jet1:
     return Jet1(tuple(coeffs.get(d, Fraction(0)) for d in range(degree + 1)))
 
 
+def parse_polynomial(text: str) -> Jet1:
+    """A polynomial in the curve parameter t, e.g. '1 + t/2 - 3*t^4'."""
+    return _value_to_jet1(_parse_value(text, _CURVE_SYMBOLS))
+
+
 def parse_rational(text: str) -> Fraction:
     """Exact rational literal: '3', '1/2', '-7/3'.  Decimal points are refused."""
     if "." in text:
@@ -393,7 +410,7 @@ def _parse_interior(text: str) -> InteriorGerm:
     x0 = parse_rational(x0_text)
     if x0 <= 0:
         raise ParseError("interior base point must be positive")
-    jet = _value_to_jet1(_parse_value(jet_text, _CURVE_SYMBOLS))
+    jet = parse_polynomial(jet_text)
     if jet.constant_term != x0:
         raise ParseError("interior jet constant term must equal the base point")
     return make_interior_plot(x0, jet)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .jets import Jet1, LaurentJet, Rational, TruncationError, as_fraction
+from .jets import Jet1, Rational, as_fraction
 
 __all__ = [
     "InteriorGerm",
@@ -21,10 +21,8 @@ __all__ = [
     "PlotGerm",
     "PairGerm",
     "SqMap2",
-    "QuadrantPlotGerm",
     "make_boundary_plot",
     "make_interior_plot",
-    "realize_jet",
 ]
 
 
@@ -79,9 +77,6 @@ class SqMap2:
     """The two-parameter square map (u, v) -> (u^2, v^2)."""
 
 
-QuadrantPlotGerm = Union[PairGerm, SqMap2]
-
-
 def make_boundary_plot(m: int, unit: Jet1 | Rational) -> BoundaryGerm:
     """Build the germ t^(2m) * unit(t); rejects data that cannot stay nonnegative."""
     if not isinstance(unit, Jet1):
@@ -97,21 +92,3 @@ def make_interior_plot(x0: Rational, jet: Jet1 | None = None) -> InteriorGerm:
     if jet is None:
         jet = Jet1((base, Fraction(1)))
     return InteriorGerm(base, jet)
-
-
-def realize_jet(p: PlotGerm, order: int) -> LaurentJet:
-    """The curve's jet truncated to ``order``; valuation 0 (interior) or 2m (boundary)."""
-    if isinstance(p, FlatGerm):
-        raise ValueError("flat germ has no finite jet representation")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if isinstance(p, InteriorGerm):
-        jet = p.jet if p.jet.order >= order else p.jet.extended(order)
-        return jet.truncated(order).to_laurent()
-    if isinstance(p, BoundaryGerm):
-        if p.contact_degree > order:
-            raise TruncationError(
-                "order %d is below the plot contact degree %d" % (order, p.contact_degree)
-            )
-        return LaurentJet(p.contact_degree, p.unit.coeffs).truncated(order)
-    raise TypeError("not a plot germ: %r" % (p,))

@@ -5,15 +5,19 @@ coeff(P(t)) * P'(t)^k; whether that is smooth at the contact point is decided
 purely by the valuation of the resulting Laurent jet in t, never by magnitude
 thresholds.
 
-Truncation bookkeeping: plot composition can only be carried out to a finite
-t-degree, so intermediate results here are pairs (jet, top) where ``top`` is
-the highest degree on which the jet is exact (None when the jet is an exact
-polynomial).  The tiny windowed algebra below keeps those tops honest through
-products and sums; a verdict is only ever derived from a valuation that the
-window actually exposes.
+Clearing denominators: every curve germ is a polynomial in t and every
+coefficient a Laurent polynomial, so a sum of terms c x^i y^j dx^p dy^q pulls
+back along (px, py) to W / D with D = px^vx py^vy, where vx and vy are the
+deepest poles in x and y, and
 
-The powers of a curve that composition needs are tabulated once per window
-(``_Powers``) and shared by every coefficient composed along that curve.
+    W = sum c px^(i+vx) py^(j+vy) px'^p py'^q,
+
+a polynomial.  The valuation of each term of W is known exactly from the
+curve valuations; W is computed through degree lo + order, lo the smallest
+term valuation, from powers that keep ``top - lo`` coefficients above their
+valuation.  Only when cancellation hides val(W) does the bound grow, and never
+past deg W, so every verdict is exact.  The witness is the one series division
+W / D, reported through the requested order above its valuation.
 """
 
 from __future__ import annotations
@@ -23,15 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .jets import (
-    DEFAULT_ORDER,
-    Jet1,
-    LaurentJet,
-    LaurentJet2,
-    TruncationError,
-    _convolve,
-    differentiate,
-)
+from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, _convolve, laurent_divide
 from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, SqMap2
 from .tensors import HalfLineTensor, QuadrantTensor
 
@@ -41,7 +37,6 @@ __all__ = [
     "NotSmoothError",
     "SquarePullback",
     "pullback_halfline",
-    "pullback_form",
     "pullback_sq2",
     "pullback_quadrant_path",
 ]
@@ -88,177 +83,139 @@ class NotSmoothError(ValueError):
         self.parity = parity
 
 
-# -- windowed jets: (jet, top) with top = highest exact degree, None = exact --
+# -- the one evaluation routine ------------------------------------------------
 
-_Windowed = tuple[LaurentJet, "int | None"]
+_ONE = LaurentJet(0, (1,))
 
-
-def _val_lb(jet: LaurentJet, top: int | None) -> int:
-    if not jet.is_zero:
-        return jet.valuation
-    return 0 if top is None else top + 1
+# A tensor term c x^i y^j dx^p dy^q as (i, j, p, q, c).
+_Term = tuple[int, int, int, int, Fraction]
 
 
-def _wmul(a: _Windowed, b: _Windowed) -> _Windowed:
-    ja, ta = a
-    jb, tb = b
-    if (ja.is_zero and ta is None) or (jb.is_zero and tb is None):
-        return LaurentJet(), None
-    tops = []
-    if ta is not None:
-        tops.append(ta + _val_lb(jb, tb))
-    if tb is not None:
-        tops.append(tb + _val_lb(ja, ta))
-    top = min(tops) if tops else None
-    if ja.is_zero or jb.is_zero:
-        return LaurentJet(), top
-    val = ja.valuation + jb.valuation
-    n = len(ja.coeffs) + len(jb.coeffs) - 1
-    if top is not None:
-        n = min(n, top - val + 1)
-    return LaurentJet(val, _convolve(ja.coeffs, jb.coeffs, n)), top
+def _mul_through(a: LaurentJet, b: LaurentJet, top: int) -> LaurentJet:
+    """The product a * b through degree ``top``; nothing above it is formed."""
+    if a.is_zero or b.is_zero:
+        return LaurentJet()
+    val = a.valuation + b.valuation
+    if top < val:
+        return LaurentJet()
+    return LaurentJet(val, _convolve(a.coeffs, b.coeffs, top - val + 1))
 
 
-def _wadd(a: _Windowed, b: _Windowed) -> _Windowed:
-    ja, ta = a
-    jb, tb = b
-    tops = [t for t in (ta, tb) if t is not None]
-    top = min(tops) if tops else None
-    s = ja + jb
-    if top is not None:
-        s = s.truncated(top)
-    return s, top
+def _powers(base: LaurentJet, exponents: set[int], keep: int) -> dict[int, LaurentJet]:
+    """base^e for each e in ``exponents``, each through ``keep`` degrees above its valuation.
 
-
-def _series_inverse(coeffs: tuple[Fraction, ...], n_terms: int) -> list[Fraction]:
-    if coeffs[0] == 0:
-        raise ZeroDivisionError("cannot invert a series with zero constant term")
-    inv = [Fraction(1) / coeffs[0]]
-    for n in range(1, n_terms):
-        acc = Fraction(0)
-        for k in range(max(0, n - len(coeffs) + 1), n):
-            c = coeffs[n - k] if n - k < len(coeffs) else Fraction(0)
-            if c != 0:
-                acc += inv[k] * c
-        inv.append(-acc / coeffs[0])
-    return inv
-
-
-class _Powers:
-    """Powers of a curve's unit part for one window, shared by every coefficient
-    composed along that curve.
-
-    The unit part is ``unit`` for a boundary germ t^(2m) unit(t) and the whole
-    jet for an interior germ.  ``exact(d)`` is its polynomial d-th power;
-    ``windowed(d)`` is its d-th power in the truncation ring of order
-    ``window``, negative d through one series inverse.  Each chain grows on
-    demand and is never rebuilt.
+    ``base`` has a nonzero leading coefficient, so val(base^e) = e val(base)
+    exactly, and coefficients of base above val(base) + keep never reach the
+    kept degrees.
     """
-
-    def __init__(self, plot: PlotGerm, window: int):
-        if isinstance(plot, BoundaryGerm):
-            base = plot.unit
-        elif isinstance(plot, InteriorGerm):
-            base = plot.jet
-        else:
-            raise TypeError("cannot compose along %r" % (plot,))
-        self.plot = plot
-        self.window = window
-        self._poly = base.to_laurent()
-        self._exact = [LaurentJet(0, (1,))]
-        self._base = base.extended(window) if base.order < window else base.truncated(window)
-        self._inverse: Jet1 | None = None
-        one = Jet1.constant(1, window)
-        self._up = [one]
-        self._down = [one]
-
-    def exact(self, d: int) -> LaurentJet:
-        while len(self._exact) <= d:
-            self._exact.append(self._exact[-1] * self._poly)
-        return self._exact[d]
-
-    def windowed(self, d: int) -> Jet1:
-        if d >= 0:
-            chain, step = self._up, self._base
-        else:
-            if self._inverse is None:
-                self._inverse = Jet1(_series_inverse(self._poly.coeffs, self.window + 1))
-            chain, step, d = self._down, self._inverse, -d
-        while len(chain) <= d:
-            chain.append(chain[-1] * step)
-        return chain[d]
+    base = base.truncated(base.valuation + keep)
+    last = max(exponents)
+    out = {}
+    power = _ONE
+    for e in range(last + 1):
+        if e in exponents:
+            out[e] = power
+        if e < last:
+            power = _mul_through(power, base, power.valuation + base.valuation + keep)
+    return out
 
 
-def _compose_plot(coeff: LaurentJet, powers: _Powers) -> _Windowed:
-    """coeff evaluated along the curve whose unit powers ``powers`` holds.
+def _derivative(curve: LaurentJet) -> LaurentJet:
+    return LaurentJet(
+        curve.valuation - 1, [(curve.valuation + i) * c for i, c in enumerate(curve.coeffs)]
+    )
 
-    Polynomial coefficients (valuation >= 0) compose exactly (top None).
-    With a pole, the unit part of the curve must be inverted, which
-    truncates: for a boundary germ t^(2m) u(t) the result is then exact on
-    [2m * val(coeff), 2m * val(coeff) + window], for an interior germ through
-    degree ``window``.
-    """
-    if coeff.is_zero:
-        return LaurentJet(), None
-    plot, window = powers.plot, powers.window
+
+def _curve(plot: PlotGerm) -> LaurentJet:
+    """A plot germ as the polynomial in t that it is."""
     if isinstance(plot, BoundaryGerm):
-        two_m = 2 * plot.m
-        if coeff.valuation >= 0:
-            total = LaurentJet()
-            for d, c in coeff.terms():
-                total = total + powers.exact(d).shifted(two_m * d) * c
-            return total, None
-        top = two_m * coeff.valuation + window
-        acc: _Windowed = (LaurentJet(), top)
-        for d, c in coeff.terms():
-            piece = LaurentJet(two_m * d, powers.windowed(d).coeffs) * c
-            acc = _wadd(acc, (piece.truncated(top), top))
-        return acc
-    if coeff.valuation >= 0:
-        total = LaurentJet()
-        for d, c in coeff.terms():
-            total = total + powers.exact(d) * c
-        return total, None
-    acc_jet = Jet1.zero(window)
-    for d, c in coeff.terms():
-        acc_jet = acc_jet + powers.windowed(d) * c
-    return acc_jet.to_laurent(), window
-
-
-def _curve_derivative(plot: PlotGerm) -> LaurentJet:
-    if isinstance(plot, BoundaryGerm):
-        two_m = 2 * plot.m
-        return LaurentJet(
-            two_m - 1,
-            tuple((two_m + i) * c for i, c in enumerate(plot.unit.coeffs)),
-        )
+        return LaurentJet(2 * plot.m, plot.unit.coeffs)
     if isinstance(plot, InteriorGerm):
-        if plot.jet.order == 0:
-            return LaurentJet()
-        return differentiate(plot.jet).to_laurent()
-    raise TypeError("cannot differentiate %r" % (plot,))
+        return plot.jet.to_laurent()
+    raise TypeError("cannot compose along %r" % (plot,))
 
 
-def _verdict_from_witness(
-    witness: LaurentJet,
-    top: int | None,
-    boundary: bool,
-    zero_is_exact: bool,
-) -> SmoothnessVerdict:
+def _pull_back(terms: list[_Term], px: LaurentJet, py: LaurentJet, order: int) -> LaurentJet:
+    """sum c px^i py^j px'^p py'^q through ``order`` degrees above its valuation.
+
+    Exact: W (the sum with denominators cleared) is built through a degree
+    that exposes its valuation, then divided once by D = px^vx py^vy.
+    """
+    curves = (px, py, _derivative(px), _derivative(py))
+    # A differential of a constant curve component kills its terms.
+    terms = [
+        t for t in terms
+        if not ((t[2] and curves[2].is_zero) or (t[3] and curves[3].is_zero))
+    ]
+    if not terms:
+        return LaurentJet()
+    vx = max(0, -min(t[0] for t in terms))
+    vy = max(0, -min(t[1] for t in terms))
+    # W grouped as sum over (p, q) of px'^p py'^q sum over a of px^a sum over b of c py^b.
+    slots: dict[tuple[int, int], dict[int, list[tuple[int, Fraction]]]] = {}
+    spans = []
+    for i, j, p, q, c in terms:
+        slots.setdefault((p, q), {}).setdefault(i + vx, []).append((j + vy, c))
+        pairs = [(n, f) for n, f in zip((i + vx, j + vy, p, q), curves) if n]
+        spans.append(
+            (sum(n * f.valuation for n, f in pairs), sum(n * f.degree for n, f in pairs))
+        )
+    lo = min(v for v, _ in spans)
+    deg_w = max(d for _, d in spans)
+    top = min(lo + order, deg_w)
+    while True:
+        w = _evaluate(slots, curves, top - lo, top)
+        if top == deg_w or (not w.is_zero and w.valuation + order <= top):
+            break
+        # Cancellation: raise the bound to what val(W) needs, or double it
+        # while W vanishes through it.
+        top = min(deg_w, w.valuation + order if not w.is_zero else 2 * top - lo)
+    if w.is_zero:
+        return w
+    d = _mul_through(
+        _powers(px, {vx}, order)[vx], _powers(py, {vy}, order)[vy],
+        vx * px.valuation + vy * py.valuation + order,
+    )
+    return laurent_divide(w, d, order + 1)
+
+
+def _evaluate(slots, curves: tuple[LaurentJet, ...], keep: int, top: int) -> LaurentJet:
+    """W through degree ``top``, every term of which has valuation >= top - keep.
+
+    Each power keeps ``keep`` degrees above its valuation, which is all that a
+    term can carry below ``top``, and every product stops at the degree that
+    can still reach ``top``.
+    """
+    px, py, dpx, dpy = curves
+    x_pows = _powers(px, {a for rows in slots.values() for a in rows}, keep)
+    y_exps = {b for rows in slots.values() for row in rows.values() for b, _ in row}
+    y_pows = _powers(py, y_exps, keep)
+    dx_pows = _powers(dpx, {p for p, _ in slots}, keep)
+    dy_pows = _powers(dpy, {q for _, q in slots}, keep)
+    w = LaurentJet()
+    for (p, q), rows in slots.items():
+        factor = _mul_through(
+            dx_pows[p], dy_pows[q], p * dpx.valuation + q * dpy.valuation + keep
+        )
+        slot = LaurentJet()
+        for a, row in rows.items():
+            inner = LaurentJet()
+            for b, c in row:
+                inner = inner + y_pows[b] * c
+            slot = slot + _mul_through(x_pows[a], inner, top - factor.valuation)
+        w = w + _mul_through(slot, factor, top)
+    return w
+
+
+def _verdict(witness: LaurentJet, boundary: bool) -> SmoothnessVerdict:
     if witness.is_zero:
-        if not zero_is_exact:
-            raise TruncationError(
-                "insufficient truncation: pullback vanishes through degree %s,"
-                " valuation undetermined" % (top,)
-            )
         return SmoothnessVerdict(Status.SMOOTH, witness=witness)
     val = witness.valuation
-    vanishing = val if (boundary and val >= 0) else None
     if val >= 0:
-        return SmoothnessVerdict(Status.SMOOTH, witness=witness, vanishing_order=vanishing)
-    return SmoothnessVerdict(
-        Status.POLE, witness=witness, pole_order=-val, vanishing_order=None
-    )
+        return SmoothnessVerdict(
+            Status.SMOOTH, witness=witness, vanishing_order=val if boundary else None
+        )
+    return SmoothnessVerdict(Status.POLE, witness=witness, pole_order=-val)
 
 
 def pullback_halfline(
@@ -274,24 +231,9 @@ def pullback_halfline(
         if tensor.pole_order <= k // 2:
             return SmoothnessVerdict(Status.FLAT_SMOOTH)
         return SmoothnessVerdict(Status.FLAT_INDETERMINATE)
-    composed = _compose_plot(tensor.coeff, _Powers(plot, order))
-    dpk = _curve_derivative(plot) ** k
-    witness, top = _wmul(composed, (dpk, None))
-    zero_is_exact = top is None or tensor.coeff.is_zero or (k > 0 and dpk.is_zero)
-    if not witness.is_zero:
-        witness = witness.truncated(witness.valuation + order)
-    return _verdict_from_witness(
-        witness, top, isinstance(plot, BoundaryGerm), zero_is_exact
-    )
-
-
-def pullback_form(
-    form: HalfLineTensor, plot: PlotGerm, order: int = DEFAULT_ORDER
-) -> SmoothnessVerdict:
-    """Pullback for 1-forms; reports the order of vanishing on boundary germs."""
-    if form.degree != 1:
-        raise ValueError("pullback_form requires a 1-form (degree 1)")
-    return pullback_halfline(form, plot, order)
+    terms = [(d, 0, k, 0, c) for d, c in tensor.coeff.terms()]
+    witness = _pull_back(terms, _curve(plot), _ONE, order)
+    return _verdict(witness, isinstance(plot, BoundaryGerm))
 
 
 class SquarePullback(NamedTuple):
@@ -302,7 +244,7 @@ class SquarePullback(NamedTuple):
     dudv: LaurentJet2
 
 
-def pullback_sq2(tensor: QuadrantTensor, order: int = DEFAULT_ORDER) -> SquarePullback:
+def pullback_sq2(tensor: QuadrantTensor) -> SquarePullback:
     """Pull a quadrant tensor back along (u, v) -> (u^2, v^2).
 
     The substitution doubles every exponent, so the result is exact:
@@ -310,16 +252,6 @@ def pullback_sq2(tensor: QuadrantTensor, order: int = DEFAULT_ORDER) -> SquarePu
     8 u v c(u^2, v^2) (the displayed coefficient, counting both du (x) dv
     and dv (x) du).
     """
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    for name, component in (("dx^2", tensor.a), ("dy^2", tensor.b), ("dx*dy", tensor.c)):
-        vx, vy = component.valuations
-        dx, dy = component.max_degrees
-        if max(abs(vx), abs(vy), dx, dy) > order:
-            raise TruncationError(
-                "insufficient truncation: %s coefficient has exponents beyond order %d"
-                % (name, order)
-            )
     return SquarePullback(
         tensor.a.double_degrees().shifted(2, 0) * 4,
         tensor.b.double_degrees().shifted(0, 2) * 4,
@@ -342,56 +274,9 @@ def pullback_quadrant_path(
     for component in (germ.px, germ.py):
         if isinstance(component, FlatGerm):
             raise ValueError("flat components are not supported in path pullback")
-    dx = _curve_derivative(germ.px)
-    dy = _curve_derivative(germ.py)
-    factors = (
-        (tensor.a, dx * dx),
-        (tensor.b, dy * dy),
-        (tensor.c, dx * dy * 2),
-    )
-    window = order
-    for _ in range(6):
-        # Built once per window and shared by the three components.
-        x_powers = _Powers(germ.px, window)
-        y_powers = _Powers(germ.py, window)
-        x_parts: dict[int, _Windowed] = {}
-        acc: _Windowed = (LaurentJet(), None)
-        for component, deriv in factors:
-            part = _evaluate_two_var(component, x_powers, y_powers, x_parts)
-            acc = _wadd(acc, _wmul(part, (deriv, None)))
-        witness, top = acc
-        if top is None or (not witness.is_zero and top - witness.valuation >= order):
-            if not witness.is_zero:
-                witness = witness.truncated(witness.valuation + order)
-            zero_is_exact = (
-                top is None
-                or all(c.is_zero for c, _ in factors)
-                or (dx.is_zero and dy.is_zero)
-            )
-            boundary = isinstance(germ.px, BoundaryGerm) or isinstance(
-                germ.py, BoundaryGerm
-            )
-            return _verdict_from_witness(witness, top, boundary, zero_is_exact)
-        window *= 2
-    raise TruncationError("insufficient truncation: window did not stabilize")
-
-
-def _evaluate_two_var(
-    component: LaurentJet2,
-    x_powers: _Powers,
-    y_powers: _Powers,
-    x_parts: dict[int, _Windowed],
-) -> _Windowed:
-    """component(px, py) as the sum over x-slices of px^i * slice_i(py).
-
-    ``x_parts`` memoises the compositions px^i for the current window.
-    """
-    if component.is_zero:
-        return LaurentJet(), None
-    acc: _Windowed = (LaurentJet(), None)
-    for i in sorted({i for i, _, _ in component.terms()}):
-        if i not in x_parts:
-            x_parts[i] = _compose_plot(LaurentJet(i, (1,)), x_powers)
-        y_part = _compose_plot(component.slice_x(i), y_powers)
-        acc = _wadd(acc, _wmul(x_parts[i], y_part))
-    return acc
+    terms = [(i, j, 2, 0, c) for i, j, c in tensor.a.terms()]
+    terms += [(i, j, 0, 2, c) for i, j, c in tensor.b.terms()]
+    terms += [(i, j, 1, 1, 2 * c) for i, j, c in tensor.c.terms()]
+    witness = _pull_back(terms, _curve(germ.px), _curve(germ.py), order)
+    boundary = isinstance(germ.px, BoundaryGerm) or isinstance(germ.py, BoundaryGerm)
+    return _verdict(witness, boundary)

@@ -33,7 +33,6 @@ from cornerjet import (
     make_quadrant_tensor,
     parity_masses,
     parse_tensor,
-    pullback_form,
     pullback_halfline,
     pullback_sq2,
     tau_sing,
@@ -231,11 +230,11 @@ def test_criterion_8_forms_vanish_on_boundary_germs():
         for m in (1, 2, 3):
             plot = make_boundary_plot(m, 1)
             for form in forms:
-                verdict = pullback_form(form, plot)
+                verdict = pullback_halfline(form, plot)
                 assert verdict.witness.valuation >= 2 * m - 1 >= 1
                 assert verdict.vanishing_order == verdict.witness.valuation
         pole_form = make_halfline_tensor(1, LaurentJet(-1, [1]))
-        verdict = pullback_form(pole_form, make_boundary_plot(1, 1))
+        verdict = pullback_halfline(pole_form, make_boundary_plot(1, 1))
         assert verdict.status is Status.POLE and verdict.pole_order == 1
         assert verdict.witness == LaurentJet(-1, [2])
         assert capacity(1) == 0

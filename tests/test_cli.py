@@ -20,6 +20,7 @@ from cornerjet import (
     make_halfline_tensor,
     make_quadrant_tensor,
     parse_plot,
+    parse_polynomial,
     parse_rational,
     parse_tensor,
 )
@@ -133,6 +134,52 @@ class TestParsePlot:
         assert parse_rational("-7/3") == F(-7, 3)
         with pytest.raises(ParseError, match="decimal point"):
             parse_rational("0.5")
+
+
+
+class TestParsePolynomial:
+    def test_coefficients_by_degree(self):
+        assert parse_polynomial("1 + t/2 - 3*t^4") == Jet1([1, F(1, 2), 0, 0, -3])
+
+    def test_cancellation_and_constants(self):
+        assert parse_polynomial("t - t + 7") == Jet1([7])
+
+    @pytest.mark.parametrize(
+        "text, message", [("x", "unknown symbol"), ("1/t", "negative powers")]
+    )
+    def test_rejects_non_polynomials(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_polynomial(text)
+
+
+def _nested(depth: int, core: str = "x") -> str:
+    return "(" * depth + core + ")" * depth
+
+
+class TestNestingLimit:
+    def test_deep_but_allowed(self):
+        assert parse_tensor(_nested(100) + "*dx^2").coeff == LaurentJet(1, [1])
+
+    @pytest.mark.parametrize("depth", [101, 3000])
+    def test_too_deep_is_a_parse_error(self, depth):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_tensor(_nested(depth) + "*dx^2")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_tensor(_nested(depth, "x*dx^2 + y*dy^2"), "quadrant")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_plot("interior(1; %s)" % _nested(depth, "1 + t"))
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_plot("t^2*(%s)" % _nested(depth, "1 + t"))
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_polynomial(_nested(depth, "t"))
+
+    def test_cli_exits_one_without_traceback(self, capsys):
+        assert run(["pullback", "--plot", "t^2", _nested(3000) + "*dx^2"]) == 1
+        assert run(["gl-check", "--f", _nested(3000, "t^2")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("nested too deeply") == 2
+        assert "Traceback" not in captured.err
 
 
 halfline_tensors = st.builds(

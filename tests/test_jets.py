@@ -2,23 +2,20 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
 from cornerjet import (
     Jet1,
-    Jet2,
     LaurentJet,
     LaurentJet2,
     TruncationError,
-    compose,
     differentiate,
     laurent_divide,
-    parity_decompose2,
     parity_masses,
     whitney_descend,
 )
 
 from conftest import jet1s, laurent_jets, laurent2s, nonzero_laurent_jets
+from oracles import compose
 
 
 def naive_compose(outer: Jet1, inner: Jet1) -> Jet1:
@@ -130,60 +127,35 @@ class TestWhitneyDescend:
         assert whitney_descend(compose(h, Jet1([0]))) == h
 
 
-class TestJet2Storage:
-    @given(st.integers(0, 6))
-    def test_triangular_coefficient_count(self, order):
-        jet = Jet2.zero(order)
-        stored = sum(len(row) for row in jet.coeffs)
-        assert stored == (order + 1) * (order + 2) // 2
-
-    def test_malformed_rows_rejected(self):
-        with pytest.raises(ValueError, match="row 1"):
-            Jet2([[1, 2], [3, 4]])
-
-    @given(laurent2s(min_valuation=0, max_degree=3), laurent2s(min_valuation=0, max_degree=3))
-    def test_arithmetic_matches_sparse_route(self, a, b):
-        order = 6
-        ja, jb = a.to_jet2(order), b.to_jet2(order)
-        assert (ja + jb).to_laurent2() == a + b
-        assert (ja * jb).truncated(4) == (a * b).restrict(
-            lambda i, j: i + j <= 4
-        ).to_jet2(4)
-
-
 class TestParityDecompose2:
+    """The parity split of a two-variable jet, read through ``parity_masses``."""
+
     def test_even_even_only(self):
-        j = Jet2.from_terms({(2, 2): 1}, 4)
-        parts = parity_decompose2(j)
-        assert parts.even_even == j
-        assert parts.even_odd.is_zero and parts.odd_even.is_zero and parts.odd_odd.is_zero
+        assert parity_masses(LaurentJet2({(2, 2): 1})) == {
+            "even-even": 1, "even-odd": 0, "odd-even": 0, "odd-odd": 0,
+        }
 
     def test_odd_odd_only(self):
-        j = Jet2.from_terms({(1, 1): 1}, 2)
-        parts = parity_decompose2(j)
-        assert parts.odd_odd == j
-        assert parts.even_even.is_zero
+        assert parity_masses(LaurentJet2({(1, 1): 1})) == {
+            "even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 1,
+        }
 
     def test_mixed_split(self):
-        j = Jet2.from_terms({(2, 0): 1, (1, 1): 1, (0, 3): 1}, 3)
-        parts = parity_decompose2(j)
-        assert parts.even_even == Jet2.from_terms({(2, 0): 1}, 3)
-        assert parts.odd_odd == Jet2.from_terms({(1, 1): 1}, 3)
-        assert parts.even_odd == Jet2.from_terms({(0, 3): 1}, 3)
-        assert parts.odd_even.is_zero
+        j = LaurentJet2({(2, 0): 1, (1, 1): 1, (0, 3): 1})
+        assert parity_masses(j) == {
+            "even-even": 1, "even-odd": 1, "odd-even": 0, "odd-odd": 1,
+        }
 
-    @given(laurent2s(min_valuation=0, max_degree=5))
-    def test_parts_sum_and_are_disjoint(self, sparse):
-        j = sparse.to_jet2()
-        parts = parity_decompose2(j)
-        total = parts[0]
-        for part in parts[1:]:
-            total = total + part
-        assert total == j
-        supports = [set((i, jj) for i, jj, _ in part.terms()) for part in parts]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                assert not (supports[a] & supports[b])
+    @given(laurent2s(min_valuation=-3, max_degree=5))
+    def test_parts_sum_and_are_disjoint(self, j):
+        masses = parity_masses(j)
+        terms = list(j.terms())
+        assert sum(masses.values()) == len(terms)
+        parity = ("even", "odd")
+        for p in (0, 1):
+            for q in (0, 1):
+                part = j.restrict(lambda i, jj: i % 2 == p and jj % 2 == q)
+                assert masses["%s-%s" % (parity[p], parity[q])] == len(list(part.terms()))
 
 
 class TestRingLaws:

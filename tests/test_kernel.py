@@ -1,4 +1,5 @@
-"""The integer convolution kernel against a schoolbook Fraction product."""
+"""The integer convolution kernel and the truncated products of the pullback
+against a schoolbook Fraction product."""
 
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ import hypothesis.strategies as st
 
 from cornerjet import Jet1, LaurentJet
 from cornerjet.jets import _convolve
-from cornerjet.pullback import _wmul
+from cornerjet.pullback import _mul_through, _powers
 
 from conftest import rationals
 from oracles import schoolbook_product
@@ -69,19 +70,24 @@ def test_laurent_product_matches_schoolbook(a, b):
         assert product.coeffs[0] != 0 and product.coeffs[-1] != 0
 
 
+def _window_top(a, b):
+    """The highest degree on which the product of two windowed operands is known."""
+    (ja, ta), (jb, tb) = a, b
+    tops = [t + _val_lb(j, tt) for t, (j, tt) in ((ta, b), (tb, a)) if t is not None]
+    return min(tops) if tops else None
+
+
 @settings(max_examples=200, deadline=None)
 @given(windowed(), windowed(), st.lists(coefficients, min_size=3, max_size=3),
-       st.lists(coefficients, min_size=3, max_size=3))
-def test_windowed_product_matches_schoolbook(a, b, tail_a, tail_b):
+       st.lists(coefficients, min_size=3, max_size=3), st.integers(-20, 20))
+def test_windowed_product_matches_schoolbook(a, b, tail_a, tail_b, exact_top):
     (ja, ta), (jb, tb) = a, b
-    product, top = _wmul(a, b)
-    if (ja.is_zero and ta is None) or (jb.is_zero and tb is None):
-        assert (product, top) == (LaurentJet(), None)
-        return
-    tops = [t + _val_lb(j, tt) for t, (j, tt) in ((ta, b), (tb, a)) if t is not None]
-    assert top == (min(tops) if tops else None)
+    top = _window_top(a, b)
+    if top is None:
+        top = exact_top
+    product = _mul_through(ja, jb, top)
     full = schoolbook_product(_terms(ja), _terms(jb))
-    assert _terms(product) == {d: c for d, c in full.items() if top is None or d <= top}
+    assert _terms(product) == {d: c for d, c in full.items() if d <= top}
     # Whatever a windowed operand holds beyond its top cannot reach the result.
     extended = []
     for (j, t), tail in ((a, tail_a), (b, tail_b)):
@@ -90,8 +96,7 @@ def test_windowed_product_matches_schoolbook(a, b, tail_a, tail_b):
             terms.update((t + 1 + i, c) for i, c in enumerate(tail))
         extended.append(terms)
     true = schoolbook_product(*extended)
-    if top is not None:
-        assert {d: c for d, c in true.items() if d <= top} == _terms(product)
+    assert {d: c for d, c in true.items() if d <= top} == _terms(product)
 
 
 @pytest.mark.parametrize(
@@ -103,14 +108,31 @@ def test_windowed_product_matches_schoolbook(a, b, tail_a, tail_b):
     ],
 )
 def test_windowed_zero_operand(a, b, expected_top):
-    assert _wmul(a, b) == (LaurentJet(), expected_top)
-    assert _wmul(b, a) == (LaurentJet(), expected_top)
+    assert _window_top(a, b) == _window_top(b, a) == expected_top
+    assert _mul_through(a[0], b[0], expected_top) == LaurentJet()
+    assert _mul_through(b[0], a[0], expected_top) == LaurentJet()
 
 
 @pytest.mark.parametrize("other", [(LaurentJet(-3, [1, 2]), None), (LaurentJet(), 7), (LaurentJet(2, [5]), 4)])
 def test_exact_zero_operand(other):
-    assert _wmul((LaurentJet(), None), other) == (LaurentJet(), None)
-    assert _wmul(other, (LaurentJet(), None)) == (LaurentJet(), None)
+    for top in (-5, 0, 9):
+        assert _mul_through(LaurentJet(), other[0], top) == LaurentJet()
+        assert _mul_through(other[0], LaurentJet(), top) == LaurentJet()
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents(max_len=5), st.sets(st.integers(0, 6), min_size=1), st.integers(0, 12))
+def test_powers_keep_their_window(base, exponents, keep):
+    if base.is_zero:
+        base = LaurentJet(base.valuation, [1])
+    powers = _powers(base, exponents, keep)
+    assert set(powers) == exponents
+    for e, power in powers.items():
+        exact = {0: F(1)}
+        for _ in range(e):
+            exact = schoolbook_product(exact, _terms(base))
+        val = e * base.valuation
+        assert _terms(power) == {d: c for d, c in exact.items() if d <= val + keep}
 
 
 def test_kernel_stops_at_the_requested_degree():

@@ -11,10 +11,10 @@ from cornerjet import (
     TruncationError,
     make_boundary_plot,
     make_interior_plot,
-    realize_jet,
 )
 
 from conftest import unit_jet1s
+from oracles import realize_jet
 
 
 class TestMakeBoundaryPlot:

@@ -12,42 +12,51 @@ from cornerjet import (
     PairGerm,
     SqMap2,
     Status,
-    TruncationError,
     make_boundary_plot,
     make_halfline_tensor,
     make_interior_plot,
     make_quadrant_tensor,
-    parity_decompose2,
-    pullback_form,
+    parse_plot,
+    parse_tensor,
     pullback_halfline,
     pullback_quadrant_path,
     pullback_sq2,
-    realize_jet,
     tau_sing,
 )
 
 from conftest import laurent_jets, polynomial_laurent2s, unit_jet1s
+from oracles import long_divide, realize_jet, schoolbook_product
 
 
 def symbolic_pullback(coeff: LaurentJet, plot, k: int, order: int = 24) -> LaurentJet:
     """Oracle: substitute the realized plot jet term by term and multiply out.
 
-    Only valid when no truncation effects can reach the compared window, so
+    Dict arithmetic throughout: schoolbook products and long division.  Only
+    valid when no truncation effects can reach the compared window, so
     callers keep degrees small.
     """
-    from cornerjet import differentiate, laurent_divide
+    jet = dict(realize_jet(plot, order).terms())
+    deriv = {d - 1: d * c for d, c in jet.items() if d}
 
-    jet = realize_jet(plot, order)
-    jet1 = Jet1(tuple(jet.coefficient(d) for d in range(order + 1)))
-    composed = LaurentJet()
+    def power(base, n):
+        out = {0: F(1)}
+        for _ in range(n):
+            out = schoolbook_product(out, base)
+        return out
+
+    composed: dict[int, F] = {}
     for d, c in coeff.terms():
         if d >= 0:
-            composed = composed + (jet ** d) * c
+            piece = power(jet, d)
         else:
-            one = LaurentJet(0, [1] + [0] * order)
-            composed = composed + laurent_divide(one, jet ** (-d), terms=order) * c
-    deriv = differentiate(jet1).to_laurent()
-    return (composed * deriv ** k).truncated(composed.valuation + deriv.valuation * k + 8)
+            piece = long_divide({0: 1}, power(jet, -d), order)
+        for e, x in piece.items():
+            composed[e] = composed.get(e, F(0)) + c * x
+    composed = {e: x for e, x in composed.items() if x}
+    result = schoolbook_product(composed, power(deriv, k))
+    top = min(composed) + min(deriv) * k + 8
+    lo = min(result)
+    return LaurentJet(lo, [result.get(e, F(0)) for e in range(lo, top + 1)])
 
 
 class TestPullbackHalfline:
@@ -95,13 +104,34 @@ class TestPullbackHalfline:
         assert verdict.status is Status.SMOOTH
         assert verdict.witness.valuation == 20
 
-    def test_interior_deep_cancellation_with_pole_raises(self):
-        # (x - 1)^20 / x at x0 = 1: the inversion truncates, the cancellation
-        # hides the valuation, and no verdict may be fabricated
+    def test_interior_deep_cancellation_with_pole_is_exact(self):
+        # (x - 1)^20 / x at x0 = 1 along 1 + t: the pole is cleared before
+        # composing, so the zero of order 20 is seen exactly and the witness
+        # is t^20 / (1 + t) through t^36
         coeff = (LaurentJet(0, [-1, 1]) ** 20).shifted(-1)
         tensor = make_halfline_tensor(2, coeff)
-        with pytest.raises(TruncationError, match="insufficient truncation"):
-            pullback_halfline(tensor, make_interior_plot(1), order=16)
+        verdict = pullback_halfline(tensor, make_interior_plot(1), order=16)
+        assert verdict.status is Status.SMOOTH
+        assert verdict.witness == LaurentJet(20, [(-1) ** n for n in range(17)])
+
+    def test_bound_grows_until_the_valuation_is_exposed(self):
+        # (x - 1)^20 x^29 dx^2 along 1 + t is t^20 (1 + t)^29: W vanishes
+        # through the first bound (t^16), the doubled bound (t^32) shows
+        # val(W) = 20 with only 12 degrees above it, and the bound rises to t^36
+        from math import comb
+
+        coeff = (LaurentJet(0, [-1, 1]) ** 20).shifted(29)
+        verdict = pullback_halfline(make_halfline_tensor(2, coeff), make_interior_plot(1))
+        assert verdict.witness == LaurentJet(20, [comb(29, n) for n in range(17)])
+
+    def test_high_differential_power_is_cheap_and_exact(self):
+        # x dx^2000 along t^4 (1 + t): x' = 4t^3 + 5t^4, so the witness is
+        # t^4 (1 + t) (4t^3 + 5t^4)^2000 with valuation 6004 and lead 4^2000
+        verdict = pullback_halfline(parse_tensor("x*dx^2000"), parse_plot("t^4*(1+t)"))
+        assert verdict.status is Status.SMOOTH
+        assert verdict.witness.valuation == verdict.vanishing_order == 6004
+        assert verdict.witness.coeffs[0] == 4 ** 2000
+        assert verdict.witness.coeffs[1] == 4 ** 2000 + 2000 * 5 * 4 ** 1999
 
     def test_zero_tensor_is_smooth(self):
         verdict = pullback_halfline(
@@ -147,10 +177,7 @@ class TestPullbackHalfline:
     )
     def test_interior_always_smooth(self, coeff, k, x0):
         tensor = make_halfline_tensor(k, coeff)
-        try:
-            verdict = pullback_halfline(tensor, make_interior_plot(x0), order=12)
-        except TruncationError:
-            return  # deep cancellation at x0: no verdict is fabricated
+        verdict = pullback_halfline(tensor, make_interior_plot(x0), order=12)
         assert verdict.is_smooth
 
     @settings(max_examples=60)
@@ -173,13 +200,13 @@ class TestPullbackHalfline:
 
 class TestPullbackForm:
     def test_constant_form_vanishes_to_first_order(self):
-        verdict = pullback_form(make_halfline_tensor(1, 1), make_boundary_plot(1, 1))
+        verdict = pullback_halfline(make_halfline_tensor(1, 1), make_boundary_plot(1, 1))
         assert verdict.status is Status.SMOOTH
         assert verdict.witness == LaurentJet(1, [2])
         assert verdict.vanishing_order == 1
 
     def test_linear_coefficient(self):
-        verdict = pullback_form(
+        verdict = pullback_halfline(
             make_halfline_tensor(1, LaurentJet(1, [1])), make_boundary_plot(1, 1)
         )
         # oracle: t^2 * 2t = 2 t^3
@@ -187,16 +214,12 @@ class TestPullbackForm:
         assert verdict.vanishing_order == 3
 
     def test_pole_form_has_capacity_zero(self):
-        verdict = pullback_form(
+        verdict = pullback_halfline(
             make_halfline_tensor(1, LaurentJet(-1, [1])), make_boundary_plot(1, 1)
         )
         assert verdict.status is Status.POLE
         assert verdict.pole_order == 1
         assert verdict.witness == LaurentJet(-1, [2])
-
-    def test_requires_degree_one(self):
-        with pytest.raises(ValueError, match="1-form"):
-            pullback_form(tau_sing(), make_boundary_plot(1, 1))
 
 
 class TestFlatGerms:
@@ -240,14 +263,18 @@ class TestPullbackSq2:
     @given(polynomial_laurent2s(), polynomial_laurent2s(), polynomial_laurent2s())
     def test_parity_selection_rule(self, a, b, c):
         pulled = pullback_sq2(make_quadrant_tensor(a, b, c))
-        order = max(
-            (i + j for comp in pulled for i, j, _ in comp.terms()), default=0
-        )
-        for component, even_slot in ((pulled.du2, True), (pulled.dv2, True)):
-            parts = parity_decompose2(component.to_jet2(order))
-            assert parts.even_even == component.to_jet2(order)
-        cross_parts = parity_decompose2(pulled.dudv.to_jet2(order))
-        assert cross_parts.odd_odd == pulled.dudv.to_jet2(order)
+        for component in (pulled.du2, pulled.dv2):
+            assert all(i % 2 == 0 and j % 2 == 0 for i, j, _ in component.terms())
+        assert all(i % 2 == 1 and j % 2 == 1 for i, j, _ in pulled.dudv.terms())
+        total = len(list(a.terms())) + len(list(b.terms())) + len(list(c.terms()))
+        assert total == sum(len(list(comp.terms())) for comp in pulled)
+
+    def test_exponents_beyond_the_default_order(self):
+        # the square map only reindexes, so no exponent is too large for it
+        t = make_quadrant_tensor({(20, 0): 1}, 0, {(0, 17): F(1, 2)})
+        pulled = pullback_sq2(t)
+        assert pulled.du2 == LaurentJet2({(42, 0): 4})
+        assert pulled.dudv == LaurentJet2({(1, 35): 4})
 
 
 class TestPullbackQuadrantPath:
@@ -284,19 +311,18 @@ class TestPullbackQuadrantPath:
         # a = 1/x along px = t^2 u with u = 1 + t/2 gives S(t) = px'^2 / px, a
         # unit-series with a nonzero tail.  b(y) = -S_20(y - 1), the degree-20
         # Taylor polynomial of S, cancels it along py = 1 + t through t^20, so
-        # the first window (16) sees nothing, the second (32) exposes too
-        # little, and only the 64-wide tables reach the verdict.
+        # the numerator W = px'^2 + b(py) px py'^2 vanishes through t^22: the
+        # first bound (t^18) sees nothing, and the power tables are rebuilt
+        # through deg W = 23, where W is exact.
         from math import comb
-
-        from cornerjet import laurent_divide
 
         unit = Jet1([1, F(1, 2)])
         px = make_boundary_plot(1, unit)
         py = make_interior_plot(1)
         # Oracle, slice by slice: (2u + t u')^2 / u by long division.
-        lead = LaurentJet(0, [2, F(3, 2)])
-        series = laurent_divide(lead * lead, unit.to_laurent(), terms=64)
-        s = [series.coefficient(k) for k in range(64)]
+        lead = {0: 2, 1: F(3, 2)}
+        series = long_divide(schoolbook_product(lead, lead), dict(enumerate(unit.coeffs)), 64)
+        s = [series.get(k, F(0)) for k in range(64)]
         cut = 20
         b = {(0, j): -sum(s[k] * comb(k, j) * (-1) ** (k - j) for k in range(j, cut + 1))
              for j in range(cut + 1)}
