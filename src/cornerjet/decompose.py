@@ -160,18 +160,12 @@ def decompose_quadrant(
     """
     pulled = pullback_sq2(tensor)
     report = _parity_report(pulled)
-    cx, cy = tensor.c.valuations
-    if cx < 0 or cy < 0:
+    if not report.dudv.ok:
         raise NotSmoothError(
             "singular cross term: violates odd-odd parity", parity=report
         )
-    for name, component, axis_jet in (
-        ("dx^2", tensor.a, pulled.du2),
-        ("dy^2", tensor.b, pulled.dv2),
-    ):
-        own = component.valuations[0] if name == "dx^2" else component.valuations[1]
-        other = component.valuations[1] if name == "dx^2" else component.valuations[0]
-        if own < -1 or other < 0:
+    for name, component in (("dx^2", report.du2), ("dy^2", report.dv2)):
+        if not component.ok:
             raise NotSmoothError(
                 "not a smooth tensor on the quadrant: %s coefficient pulls back"
                 " with a pole" % name,

@@ -47,6 +47,7 @@ __all__ = [
     "LaurentJet2",
     "differentiate",
     "laurent_divide",
+    "format_terms",
     "whitney_descend",
     "parity_masses",
     "SECTOR_NAMES",
@@ -89,17 +90,18 @@ def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Frac
     return out
 
 
-def _format_terms(pairs: Iterable[tuple[int, Fraction]], var: str) -> str:
+def format_terms(rows: Iterable[tuple[Fraction, Iterable[tuple[str, int]]]]) -> str:
+    """A signed sum of terms (coefficient, [(symbol, exponent), ...]), such as
+    ``-x^-1 + 3/2*x*dx^2``; zero terms, zero exponents and unit coefficients
+    are left out, and the empty sum is ``0``."""
     parts: list[str] = []
-    for degree, coeff in pairs:
+    for coeff, powers in rows:
         if coeff == 0:
             continue
-        mag = -coeff if coeff < 0 else coeff
-        if degree == 0:
-            body = str(mag)
-        else:
-            power = var if degree == 1 else "%s^%d" % (var, degree)
-            body = power if mag == 1 else "%s*%s" % (mag, power)
+        factors = [var if e == 1 else "%s^%d" % (var, e) for var, e in powers if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        body = "*".join(factors)
         if not parts:
             parts.append(body if coeff > 0 else "-" + body)
         else:
@@ -225,7 +227,7 @@ class Jet1:
         return self.to_str("t")
 
     def to_str(self, var: str) -> str:
-        return _format_terms(enumerate(self.coeffs), var)
+        return format_terms((c, [(var, d)]) for d, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return "Jet1([%s])" % ", ".join(repr(str(c)) for c in self.coeffs)
@@ -413,8 +415,8 @@ class LaurentJet:
         return self.to_str("x")
 
     def to_str(self, var: str) -> str:
-        return _format_terms(
-            ((self.valuation + i, c) for i, c in enumerate(self.coeffs)), var
+        return format_terms(
+            (c, [(var, self.valuation + i)]) for i, c in enumerate(self.coeffs)
         )
 
     def __repr__(self):
@@ -451,26 +453,6 @@ def laurent_divide(num: LaurentJet, den: LaurentJet, terms: int | None = None) -
     return LaurentJet(num.valuation - den.valuation, q)
 
 
-def _format_terms2(terms: Sequence[tuple[int, int, Fraction]], vars=("u", "v")) -> str:
-    parts: list[str] = []
-    for i, j, coeff in terms:
-        mag = -coeff if coeff < 0 else coeff
-        factors = []
-        for var, e in ((vars[0], i), (vars[1], j)):
-            if e == 1:
-                factors.append(var)
-            elif e != 0:
-                factors.append("%s^%d" % (var, e))
-        if not factors or mag != 1:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
-
-
 SECTOR_NAMES = {
     (0, 0): "even-even",
     (0, 1): "even-odd",
@@ -486,7 +468,7 @@ class LaurentJet2:
     (sums, products, exponent doubling, monomial shifts) never truncate.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Rational] | None = None):
         cleaned: dict[tuple[int, int], Fraction] = {}
@@ -496,7 +478,6 @@ class LaurentJet2:
                 if f != 0:
                     cleaned[(int(i), int(j))] = f
         object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_hash", hash(("LaurentJet2", frozenset(cleaned.items()))))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentJet2 is immutable")
@@ -613,13 +594,13 @@ class LaurentJet2:
         return isinstance(other, LaurentJet2) and self._terms == other._terms
 
     def __hash__(self):
-        return self._hash
+        return hash(("LaurentJet2", frozenset(self._terms.items())))
 
     def __str__(self):
         return self.to_str(("x", "y"))
 
     def to_str(self, vars: tuple[str, str]) -> str:
-        return _format_terms2(list(self.terms()), vars=vars)
+        return format_terms((c, zip(vars, (i, j))) for i, j, c in self.terms())
 
     def __repr__(self):
         return "LaurentJet2(%r)" % ({k: str(c) for k, c in sorted(self._terms.items())},)

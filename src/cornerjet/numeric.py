@@ -5,6 +5,12 @@ certified nonnegative as sums of squares), so differentiation is exact and
 double precision enters only at grid evaluation.  The module verifies the
 discriminant inequality f'(t)^2 <= 2 sup|f''| f(t) for nonnegative f on a
 grid, and probes boundedness of pulled-back tensors by refining the grid.
+
+Grids and values are lists of Python floats, computed in the order of the
+usual array routines (linspace, polyval, max) so that reports keep the same
+bits: Horner's rule from the highest degree, grid points ``i*step + a`` with
+the last one set to ``b``, squares as ``v*v``, and a NaN anywhere makes a
+minimum or maximum NaN.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .jets import LaurentJet, as_fraction
 from .tensors import HalfLineTensor
@@ -35,8 +39,33 @@ def _poly_derivative(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(i * c for i, c in enumerate(coeffs) if i >= 1)
 
 
-def _poly_values(coeffs: tuple[Fraction, ...], grid: np.ndarray) -> np.ndarray:
-    return np.polyval([float(c) for c in reversed(coeffs)], grid)
+def _poly_values(coeffs: tuple[Fraction, ...], grid: list[float]) -> list[float]:
+    values = [0.0] * len(grid)
+    for c in map(float, reversed(coeffs)):
+        values = [v * x + c for v, x in zip(values, grid)]
+    return values
+
+
+def _reduce(pick, values: list[float]) -> float:
+    """``pick(values)`` for min or max, NaN when any value is NaN."""
+    return math.nan if any(v != v for v in values) else pick(values)
+
+
+def _sup_abs(values: list[float]) -> float:
+    return _reduce(max, [abs(v) for v in values])
+
+
+def _power(x: float, e: int) -> float:
+    """x**e as array power gives it: x*x and 1/x for e = 2 and -1, and a signed
+    infinity instead of an overflow error."""
+    if e == 2:
+        return x * x
+    if e == -1:
+        return 1.0 / x
+    try:
+        return x ** e
+    except OverflowError:
+        return -math.inf if x < 0 and e % 2 else math.inf
 
 
 @dataclass(frozen=True)
@@ -96,37 +125,49 @@ class SampledFunction:
             squares=kept,
         )
 
-    def grid(self, n: int | None = None, enlargement: float = 0.0) -> np.ndarray:
+    def grid(self, n: int | None = None, enlargement: float = 0.0) -> list[float]:
         a, b = float(self.interval[0]), float(self.interval[1])
         if enlargement:
             pad = enlargement * (b - a)
             a, b = a - pad, b + pad
-        return np.linspace(a, b, n if n is not None else self.grid_n)
+        div = (n if n is not None else self.grid_n) - 1
+        if div < 1:  # no step: linspace's empty and one-point grids
+            return [a] * (div + 1)
+        step = (b - a) / div
+        # A step that underflows to zero: linspace scales i/div by b - a instead.
+        points = [i * step + a if step else i / div * (b - a) + a for i in range(div + 1)]
+        points[-1] = b
+        return points
 
-    def values(self, grid: np.ndarray) -> np.ndarray:
+    def values(self, grid: list[float]) -> list[float]:
         if self.squares is None:
             return _poly_values(self.coeffs, grid)
-        total = np.zeros_like(grid)
+        total = [0.0] * len(grid)
         for q in self.squares:
-            total += _poly_values(q, grid) ** 2
+            total = [t + v * v for t, v in zip(total, _poly_values(q, grid))]
         return total
 
-    def derivative_values(self, grid: np.ndarray) -> np.ndarray:
+    def derivative_values(self, grid: list[float]) -> list[float]:
         if self.squares is None:
             return _poly_values(_poly_derivative(self.coeffs), grid)
-        total = np.zeros_like(grid)
+        total = [0.0] * len(grid)
         for q in self.squares:
-            total += 2.0 * _poly_values(q, grid) * _poly_values(_poly_derivative(q), grid)
+            qv = _poly_values(q, grid)
+            dqv = _poly_values(_poly_derivative(q), grid)
+            total = [t + 2.0 * v * dv for t, v, dv in zip(total, qv, dqv)]
         return total
 
-    def second_derivative_values(self, grid: np.ndarray) -> np.ndarray:
+    def second_derivative_values(self, grid: list[float]) -> list[float]:
         if self.squares is None:
             return _poly_values(_poly_derivative(_poly_derivative(self.coeffs)), grid)
-        total = np.zeros_like(grid)
+        total = [0.0] * len(grid)
         for q in self.squares:
-            dq = _poly_values(_poly_derivative(q), grid)
-            ddq = _poly_values(_poly_derivative(_poly_derivative(q)), grid)
-            total += 2.0 * (dq ** 2 + _poly_values(q, grid) * ddq)
+            qv = _poly_values(q, grid)
+            dqv = _poly_values(_poly_derivative(q), grid)
+            ddqv = _poly_values(_poly_derivative(_poly_derivative(q)), grid)
+            total = [
+                t + 2.0 * (dv * dv + v * ddv) for t, v, dv, ddv in zip(total, qv, dqv, ddqv)
+            ]
         return total
 
 
@@ -157,11 +198,11 @@ def glaeser_landau_check(
     check_tolerance(tol)
     grid = f.grid()
     fv = f.values(grid)
-    if not f.sos_certified and float(fv.min()) < -tol:
+    if not f.sos_certified and _reduce(min, fv) < -tol:
         raise ValueError("function not nonnegative on interval")
-    c_sup = float(np.abs(f.second_derivative_values(f.grid(enlargement=enlargement))).max())
-    violation = f.derivative_values(grid) ** 2 - 2.0 * c_sup * fv
-    worst = float(violation.max())
+    c_sup = _sup_abs(f.second_derivative_values(f.grid(enlargement=enlargement)))
+    dv = f.derivative_values(grid)
+    worst = _reduce(max, [d * d - 2.0 * c_sup * v for d, v in zip(dv, fv)])
     return GlaeserLandauReport(C=c_sup, max_violation=worst, passed=worst <= tol, tol=tol)
 
 
@@ -188,32 +229,32 @@ def numeric_pullback_probe(
     tensor: HalfLineTensor, f: SampledFunction, tol: float = 1e-9
 ) -> PullbackProbeReport:
     check_tolerance(tol)
-    base_values = f.values(f.grid())
-    if not f.sos_certified and float(base_values.min()) < -tol:
+    if not f.sos_certified and _reduce(min, f.values(f.grid())) < -tol:
         raise ValueError("function not nonnegative on interval")
 
     def sup_on(n: int) -> float:
         grid = f.grid(n)
         pv = f.values(grid)
-        mask = pv != 0.0
-        if not mask.any():
+        kept = [i for i, p in enumerate(pv) if p != 0.0]
+        if not kept:
             return 0.0
-        pv = pv[mask]
-        dv = f.derivative_values(grid)[mask]
-        coeff_at = np.zeros_like(pv)
-        for degree, c in tensor.coeff.terms():
-            coeff_at += float(c) * pv ** float(degree)
-        with np.errstate(over="ignore"):
-            values = coeff_at * dv ** tensor.degree
-        return float(np.abs(values).max())
+        dv = f.derivative_values(grid)
+        terms = [(degree, float(c)) for degree, c in tensor.coeff.terms()]
+        values = []
+        for i in kept:
+            coeff_at = 0.0
+            for degree, c in terms:
+                coeff_at += c * _power(pv[i], degree)
+            values.append(coeff_at * _power(dv[i], tensor.degree))
+        return _sup_abs(values)
 
     sup = sup_on(f.grid_n)
     refined = sup_on(4 * f.grid_n)
     growth = refined / sup if sup > 0.0 else 1.0
-    bounded = bool(np.isfinite(refined) and growth <= 2.0)
+    bounded = math.isfinite(refined) and growth <= 2.0
     bound = bound_ok = None
     if tensor.degree == 2 and tensor.coeff == _SIMPLE_POLE:
-        bound = 2.0 * float(np.abs(f.second_derivative_values(f.grid())).max())
+        bound = 2.0 * _sup_abs(f.second_derivative_values(f.grid()))
         bound_ok = refined <= bound + tol
     return PullbackProbeReport(
         sup=sup,

@@ -21,10 +21,11 @@ not a recursion failure.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .jets import Jet1, LaurentJet, LaurentJet2
+from .jets import Jet1, LaurentJet, LaurentJet2, format_terms
 from .plots import (
     BoundaryGerm,
     FlatGerm,
@@ -70,32 +71,21 @@ class _Token(NamedTuple):
     column: int
 
 
+# Digits and names are ASCII only; whitespace is whatever str.isspace accepts.
+_TOKEN_RE = re.compile(
+    r"\s+|(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^();])|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", text[i:j], col))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            tokens.append(_Token("name", text[i:j], col))
-            i = j
-        elif ch in "+-*/^();":
-            tokens.append(_Token("op", ch, col))
-            i += 1
-        else:
-            raise ParseError("unexpected character %r" % ch, col)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % m.group(), m.start() + 1)
+        if kind:
+            tokens.append(_Token(kind, m.group(), m.start() + 1))
     tokens.append(_Token("end", "", len(text) + 1))
     return tokens
 
@@ -361,7 +351,7 @@ def parse_plot(text: str) -> PlotGerm:
             raise ParseError("unexpected input after 'flat'", tokens[1].column)
         return FlatGerm()
     if head.kind == "name" and head.text == "interior":
-        return _parse_interior(text)
+        return _parse_interior(text, tokens)
     if head.kind == "name" and head.text == "t":
         return _parse_boundary(tokens)
     raise ParseError("expected a plot germ (t^2, t^4*(1+t), interior(x0; jet), flat)",
@@ -396,21 +386,20 @@ def _parse_boundary(tokens: list[_Token]) -> BoundaryGerm:
     return make_boundary_plot(exponent // 2, unit)
 
 
-def _parse_interior(text: str) -> InteriorGerm:
-    open_idx = text.find("(")
-    close_idx = text.rfind(")")
-    if open_idx < 0 or close_idx < open_idx:
-        raise ParseError("interior germ syntax is interior(x0; jet)")
-    if text[close_idx + 1 :].strip():
-        raise ParseError("unexpected input after interior(...)")
-    inside = text[open_idx + 1 : close_idx]
-    if ";" not in inside:
+def _parse_interior(text: str, tokens: list[_Token]) -> InteriorGerm:
+    if not (tokens[1].kind == "op" and tokens[1].text == "("):
+        raise ParseError("interior germ syntax is interior(x0; jet)", tokens[1].column)
+    semi = next((i for i, tok in enumerate(tokens) if tok.text == ";"), None)
+    if semi is None:
         raise ParseError("interior germ needs a ';' between base point and jet")
-    x0_text, jet_text = inside.split(";", 1)
-    x0 = parse_rational(x0_text)
+    x0 = parse_rational(text[tokens[1].column : tokens[semi].column - 1])
     if x0 <= 0:
         raise ParseError("interior base point must be positive")
-    jet = parse_polynomial(jet_text)
+    parser = _ExprParser(tokens, _CURVE_SYMBOLS)
+    parser.pos = semi + 1
+    jet = _value_to_jet1(_clean(parser.expr()))
+    parser.expect_op(")")
+    parser.expect_end()
     if jet.constant_term != x0:
         raise ParseError("interior jet constant term must equal the base point")
     return make_interior_plot(x0, jet)
@@ -419,52 +408,21 @@ def _parse_interior(text: str) -> InteriorGerm:
 # -- printing ----------------------------------------------------------------
 
 
-def _term_str(coeff: Fraction, monomials: list[tuple[str, int]], basis: str | None) -> str:
-    pieces: list[str] = []
-    for var, e in monomials:
-        if e == 1:
-            pieces.append(var)
-        elif e != 0:
-            pieces.append("%s^%d" % (var, e))
-    if basis:
-        pieces.append(basis)
-    mag = -coeff if coeff < 0 else coeff
-    if mag != 1 or not pieces:
-        pieces.insert(0, str(mag))
-    return "*".join(pieces)
-
-
-def _join_terms(entries: list[tuple[Fraction, str]]) -> str:
-    if not entries:
-        return "0"
-    parts = []
-    for i, (coeff, body) in enumerate(entries):
-        if i == 0:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts)
-
-
 def format_halfline_tensor(t: HalfLineTensor) -> str:
-    basis = None if t.degree == 0 else ("dx" if t.degree == 1 else "dx^%d" % t.degree)
-    entries = [
-        (c, _term_str(c, [("x", d)], basis)) for d, c in t.coeff.terms()
-    ]
-    return _join_terms(entries)
+    return format_terms((c, [("x", d), ("dx", t.degree)]) for d, c in t.coeff.terms())
+
+
+# The dx^2, dy^2 and dx*dy factors, in the order terms of equal x, y powers print.
+_QUADRANT_BASIS_FACTORS = ([("dx", 2)], [("dy", 2)], [("dx", 1), ("dy", 1)])
 
 
 def format_quadrant_tensor(t: QuadrantTensor) -> str:
-    rank = {"dx^2": 0, "dy^2": 1, "dx*dy": 2}
-    rows = []
-    for basis, jet in (("dx^2", t.a), ("dy^2", t.b), ("dx*dy", t.c)):
-        for i, j, c in jet.terms():
-            rows.append((i, j, rank[basis], basis, c))
-    rows.sort(key=lambda r: r[:3])
-    entries = [
-        (c, _term_str(c, [("x", i), ("y", j)], basis)) for i, j, _, basis, c in rows
-    ]
-    return _join_terms(entries)
+    rows = sorted(
+        (i, j, rank, c) for rank, jet in enumerate((t.a, t.b, t.c)) for i, j, c in jet.terms()
+    )
+    return format_terms(
+        (c, [("x", i), ("y", j)] + _QUADRANT_BASIS_FACTORS[rank]) for i, j, rank, c in rows
+    )
 
 
 def format_plot(p: PlotGerm) -> str:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import cornerjet
 from cornerjet import (
     BoundaryGerm,
     FlatGerm,
@@ -86,6 +91,16 @@ class TestParseTensor:
         with pytest.raises(ParseError, match="unexpected character"):
             parse_tensor("0.5*dx^2", "halfline")
 
+    def test_superscript_exponent_is_a_located_parse_error(self):
+        # str.isdigit admits '²', which int() then refused without a column
+        with pytest.raises(ParseError, match="at 1:3: unexpected character '²'"):
+            parse_tensor("x^²*dx^2", "halfline")
+
+    def test_non_ascii_digits_are_rejected(self):
+        # '٣' (ARABIC-INDIC DIGIT THREE) passes str.isdigit and int() reads it as 3
+        with pytest.raises(ParseError, match="at 1:3: unexpected character"):
+            parse_tensor("x^٣*dx^2", "halfline")
+
     def test_syntax_error_carries_column(self):
         with pytest.raises(ParseError, match="at 1:8"):
             parse_tensor("x*dx^2 )", "halfline")
@@ -122,6 +137,10 @@ class TestParsePlot:
         germ = parse_plot("interior(1; 1+t)")
         assert isinstance(germ, InteriorGerm)
         assert germ.x0 == 1 and germ.jet == Jet1([1, 1])
+
+    def test_interior_error_column_counts_from_the_whole_text(self):
+        with pytest.raises(ParseError, match="at 1:15: unknown symbol 'x'"):
+            parse_plot("interior(1; 1+x)")
 
     def test_flat(self):
         assert isinstance(parse_plot("flat"), FlatGerm)
@@ -296,6 +315,27 @@ class TestCliScenarios:
 
     def test_odd_plot_exits_one(self, capsys):
         assert run(["pullback", "--plot", "t^3", "dx^2"]) == 1
+
+    def test_superscript_plot_exponent_exits_one_with_column(self, capsys):
+        assert run(["pullback", "--plot", "t^²", "dx^2"]) == 1
+        assert "syntax error at 1:3: unexpected character '²'" in capsys.readouterr().err
+
+    def test_no_subcommand_imports_numpy(self):
+        argvs = list({argv[0]: argv for argv, _, _ in SCENARIOS}.values())
+        assert len(argvs) == 7
+        code = (
+            "import sys\n"
+            "from cornerjet.cli import run\n"
+            "for argv in %r:\n"
+            "    run(argv)\n"
+            "assert 'numpy' not in sys.modules, sorted(sys.modules)\n" % (argvs,)
+        )
+        src = str(Path(cornerjet.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
     def test_gl_check_nonnegativity_failure_exits_two(self, capsys):
         assert run(["gl-check", "--f", "t", "--interval", "-1", "1"]) == 2

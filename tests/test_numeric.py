@@ -114,6 +114,35 @@ class TestGlaeserLandau:
             SampledFunction.polynomial([1], (0, 1), grid_n=2)
 
 
+# C and max_violation exactly as the vectorised evaluation order produces them:
+# asymmetric rational intervals, odd grids, and an interval whose curvature
+# overflows to inf.  The reports must keep these bits.
+PINNED_REPORTS = [
+    ([1, -2, 3], (F(-1, 3), F(5, 7)), 17, "6.0", "-7.999999999999998"),
+    ([F(1, 4), 0, F(-5, 3), 0, F(7, 2)], (F(-2, 5), F(9, 11)), 1001,
+     "24.782369146005514", "-2.556912421520193"),
+    ([0, 0, 1, F(1, 3)], (F(-1, 2), F(13, 3)), 4097,
+     "10.666666666666666", "-1.8368133925165724e-06"),
+    ([4, 4, 1], (F(-7, 3), F(1, 9)), 33, "2.0", "1.3322676295501878e-15"),
+    ([1, 0, 0, 0, 0, 0, 0, 0, 1], (-F(10) ** 80, F(10) ** 79), 255, "inf", "nan"),
+]
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("coeffs, interval, grid_n, c_sup, violation", PINNED_REPORTS)
+    def test_polynomial_reports_keep_their_bits(self, coeffs, interval, grid_n, c_sup, violation):
+        report = glaeser_landau_check(SampledFunction.polynomial(coeffs, interval, grid_n))
+        assert (repr(report.C), repr(report.max_violation)) == (c_sup, violation)
+
+    def test_sum_of_squares_report_keeps_its_bits(self):
+        f = SampledFunction.sum_of_squares(
+            [[F(-1, 3), 1, 1], [F(1, 2), F(-2, 3)]], (F(-3, 4), F(5, 3)), grid_n=129
+        )
+        report = glaeser_landau_check(f, enlargement=0.25)
+        assert (repr(report.C), repr(report.max_violation)) == (
+            "90.68576388888889", "-16.263305951235253")
+
+
 class TestNumericPullbackProbe:
     def test_singular_tensor_attains_curvature_bound(self):
         f = SampledFunction.polynomial([0, 0, 1], (-1, 1))
