@@ -29,6 +29,7 @@ from .jets import DEFAULT_ORDER, Jet1, LaurentJet, LaurentJet2
 from .metric import check_metric
 from .numeric import SampledFunction, check_tolerance, glaeser_landau_check
 from .parser import (
+    MAX_EXPONENT,
     ParseError,
     format_plot,
     format_quadrant_tensor,
@@ -46,6 +47,13 @@ from .pullback import (
 from .tensors import HalfLineTensor
 
 ORDER_ENV_VAR = "CORNERJET_ORDER"
+
+# Caps on the sizes a command line may ask for; larger values exit 1 at once.
+# With parser.MAX_EXPONENT they bound the work of a short input (each costliest
+# case runs in a few seconds).
+MAX_ORDER = 256
+MAX_M_MAX = 1000
+MAX_GRID = 8192
 
 __all__ = [
     "run",
@@ -173,16 +181,23 @@ def _parity_line(report: ParityReport) -> str:
     return "parity: " + "; ".join(bits)
 
 
+def _check_cap(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ParseError("%s %d exceeds the maximum %d" % (name, value, cap))
+
+
 def _resolve_order(ns) -> int:
-    if ns.order is not None:
-        return ns.order
-    env = os.environ.get(ORDER_ENV_VAR)
-    if env is not None:
+    order = ns.order
+    if order is None:
+        env = os.environ.get(ORDER_ENV_VAR)
+        if env is None:
+            return DEFAULT_ORDER
         try:
-            return int(env)
+            order = int(env)
         except ValueError:
             raise ParseError("%s must be an integer, got %r" % (ORDER_ENV_VAR, env))
-    return DEFAULT_ORDER
+    _check_cap("order", order, MAX_ORDER)
+    return order
 
 
 # -- command handlers ---------------------------------------------------------
@@ -277,6 +292,10 @@ def _cmd_capacity(ns) -> int:
 
 def _cmd_verify_capacity(ns) -> int:
     order = _resolve_order(ns)
+    # k and p are the exponents of x^-p dx^k, capped like written exponents.
+    _check_cap("k", ns.k, MAX_EXPONENT)
+    _check_cap("p", ns.p, MAX_EXPONENT)
+    _check_cap("m_max", ns.m_max, MAX_M_MAX)
     report = verify_capacity(ns.k, ns.p, ns.m_max, order=order)
     _emit(
         ns,
@@ -341,6 +360,7 @@ def _cmd_check_metric(ns) -> int:
 
 def _cmd_gl_check(ns) -> int:
     check_tolerance(ns.tol)  # a bad tolerance is invalid input (exit 1), not a failed check
+    _check_cap("grid", ns.grid, MAX_GRID)
     coeffs = parse_polynomial(ns.f).coeffs
     a = parse_rational(ns.interval[0])
     b = parse_rational(ns.interval[1])

@@ -14,8 +14,10 @@ Conventions:
   (the ``fmpq_poly`` layout of FLINT), the integers are convolved only as far
   as the requested output degree, and one ``Fraction`` is built per output
   coefficient; the ``Fraction`` interface of the jet types is unchanged,
-* a ``Jet1`` of order N stores exactly the coefficients of t^0 .. t^N; ring
-  operations stay in the truncation ring (result order = min of the inputs),
+* a ``Jet1`` of order N is a record of the coefficients of t^0 .. t^N, the
+  form in which plot germs and decompositions report their jets; it only
+  scales and multiplies (result order = min of the inputs), and every other
+  series operation runs on ``LaurentJet``,
 * a ``LaurentJet`` is kept canonical: leading and trailing coefficients are
   nonzero, and the zero jet is (valuation 0, no coefficients),
 * curve germs and tensor coefficients are polynomials and Laurent
@@ -40,22 +42,16 @@ DEFAULT_ORDER = 16
 __all__ = [
     "DEFAULT_ORDER",
     "Rational",
-    "TruncationError",
     "as_fraction",
     "Jet1",
     "LaurentJet",
     "LaurentJet2",
-    "differentiate",
     "laurent_divide",
     "format_terms",
     "whitney_descend",
     "parity_masses",
     "SECTOR_NAMES",
 ]
-
-
-class TruncationError(ValueError):
-    """A requested result is not determined by the stored coefficients."""
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -110,7 +106,7 @@ def format_terms(rows: Iterable[tuple[Fraction, Iterable[tuple[str, int]]]]) -> 
 
 
 class Jet1:
-    """Truncated power series c_0 + c_1 t + ... + c_N t^N, exact in every stored degree."""
+    """Fixed-order coefficient record c_0 + c_1 t + ... + c_N t^N, exact in every stored degree."""
 
     __slots__ = ("coeffs",)
 
@@ -130,10 +126,6 @@ class Jet1:
         c = as_fraction(value)
         return cls((c,) + (Fraction(0),) * order)
 
-    @classmethod
-    def zero(cls, order: int = 0) -> "Jet1":
-        return cls.constant(0, order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -142,61 +134,8 @@ class Jet1:
     def constant_term(self) -> Fraction:
         return self.coeffs[0]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def coefficient(self, degree: int) -> Fraction:
-        if degree < 0:
-            return Fraction(0)
-        if degree > self.order:
-            raise TruncationError(
-                "degree %d is beyond truncation order %d" % (degree, self.order)
-            )
-        return self.coeffs[degree]
-
-    def extended(self, order: int) -> "Jet1":
-        """Zero-pad to a higher order.
-
-        This asserts the jet is a polynomial (higher coefficients exactly
-        zero), which holds for every jet built from finite input data.
-        """
-        if order < self.order:
-            raise ValueError("extension order %d below current order %d" % (order, self.order))
-        return Jet1(self.coeffs + (Fraction(0),) * (order - self.order))
-
-    def truncated(self, order: int) -> "Jet1":
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if order >= self.order:
-            return self
-        return Jet1(self.coeffs[: order + 1])
-
     def to_laurent(self) -> "LaurentJet":
         return LaurentJet(0, self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, Jet1):
-            n = min(self.order, other.order)
-            return Jet1(
-                tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
-            )
-        if isinstance(other, (int, Fraction)):
-            return Jet1((self.coeffs[0] + other,) + self.coeffs[1:])
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet1(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (Jet1, int, Fraction)):
-            return self + (-other if isinstance(other, Jet1) else -as_fraction(other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet1):
@@ -231,13 +170,6 @@ class Jet1:
 
     def __repr__(self):
         return "Jet1([%s])" % ", ".join(repr(str(c)) for c in self.coeffs)
-
-
-def differentiate(j: Jet1) -> Jet1:
-    """d/dt of a one-variable jet; the result has order N-1."""
-    if j.order < 1:
-        raise ValueError("cannot differentiate order-0 jet")
-    return Jet1(tuple(i * c for i, c in enumerate(j.coeffs) if i >= 1))
 
 
 def whitney_descend(g: Jet1) -> Jet1:
@@ -279,10 +211,6 @@ class LaurentJet:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentJet is immutable")
-
-    @classmethod
-    def x_power(cls, n: int, coefficient: Rational = 1) -> "LaurentJet":
-        return cls(n, (coefficient,))
 
     @property
     def is_zero(self) -> bool:
@@ -482,18 +410,6 @@ class LaurentJet2:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentJet2 is immutable")
 
-    @classmethod
-    def from_terms(cls, terms: Mapping[tuple[int, int], Rational]) -> "LaurentJet2":
-        return cls(terms)
-
-    @classmethod
-    def zero(cls) -> "LaurentJet2":
-        return cls()
-
-    @classmethod
-    def x_power(cls, i: int, j: int = 0, coefficient: Rational = 1) -> "LaurentJet2":
-        return cls({(i, j): coefficient})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -506,15 +422,6 @@ class LaurentJet2:
         return (
             min(i for i, _ in self._terms),
             min(j for _, j in self._terms),
-        )
-
-    @property
-    def max_degrees(self) -> tuple[int, int]:
-        if not self._terms:
-            return (0, 0)
-        return (
-            max(i for i, _ in self._terms),
-            max(j for _, j in self._terms),
         )
 
     def coefficient(self, i: int, j: int) -> Fraction:

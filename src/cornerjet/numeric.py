@@ -39,6 +39,14 @@ def _poly_derivative(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(i * c for i, c in enumerate(coeffs) if i >= 1)
 
 
+def _check_float_range(values, what: str) -> None:
+    try:
+        for v in values:
+            float(v)
+    except OverflowError:
+        raise ValueError("%s beyond the float range" % what) from None
+
+
 def _poly_values(coeffs: tuple[Fraction, ...], grid: list[float]) -> list[float]:
     values = [0.0] * len(grid)
     for c in map(float, reversed(coeffs)):
@@ -90,6 +98,11 @@ class SampledFunction:
             raise ValueError("interval must satisfy a < b")
         if self.grid_n < 16:
             raise ValueError("grid_n must be at least 16")
+        # Everything the oracle evaluates in floats must convert to a float.
+        _check_float_range(self.interval, "interval endpoint")
+        for q in (self.coeffs,) if self.squares is None else self.squares:
+            dq = _poly_derivative(q)
+            _check_float_range(q + dq + _poly_derivative(dq), "coefficient")
 
     @property
     def sos_certified(self) -> bool:

@@ -16,7 +16,10 @@ coefficient (it is stored as-is, not halved).
 Plot germs:  ``t^2``, ``t^4*(1+t)``, ``interior(1; 1+t)``, ``flat``.
 
 Parentheses nest at most ``MAX_NESTING`` deep; deeper input is a parse error,
-not a recursion failure.
+not a recursion failure.  Exponents, written or reached by raising a power to
+a power, are at most ``MAX_EXPONENT`` in absolute value, and a power c^n of a
+coefficient is refused when |n| times the bit length of c exceeds
+``MAX_POWER_BITS``, so that a short input cannot ask for unbounded work.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ __all__ = [
 
 
 MAX_NESTING = 100
+# The largest exponent in absolute value: x*dx^2000 and t^2048 are accepted.
+MAX_EXPONENT = 2048
+# The most bits in the numerator or denominator of c^n, as |n| times the bits
+# of c: (3/2*x)^2048 counts 4,096.
+MAX_POWER_BITS = 1 << 13
 
 
 class ParseError(ValueError):
@@ -131,23 +139,42 @@ def _single_term(value: _Value, what: str, column: int) -> tuple[_Key, Fraction]
 
 
 def _vdiv(a: _Value, b: _Value, column: int) -> _Value:
+    if not _clean(b):
+        raise ParseError("division by zero", column)
     (x, y, p, q), c = _single_term(b, "divide by", column)
     if p or q:
         raise ParseError("cannot divide by a differential symbol", column)
-    if c == 0:
-        raise ParseError("division by zero", column)
     return {(x1 - x, y1 - y, p1, q1): c1 / c for (x1, y1, p1, q1), c1 in a.items()}
 
 
+def _check_exponent(e: int, column: int) -> None:
+    if abs(e) > MAX_EXPONENT:
+        raise ParseError("exponent %d exceeds the maximum %d" % (e, MAX_EXPONENT), column)
+
+
+def _raised(key: _Key, n: int, column: int) -> _Key:
+    x, y, p, q = key
+    out = (x * n, y * n, p * n, q * n)
+    _check_exponent(max(out, key=abs), column)
+    return out
+
+
 def _vpow(a: _Value, n: int, column: int) -> _Value:
+    _check_exponent(n, column)
     if not _clean(a):
         if n <= 0:
             raise ParseError("zero cannot carry exponent %d" % n, column)
-        return {(x * n, y * n, p * n, q * n): Fraction(0) for (x, y, p, q) in a}
-    (x, y, p, q), c = _single_term(a, "exponentiate", column)
-    if n < 0 and (p or q):
+        return {_raised(key, n, column): Fraction(0) for key in a}
+    key, c = _single_term(a, "exponentiate", column)
+    if n < 0 and (key[2] or key[3]):
         raise ParseError("differential symbols cannot carry negative powers", column)
-    return {(x * n, y * n, p * n, q * n): c ** n}
+    key = _raised(key, n, column)
+    if c == 1:  # the common case, x^3: skip the slow Fraction power
+        return {key: c}
+    if abs(n) * max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_POWER_BITS:
+        raise ParseError("power too large: its coefficient exceeds %d bits" % MAX_POWER_BITS,
+                         column)
+    return {key: c ** n}
 
 
 class _ExprParser:
@@ -266,10 +293,11 @@ def _parse_value(text: str, symbols: dict[str, _Key]) -> _Value:
     return _clean(_parse_raw(text, symbols))
 
 
-def parse_tensor(
-    text: str, space: str = "halfline", min_exponent: int = MIN_VALUATION
-) -> HalfLineTensor | QuadrantTensor:
-    """Parse a tensor expression for the given space ("halfline" or "quadrant")."""
+def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | QuadrantTensor:
+    """Parse a tensor expression for the given space ("halfline" or "quadrant").
+
+    No exponent of x or y may be below ``tensors.MIN_VALUATION``.
+    """
     if space == "halfline":
         raw = _parse_raw(text, _HALFLINE_SYMBOLS)
         value = _clean(raw)
@@ -283,8 +311,8 @@ def parse_tensor(
         k = degrees.pop() if degrees else 0
         coeff: dict[int, Fraction] = {}
         for (xe, _, _, _), c in value.items():
-            if xe < min_exponent:
-                raise ParseError("exponent %d below minimum %d" % (xe, min_exponent))
+            if xe < MIN_VALUATION:
+                raise ParseError("exponent %d below minimum %d" % (xe, MIN_VALUATION))
             coeff[xe] = c
         if not coeff:
             return make_halfline_tensor(k, LaurentJet())
@@ -301,16 +329,15 @@ def parse_tensor(
                     "quadrant terms must carry dx^2, dy^2 or dx*dy (got dx^%d*dy^%d)"
                     % (p, q)
                 )
-            if xe < min_exponent or ye < min_exponent:
+            if xe < MIN_VALUATION or ye < MIN_VALUATION:
                 raise ParseError(
-                    "exponent below minimum %d in x^%d*y^%d" % (min_exponent, xe, ye)
+                    "exponent below minimum %d in x^%d*y^%d" % (MIN_VALUATION, xe, ye)
                 )
             components[slot][(xe, ye)] = c
         return make_quadrant_tensor(
             LaurentJet2(components["a"]),
             LaurentJet2(components["b"]),
             LaurentJet2(components["c"]),
-            min_valuation=min_exponent,
         )
     raise ValueError("space must be 'halfline' or 'quadrant'")
 
@@ -332,11 +359,17 @@ def parse_polynomial(text: str) -> Jet1:
     return _value_to_jet1(_parse_value(text, _CURVE_SYMBOLS))
 
 
+_RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Exact rational literal: '3', '1/2', '-7/3'.  Decimal points are refused."""
+    """Exact rational literal: '3', '1/2', '-7/3'.  Decimal points, exponents
+    and digit separators are refused."""
     if "." in text:
         raise ParseError("rational literals only; %r has a decimal point" % text)
     try:
+        if not _RATIONAL_RE.fullmatch(text):
+            raise ValueError
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ParseError("invalid rational literal %r" % text) from None
@@ -366,6 +399,7 @@ def _parse_boundary(tokens: list[_Token]) -> BoundaryGerm:
         if tokens[pos].kind != "num":
             raise ParseError("expected an integer exponent", tokens[pos].column)
         exponent = int(tokens[pos].text)
+        _check_exponent(exponent, tokens[pos - 1].column)
         pos += 1
     if exponent < 2 or exponent % 2 != 0:
         raise ParseError("plot not certified nonnegative: leading term t^%d" % exponent)

@@ -20,7 +20,6 @@ __all__ = [
     "FlatGerm",
     "PlotGerm",
     "PairGerm",
-    "SqMap2",
     "make_boundary_plot",
     "make_interior_plot",
 ]
@@ -72,17 +71,10 @@ class PairGerm:
     py: PlotGerm
 
 
-@dataclass(frozen=True)
-class SqMap2:
-    """The two-parameter square map (u, v) -> (u^2, v^2)."""
-
-
 def make_boundary_plot(m: int, unit: Jet1 | Rational) -> BoundaryGerm:
     """Build the germ t^(2m) * unit(t); rejects data that cannot stay nonnegative."""
     if not isinstance(unit, Jet1):
         unit = Jet1.constant(as_fraction(unit))
-    if m < 1 or unit.constant_term <= 0:
-        raise ValueError("not certified nonnegative")
     return BoundaryGerm(m, unit)
 
 

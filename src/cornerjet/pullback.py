@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, _convolve, laurent_divide
-from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, SqMap2
+from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm
 from .tensors import HalfLineTensor, QuadrantTensor
 
 __all__ = [
@@ -108,15 +108,24 @@ def _powers(base: LaurentJet, exponents: set[int], keep: int) -> dict[int, Laure
     exactly, and coefficients of base above val(base) + keep never reach the
     kept degrees.
     """
+    def times(a: LaurentJet, b: LaurentJet) -> LaurentJet:
+        return _mul_through(a, b, a.valuation + b.valuation + keep)
+
     base = base.truncated(base.valuation + keep)
-    last = max(exponents)
     out = {}
-    power = _ONE
-    for e in range(last + 1):
-        if e in exponents:
-            out[e] = power
-        if e < last:
-            power = _mul_through(power, base, power.valuation + base.valuation + keep)
+    power, reached = _ONE, 0
+    for e in sorted(exponents):
+        # From base^reached to base^e: one product for a gap of 1, repeated
+        # squaring of the base for a larger gap.
+        gap, square = e - reached, base
+        while gap:
+            if gap & 1:
+                power = times(power, square)
+            gap >>= 1
+            if gap:
+                square = times(square, square)
+        out[e] = power
+        reached = e
     return out
 
 
@@ -267,8 +276,6 @@ def pullback_quadrant_path(
     The dt^2 coefficient is a(px,py) px'^2 + b(px,py) py'^2 + 2 c(px,py) px'py',
     the cross slot contributing once per tensor-factor order.
     """
-    if isinstance(germ, SqMap2):
-        raise TypeError("use pullback_sq2 for the two-parameter square map")
     if order < 2:
         raise ValueError("order must be at least 2")
     for component in (germ.px, germ.py):

@@ -14,6 +14,7 @@ from typing import Mapping
 
 from .jets import Jet1, LaurentJet, LaurentJet2, Rational, as_fraction
 
+# The deepest pole, in x and in y, that a tensor coefficient may have.
 MIN_VALUATION = -4
 
 __all__ = [
@@ -88,20 +89,20 @@ def _as_laurent2(component) -> LaurentJet2:
     if isinstance(component, LaurentJet2):
         return component
     if isinstance(component, Mapping):
-        return LaurentJet2.from_terms(component)
+        return LaurentJet2(component)
     return LaurentJet2({(0, 0): as_fraction(component)})
 
 
-def make_quadrant_tensor(a, b, c, min_valuation: int = MIN_VALUATION) -> QuadrantTensor:
-    """Assemble a quadrant tensor, bounding how deep input poles may reach."""
+def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
+    """Assemble a quadrant tensor; no pole may reach deeper than ``MIN_VALUATION``."""
     parts = []
     for name, component in (("dx^2", a), ("dy^2", b), ("dx*dy", c)):
         jet = _as_laurent2(component)
         vx, vy = jet.valuations
-        if vx < min_valuation or vy < min_valuation:
+        if vx < MIN_VALUATION or vy < MIN_VALUATION:
             raise ValueError(
                 "%s coefficient valuation below the configured minimum %d"
-                % (name, min_valuation)
+                % (name, MIN_VALUATION)
             )
         parts.append(jet)
     return QuadrantTensor(*parts)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from cornerjet import Jet1, LaurentJet, LaurentJet2
+from cornerjet import LaurentJet
+from cornerjet.jets import Jet1, LaurentJet2
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda q: q != 0)

@@ -7,7 +7,8 @@ step, and shares no code with the kernels it checks.  Series are
 
 from fractions import Fraction
 
-from cornerjet import BoundaryGerm, FlatGerm, InteriorGerm, Jet1, LaurentJet, TruncationError
+from cornerjet import LaurentJet
+from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
 
 
 def schoolbook_product(a, b) -> dict[int, Fraction]:
@@ -54,7 +55,7 @@ def realize_jet(p, order: int) -> LaurentJet:
         shift, coeffs = 0, p.jet.coeffs
     elif isinstance(p, BoundaryGerm):
         if p.contact_degree > order:
-            raise TruncationError(
+            raise ValueError(
                 "order %d is below the plot contact degree %d" % (order, p.contact_degree)
             )
         shift, coeffs = p.contact_degree, p.unit.coeffs
@@ -63,15 +64,17 @@ def realize_jet(p, order: int) -> LaurentJet:
     return LaurentJet(shift, coeffs[: order - shift + 1])
 
 
-def compose(outer: Jet1, inner: Jet1) -> Jet1:
-    """Substitute ``inner`` into ``outer`` by Horner's rule; result order is ``inner.order``.
+def compose(outer, inner, order: int) -> dict[int, Fraction]:
+    """Substitute the series ``inner`` into the polynomial ``outer`` by Horner's
+    rule, through degree ``order``.
 
-    ``inner`` must have vanishing constant term.  The outer jet is treated as
-    a polynomial (its coefficients above the stored order are exact zeros).
+    ``inner`` must have vanishing constant term.  Returns the nonzero
+    coefficients, by degree.
     """
-    if inner.constant_term != 0:
+    if inner.get(0, 0) != 0:
         raise ValueError("composition requires vanishing constant term")
-    acc = Jet1.zero(inner.order)
-    for c in reversed(outer.coeffs):
-        acc = acc * inner + c
-    return acc
+    acc: dict[int, Fraction] = {}
+    for d in range(max(outer, default=0), -1, -1):
+        acc = {e: c for e, c in schoolbook_product(acc, inner).items() if e <= order}
+        acc[0] = acc.get(0, Fraction(0)) + Fraction(outer.get(d, 0))
+    return {e: c for e, c in acc.items() if c != 0}

@@ -15,29 +15,23 @@ from fractions import Fraction as F
 import pytest
 
 from cornerjet import (
-    BoundaryGerm,
-    Jet1,
     LaurentJet,
-    LaurentJet2,
     NotSmoothError,
     SampledFunction,
-    Status,
     capacity,
-    capacity_table,
     check_metric,
     decompose_halfline,
     decompose_quadrant,
     glaeser_landau_check,
     make_boundary_plot,
     make_halfline_tensor,
-    make_quadrant_tensor,
-    parity_masses,
     parse_tensor,
     pullback_halfline,
     pullback_sq2,
     tau_sing,
     verify_capacity,
 )
+from cornerjet.capacity import capacity_table
 from cornerjet.cli import (
     fraction_from_str,
     jet1_from_json,
@@ -45,6 +39,10 @@ from cornerjet.cli import (
     laurent_from_json,
     run,
 )
+from cornerjet.jets import Jet1, LaurentJet2, parity_masses
+from cornerjet.plots import BoundaryGerm
+from cornerjet.pullback import Status
+from cornerjet.tensors import make_quadrant_tensor
 
 from test_cli import SCENARIOS
 from test_numeric import poly_from_roots

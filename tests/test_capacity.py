@@ -5,12 +5,12 @@ import hypothesis.strategies as st
 from cornerjet import (
     LaurentJet,
     capacity,
-    capacity_table,
     make_boundary_plot,
     make_halfline_tensor,
     pullback_halfline,
     verify_capacity,
 )
+from cornerjet.capacity import capacity_table
 
 
 class TestCapacity:

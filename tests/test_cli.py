@@ -11,25 +11,17 @@ import hypothesis.strategies as st
 
 import cornerjet
 from cornerjet import (
-    BoundaryGerm,
-    FlatGerm,
-    InteriorGerm,
-    Jet1,
     LaurentJet,
-    LaurentJet2,
-    ParseError,
     decompose_halfline,
-    format_halfline_tensor,
-    format_plot,
     format_quadrant_tensor,
     make_halfline_tensor,
-    make_quadrant_tensor,
     parse_plot,
-    parse_polynomial,
-    parse_rational,
     parse_tensor,
 )
 from cornerjet.cli import (
+    MAX_GRID,
+    MAX_M_MAX,
+    MAX_ORDER,
     fraction_from_str,
     fraction_str,
     jet1_from_json,
@@ -37,6 +29,18 @@ from cornerjet.cli import (
     laurent_from_json,
     run,
 )
+from cornerjet.jets import Jet1, LaurentJet2
+from cornerjet.parser import (
+    MAX_EXPONENT,
+    MAX_POWER_BITS,
+    ParseError,
+    format_halfline_tensor,
+    format_plot,
+    parse_polynomial,
+    parse_rational,
+)
+from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
+from cornerjet.tensors import make_quadrant_tensor
 
 from conftest import nonzero_laurent_jets, polynomial_laurent2s
 
@@ -115,6 +119,11 @@ class TestParseTensor:
         t = parse_tensor("x*dx - x*dx + x*dx^2", "halfline")
         assert (t.degree, t.coeff) == (2, LaurentJet(1, [1]))
 
+    @pytest.mark.parametrize("text", ["1/0*dx", "x/(x-x)*dx"])
+    def test_division_by_zero_names_the_slash(self, text):
+        with pytest.raises(ParseError, match="at 1:2: division by zero"):
+            parse_tensor(text, "halfline")
+
     def test_cancelled_terms_below_minimum_are_ignored(self):
         assert parse_tensor("x^-9*dx^2 - x^-9*dx^2 + dx^2", "halfline").coeff == LaurentJet(0, [1])
 
@@ -153,6 +162,19 @@ class TestParsePlot:
         assert parse_rational("-7/3") == F(-7, 3)
         with pytest.raises(ParseError, match="decimal point"):
             parse_rational("0.5")
+
+    @pytest.mark.parametrize("text, value", [("-1", -1), ("3/4", F(3, 4)), (" -7/3 ", F(-7, 3)), ("+2", 2)])
+    def test_rational_literal_forms(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["5e-1", "1E3", "1_000", "- 1", "1/-2", "\u0663", "1/0", ""])
+    def test_rational_refuses_exponents_and_separators(self, text):
+        with pytest.raises(ParseError, match="invalid rational literal"):
+            parse_rational(text)
+
+    def test_interior_base_point_is_a_plain_rational(self):
+        with pytest.raises(ParseError, match="invalid rational literal"):
+            parse_plot("interior(1e1; 10+t)")
 
 
 
@@ -213,6 +235,60 @@ quadrant_tensors = st.builds(
     polynomial_laurent2s(max_degree=3, max_terms=4),
     polynomial_laurent2s(max_degree=3, max_terms=4),
 )
+
+
+class TestCaps:
+    """Sizes above a cap are refused at once with exit code 1; nothing is clamped."""
+
+    @pytest.mark.parametrize("text", [
+        "x^2049*dx", "x^-2049*dx", "x*dx^2049", "(x^64)^33*dx", "(2*x)^99999999*dx",
+        "x^99999999999999999999*dx", "0^2049*dx",
+    ])
+    def test_exponent_cap(self, text):
+        with pytest.raises(ParseError, match="exponent -?[0-9]+ exceeds the maximum %d" % MAX_EXPONENT):
+            parse_tensor(text, "halfline")
+
+    def test_exponents_at_the_cap_are_accepted(self):
+        assert parse_tensor("(x^32)^64*dx", "halfline").coeff == LaurentJet(MAX_EXPONENT, [1])
+        assert parse_tensor("x*dx^2048", "halfline").degree == MAX_EXPONENT
+        assert parse_plot("t^2048").m == MAX_EXPONENT // 2
+        with pytest.raises(ParseError, match="at 1:2: exponent 2050 exceeds"):
+            parse_plot("t^2050")
+
+    def test_power_coefficient_cap(self):
+        # 3^2048 counts 2 * 2048 bits; cubing it counts 3 * 3247
+        assert parse_tensor("(3^2048)^2*dx", "halfline").coeff == LaurentJet(0, [3 ** 4096])
+        with pytest.raises(ParseError, match="power too large: .* %d bits" % MAX_POWER_BITS):
+            parse_tensor("(3^2048)^3*dx", "halfline")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pullback", "--order", str(MAX_ORDER + 1), "--plot", "t^2", "(1/x)*dx^2"],
+         "order 257 exceeds the maximum 256"),
+        (["verify-capacity", "--m-max", str(MAX_M_MAX + 1), "2", "1"],
+         "m_max 1001 exceeds the maximum 1000"),
+        (["verify-capacity", "2049", "1"], "k 2049 exceeds the maximum 2048"),
+        (["verify-capacity", "2", "2049"], "p 2049 exceeds the maximum 2048"),
+        (["gl-check", "--f", "t^2", "--grid", str(MAX_GRID + 1)],
+         "grid 8193 exceeds the maximum 8192"),
+        (["pullback", "--plot", "t^2*(1+t)", "x^100000*dx"], "exponent 100000 exceeds"),
+        (["pullback", "--plot", "t^2*(3/2+t)", "x^20000*dx"], "exponent 20000 exceeds"),
+    ])
+    def test_cli_caps_exit_one(self, capsys, argv, message):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert message in captured.err
+
+    def test_order_cap_covers_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("CORNERJET_ORDER", str(MAX_ORDER + 1))
+        assert run(["decompose", "(1/x)*dx^2"]) == 1
+        assert "order 257 exceeds the maximum 256" in capsys.readouterr().err
+
+    def test_values_at_the_caps_are_accepted(self, capsys):
+        assert run(["pullback", "--order", str(MAX_ORDER), "--plot", "t^2", "(1/x)*dx^2"]) == 0
+        assert run(["verify-capacity", "--m-max", str(MAX_M_MAX), "2", "1"]) == 0
+        assert run(["gl-check", "--f", "t^2", "--grid", str(MAX_GRID)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestPrintParseRoundTrip:
@@ -362,6 +438,20 @@ class TestCliScenarios:
         assert capsys.readouterr().out.rstrip() == "status = FlatSmooth"
         assert run(["pullback", "--plot", "flat", "(1/x^2)*dx^2"]) == 2
         assert capsys.readouterr().out.rstrip() == "status = FlatIndeterminate"
+
+    @pytest.mark.parametrize("text", ["1/0*dx", "x/(x-x)*dx"])
+    def test_division_by_zero_exits_one(self, capsys, text):
+        assert run(["pullback", "--plot", "t^2", text]) == 1
+        assert capsys.readouterr().err == "error: syntax error at 1:2: division by zero\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--interval", " -1", "1" + "0" * 400], "interval endpoint beyond the float range"),
+        (["--f", "1" + "0" * 400 + "*t^2"], "coefficient beyond the float range"),
+    ])
+    def test_gl_check_refuses_values_beyond_the_float_range(self, capsys, argv, message):
+        assert run(["gl-check", "--f", "t^2", *argv]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: %s\n" % message)
 
     def test_order_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("CORNERJET_ORDER", "8")

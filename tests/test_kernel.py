@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from cornerjet import Jet1, LaurentJet
-from cornerjet.jets import _convolve
+from cornerjet import LaurentJet
+from cornerjet.jets import Jet1, _convolve
 from cornerjet.pullback import _mul_through, _powers
 
 from conftest import rationals
@@ -133,6 +133,22 @@ def test_powers_keep_their_window(base, exponents, keep):
             exact = schoolbook_product(exact, _terms(base))
         val = e * base.valuation
         assert _terms(power) == {d: c for d, c in exact.items() if d <= val + keep}
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurents(max_len=3), st.sets(st.integers(0, 70), min_size=1, max_size=3), st.integers(0, 5))
+def test_powers_by_squaring_match_repeated_products(base, exponents, keep):
+    # Gaps up to 70 between exponents: reached by squaring, checked against
+    # one schoolbook product per unit of the exponent, each cut to the window.
+    if base.is_zero:
+        base = LaurentJet(base.valuation, [1])
+    powers = _powers(base, exponents, keep)
+    chain = {0: F(1)}
+    for e in range(max(exponents) + 1):
+        if e in exponents:
+            assert _terms(powers[e]) == chain
+        top = (e + 1) * base.valuation + keep
+        chain = {d: c for d, c in schoolbook_product(chain, _terms(base)).items() if d <= top}
 
 
 def test_kernel_stops_at_the_requested_degree():

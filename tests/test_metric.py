@@ -5,15 +5,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cornerjet import (
-    BoundaryGerm,
-    InteriorGerm,
     LaurentJet,
     NotSmoothError,
-    TestPlotFamily,
     check_metric,
     make_halfline_tensor,
     tau_sing,
 )
+from cornerjet.metric import TestPlotFamily
+from cornerjet.plots import BoundaryGerm, InteriorGerm
 
 from conftest import jet1s, nonzero_rationals
 

@@ -10,10 +10,10 @@ from cornerjet import (
     glaeser_landau_check,
     make_boundary_plot,
     make_halfline_tensor,
-    numeric_pullback_probe,
     pullback_halfline,
     tau_sing,
 )
+from cornerjet.numeric import numeric_pullback_probe
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -113,6 +113,20 @@ class TestGlaeserLandau:
         with pytest.raises(ValueError, match="grid_n"):
             SampledFunction.polynomial([1], (0, 1), grid_n=2)
 
+    def test_values_beyond_the_float_range_are_refused(self):
+        huge = 10 ** 400
+        with pytest.raises(ValueError, match="interval endpoint beyond the float range"):
+            SampledFunction.polynomial([0, 0, 1], (-1, huge))
+        with pytest.raises(ValueError, match="coefficient beyond the float range"):
+            SampledFunction.polynomial([0, 0, huge], (-1, 1))
+        # f'' = 2 * 10^308 does not fit a float although f's coefficients do
+        with pytest.raises(ValueError, match="coefficient beyond the float range"):
+            SampledFunction.polynomial([0, 0, 10 ** 308], (-1, 1))
+        with pytest.raises(ValueError, match="coefficient beyond the float range"):
+            SampledFunction.sum_of_squares([[0, huge]], (-1, 1))
+        # tiny values round to zero instead: they are in range
+        SampledFunction.polynomial([F(1, huge), 0, 1], (F(-1, huge), 1))
+
 
 # C and max_violation exactly as the vectorised evaluation order produces them:
 # asymmetric rational intervals, odd grids, and an interval whose curvature
@@ -183,7 +197,7 @@ class TestNumericPullbackProbe:
         assert probe.bounded == exact.is_smooth
 
     def test_agreement_with_unit_factor(self):
-        from cornerjet import Jet1
+        from cornerjet.jets import Jet1
 
         # t^2 (1 + t/2) on an interval keeping the unit positive
         f = SampledFunction.polynomial([0, 0, 1, F(1, 2)], (-1, 1), grid_n=512)

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from cornerjet import (
-    FlatGerm,
-    Jet1,
-    LaurentJet,
-    TruncationError,
-    make_boundary_plot,
-    make_interior_plot,
-)
+from cornerjet import LaurentJet, make_boundary_plot
+from cornerjet.jets import Jet1
+from cornerjet.plots import FlatGerm, make_interior_plot
 
 from conftest import unit_jet1s
 from oracles import realize_jet
@@ -55,7 +50,7 @@ class TestRealizeJet:
             realize_jet(FlatGerm(), 4)
 
     def test_truncation_below_contact(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(ValueError, match="below the plot contact degree"):
             realize_jet(make_boundary_plot(3, 1), 4)
 
     def test_truncates_unit_tail(self):

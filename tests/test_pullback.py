@@ -5,17 +5,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cornerjet import (
-    FlatGerm,
-    Jet1,
     LaurentJet,
-    LaurentJet2,
     PairGerm,
-    SqMap2,
-    Status,
     make_boundary_plot,
     make_halfline_tensor,
-    make_interior_plot,
-    make_quadrant_tensor,
     parse_plot,
     parse_tensor,
     pullback_halfline,
@@ -23,6 +16,10 @@ from cornerjet import (
     pullback_sq2,
     tau_sing,
 )
+from cornerjet.jets import Jet1, LaurentJet2
+from cornerjet.plots import FlatGerm, make_interior_plot
+from cornerjet.pullback import Status
+from cornerjet.tensors import make_quadrant_tensor
 
 from conftest import laurent_jets, polynomial_laurent2s, unit_jet1s
 from oracles import long_divide, realize_jet, schoolbook_product
@@ -302,10 +299,6 @@ class TestPullbackQuadrantPath:
         # oracle: t^-4 * (2t)^2 = 4 t^-2
         assert verdict.status is Status.POLE
         assert verdict.pole_order == 2
-
-    def test_sq_map_marker_is_rejected(self):
-        with pytest.raises(TypeError, match="pullback_sq2"):
-            pullback_quadrant_path(make_quadrant_tensor(1, 1, 0), SqMap2())
 
     def test_window_doubling_rebuilds_the_power_tables(self):
         # a = 1/x along px = t^2 u with u = 1 + t/2 gives S(t) = px'^2 / px, a

@@ -2,13 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from cornerjet import (
-    LaurentJet,
-    LaurentJet2,
-    make_halfline_tensor,
-    make_quadrant_tensor,
-    tau_sing,
-)
+from cornerjet import LaurentJet, make_halfline_tensor, tau_sing
+from cornerjet.jets import LaurentJet2
+from cornerjet.tensors import make_quadrant_tensor
 
 
 class TestTauSing:
@@ -70,4 +66,4 @@ class TestMakeQuadrantTensor:
         with pytest.raises(ValueError, match="below the configured minimum"):
             make_quadrant_tensor({(-5, 0): 1}, 0, 0)
         with pytest.raises(ValueError, match="below the configured minimum"):
-            make_quadrant_tensor(0, {(0, -6): 1}, 0, min_valuation=-4)
+            make_quadrant_tensor(0, {(0, -6): 1}, 0)
