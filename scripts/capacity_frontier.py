@@ -7,14 +7,12 @@ margin is cross-checked against the actual pullback valuation.
 """
 
 from cornerjet import capacity, verify_capacity
+from cornerjet.capacity import capacity_table
 
 
 def main() -> None:
     print("  k  frontier  floor(k/2)  margins (m = 1..6, binding marked)")
-    for k in range(9):
-        frontier = 0
-        while verify_capacity(k, frontier + 1, 6).admissible:
-            frontier += 1
+    for k, frontier in capacity_table(8):
         report = verify_capacity(k, frontier, 6)
         margins = ", ".join(
             "%d%s" % (margin, "*" if i + 1 == report.binding_m else "")

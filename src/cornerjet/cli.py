@@ -7,13 +7,16 @@ failure), 1 on usage or parse errors.
 
 JSON mode serializes every exact rational as a "num/den" string; jets are
 {"order", "coeffs"} (power series), {"valuation", "coeffs"} (Laurent), or
-{"terms": [{"x", "y", "c"}, ...]} (two-variable Laurent).
+{"terms": [{"x", "y", "c"}, ...]} (two-variable Laurent).  The only floats,
+the gl-check report's, are JSON numbers when finite and otherwise the strings
+"inf", "-inf" or "nan" that text mode prints, so the output is strict JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -44,7 +47,6 @@ from .pullback import (
     Status,
     pullback_halfline,
 )
-from .tensors import HalfLineTensor
 
 ORDER_ENV_VAR = "CORNERJET_ORDER"
 
@@ -154,9 +156,14 @@ def parity_to_json(report: ParityReport) -> dict:
 
 def _emit(ns, lines: list[str], payload: dict) -> None:
     if ns.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         print("\n".join(lines))
+
+
+def _float_to_json(x: float):
+    """A finite float as a JSON number; inf, -inf and nan as the strings text mode prints."""
+    return x if math.isfinite(x) else repr(x)
 
 
 def _status_text(v: SmoothnessVerdict) -> str:
@@ -273,8 +280,6 @@ def _cmd_pullback(ns) -> int:
     order = _resolve_order(ns)
     tensor = parse_tensor(ns.tensor, "halfline")
     plot = parse_plot(ns.plot)
-    if not isinstance(tensor, HalfLineTensor):  # pragma: no cover - parse guarantees
-        raise ParseError("pullback expects a half-line tensor")
     verdict = pullback_halfline(tensor, plot, order)
     _emit(ns, _verdict_lines(verdict), {
         "command": "pullback",
@@ -381,8 +386,8 @@ def _cmd_gl_check(ns) -> int:
         ],
         {
             "command": "gl-check",
-            "C": report.C,
-            "max_violation": report.max_violation,
+            "C": _float_to_json(report.C),
+            "max_violation": _float_to_json(report.max_violation),
             "tol": report.tol,
             "passed": report.passed,
         },

@@ -9,15 +9,15 @@ Conventions:
 
 * every coefficient is a ``fractions.Fraction``; floats are rejected, so no
   operation in this module can round,
-* one-variable products go through a single exact kernel, ``_convolve``: each
-  operand is scaled to integer numerators over the lcm of its denominators
-  (the ``fmpq_poly`` layout of FLINT), the integers are convolved only as far
-  as the requested output degree, and one ``Fraction`` is built per output
-  coefficient; the ``Fraction`` interface of the jet types is unchanged,
+* ``*`` on every jet type scales by an ``int`` or ``Fraction`` only; a
+  series ``*`` or ``**`` raises ``TypeError``.  The one series product is the
+  pullback's truncated product (``cornerjet.pullback``) on the exact kernel
+  ``_convolve``: each operand is scaled to integer numerators over the lcm of
+  its denominators (the ``fmpq_poly`` layout of FLINT), the integers are
+  convolved only as far as the requested output degree, and one ``Fraction``
+  is built per output coefficient,
 * a ``Jet1`` of order N is a record of the coefficients of t^0 .. t^N, the
-  form in which plot germs and decompositions report their jets; it only
-  scales and multiplies (result order = min of the inputs), and every other
-  series operation runs on ``LaurentJet``,
+  form in which plot germs and decompositions report their jets,
 * a ``LaurentJet`` is kept canonical: leading and trailing coefficients are
   nonzero, and the zero jet is (valuation 0, no coefficients),
 * curve germs and tensor coefficients are polynomials and Laurent
@@ -122,9 +122,8 @@ class Jet1:
         raise AttributeError("Jet1 is immutable")
 
     @classmethod
-    def constant(cls, value: Rational, order: int = 0) -> "Jet1":
-        c = as_fraction(value)
-        return cls((c,) + (Fraction(0),) * order)
+    def constant(cls, value: Rational) -> "Jet1":
+        return cls((as_fraction(value),))
 
     @property
     def order(self) -> int:
@@ -138,23 +137,15 @@ class Jet1:
         return LaurentJet(0, self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, Jet1):
-            n = min(self.order, other.order)
-            return Jet1(_convolve(self.coeffs, other.coeffs, n + 1))
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return Jet1(tuple(a * c for a in self.coeffs))
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        c = as_fraction(other)
+        return Jet1(tuple(a * c for a in self.coeffs))
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("jet powers require a nonnegative integer exponent")
-        acc = Jet1.constant(1, self.order)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+    def __pow__(self, n):  # kept by name: perfbench/spans.py wraps it
+        return NotImplemented
 
     def __eq__(self, other):
         return isinstance(other, Jet1) and self.coeffs == other.coeffs
@@ -273,8 +264,6 @@ class LaurentJet:
         return Jet1(tuple(self.coefficient(d) for d in range(order + 1)))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentJet(0, (other,))
         if not isinstance(other, LaurentJet):
             return NotImplemented
         if self.is_zero:
@@ -289,45 +278,18 @@ class LaurentJet:
             out[i] += c
         return LaurentJet(low.valuation, out)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentJet(self.valuation, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentJet(0, (other,))
-        if not isinstance(other, LaurentJet):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if c == 0:
-                return LaurentJet()
-            return LaurentJet(self.valuation, tuple(a * c for a in self.coeffs))
-        if not isinstance(other, LaurentJet):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        c = as_fraction(other)
+        if c == 0:
             return LaurentJet()
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        return LaurentJet(
-            self.valuation + other.valuation, _convolve(self.coeffs, other.coeffs, n)
-        )
+        return LaurentJet(self.valuation, tuple(a * c for a in self.coeffs))
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("use laurent_divide for negative powers")
-        acc = LaurentJet(0, (1,))
-        for _ in range(n):
-            acc = acc * self
-        return acc
+    def __pow__(self, n):  # kept by name: perfbench/spans.py wraps it
+        return NotImplemented
 
     def __eq__(self, other):
         return (
@@ -393,7 +355,7 @@ class LaurentJet2:
     """Two-variable Laurent expansion stored sparsely: (i, j) -> nonzero rational.
 
     Exact: these arise from finite expressions and the operations on them
-    (sums, products, exponent doubling, monomial shifts) never truncate.
+    (sums, scaling, exponent doubling, monomial shifts) never truncate.
     """
 
     __slots__ = ("_terms",)
@@ -423,9 +385,6 @@ class LaurentJet2:
             min(i for i, _ in self._terms),
             min(j for _, j in self._terms),
         )
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
 
     def terms(self) -> Iterator[tuple[int, int, Fraction]]:
         for (i, j) in sorted(self._terms):
@@ -474,26 +433,11 @@ class LaurentJet2:
             out[k] = out.get(k, Fraction(0)) + c
         return LaurentJet2(out)
 
-    def __neg__(self):
-        return LaurentJet2({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentJet2):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return LaurentJet2({k: a * c for k, a in self._terms.items()})
-        if not isinstance(other, LaurentJet2):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return LaurentJet2(out)
+        c = as_fraction(other)
+        return LaurentJet2({k: a * c for k, a in self._terms.items()})
 
     __rmul__ = __mul__
 

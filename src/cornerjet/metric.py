@@ -17,43 +17,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .jets import DEFAULT_ORDER, Jet1, as_fraction
+from .jets import DEFAULT_ORDER
 from .plots import BoundaryGerm, InteriorGerm, PlotGerm, make_boundary_plot, make_interior_plot
 from .pullback import NotSmoothError, pullback_halfline
 from .tensors import HalfLineTensor
 
-__all__ = ["TestPlotFamily", "MetricWitness", "MetricVerdict", "check_metric"]
+__all__ = ["DEFAULT_FAMILY", "MetricWitness", "MetricVerdict", "check_metric"]
 
 POSITIVITY = "positivity"
 DEFINITE_ZERO = "definiteness-zero-required"
 DEFINITE_NONZERO = "definiteness-nonzero-required"
 
-
-@dataclass(frozen=True)
-class TestPlotFamily:
-    """Finite family of germs the metric is tested against."""
-
-    __test__ = False  # name starts with Test; keep pytest from collecting it
-
-    boundary_ms: tuple[int, ...] = (1, 2, 3)
-    interior_points: tuple[Fraction, ...] = (
-        Fraction(1, 2),
-        Fraction(1),
-        Fraction(2),
-    )
-    interior_velocity: Fraction = Fraction(1)
-
-    def germs(self) -> Iterator[PlotGerm]:
-        for m in sorted(self.boundary_ms):
-            yield make_boundary_plot(m, 1)
-        for x0 in self.interior_points:
-            base = as_fraction(x0)
-            yield make_interior_plot(base, Jet1((base, self.interior_velocity)))
-
-
-DEFAULT_FAMILY = TestPlotFamily()
+# The germs a metric is tested against, in witness order: t^(2m) for
+# m = 1, 2, 3, then x0 + t for x0 = 1/2, 1, 2.
+DEFAULT_FAMILY: tuple[PlotGerm, ...] = (
+    *(make_boundary_plot(m, 1) for m in (1, 2, 3)),
+    *(make_interior_plot(x0) for x0 in (Fraction(1, 2), Fraction(1), Fraction(2))),
+)
 
 
 @dataclass(frozen=True)
@@ -72,12 +53,8 @@ class MetricVerdict:
     witness: MetricWitness | None = None
 
 
-def check_metric(
-    g: HalfLineTensor,
-    family: TestPlotFamily | None = None,
-    order: int = DEFAULT_ORDER,
-) -> MetricVerdict:
-    """Decide admissibility of g over the family; any witness is a genuine failure."""
+def check_metric(g: HalfLineTensor, order: int = DEFAULT_ORDER) -> MetricVerdict:
+    """Decide admissibility of g over ``DEFAULT_FAMILY``; any witness is a genuine failure."""
     if g.degree != 2:
         raise ValueError("a metric candidate must be a symmetric 2-tensor")
     if g.pole_order >= 2:
@@ -85,8 +62,7 @@ def check_metric(
         raise NotSmoothError(
             "not a smooth tensor on the half-line: capacity exceeded", verdict=verdict
         )
-    family = family or DEFAULT_FAMILY
-    for germ in family.germs():
+    for germ in DEFAULT_FAMILY:
         verdict = pullback_halfline(g, germ, order)
         witness = verdict.witness
         value = witness.coefficient(0)

@@ -4,7 +4,7 @@ Sample functions are polynomials with exact rational coefficients (optionally
 certified nonnegative as sums of squares), so differentiation is exact and
 double precision enters only at grid evaluation.  The module verifies the
 discriminant inequality f'(t)^2 <= 2 sup|f''| f(t) for nonnegative f on a
-grid, and probes boundedness of pulled-back tensors by refining the grid.
+grid.
 
 Grids and values are lists of Python floats, computed in the order of the
 usual array routines (linspace, polyval, max) so that reports keep the same
@@ -19,17 +19,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import LaurentJet, as_fraction
-from .tensors import HalfLineTensor
-
-_SIMPLE_POLE = LaurentJet(-1, (1,))
+from .jets import as_fraction
 
 __all__ = [
     "SampledFunction",
     "GlaeserLandauReport",
-    "PullbackProbeReport",
     "glaeser_landau_check",
-    "numeric_pullback_probe",
 ]
 
 
@@ -61,19 +56,6 @@ def _reduce(pick, values: list[float]) -> float:
 
 def _sup_abs(values: list[float]) -> float:
     return _reduce(max, [abs(v) for v in values])
-
-
-def _power(x: float, e: int) -> float:
-    """x**e as array power gives it: x*x and 1/x for e = 2 and -1, and a signed
-    infinity instead of an overflow error."""
-    if e == 2:
-        return x * x
-    if e == -1:
-        return 1.0 / x
-    try:
-        return x ** e
-    except OverflowError:
-        return -math.inf if x < 0 and e % 2 else math.inf
 
 
 @dataclass(frozen=True)
@@ -217,63 +199,3 @@ def glaeser_landau_check(
     dv = f.derivative_values(grid)
     worst = _reduce(max, [d * d - 2.0 * c_sup * v for d, v in zip(dv, fv)])
     return GlaeserLandauReport(C=c_sup, max_violation=worst, passed=worst <= tol, tol=tol)
-
-
-@dataclass(frozen=True)
-class PullbackProbeReport:
-    """Grid boundedness probe of coeff(P(t)) P'(t)^k.
-
-    ``bounded`` compares the supremum on the base grid with the supremum on a
-    4x refined grid: a genuine pole at a zero of P multiplies the observed sup
-    by at least 4 under that refinement, while a smooth pullback stabilizes.
-    For the canonical simple-pole 2-tensor the report also checks the
-    curvature bound sup <= 2 sup|P''| + tol.
-    """
-
-    sup: float
-    refined_sup: float
-    growth: float
-    bounded: bool
-    bound: float | None = None
-    bound_ok: bool | None = None
-
-
-def numeric_pullback_probe(
-    tensor: HalfLineTensor, f: SampledFunction, tol: float = 1e-9
-) -> PullbackProbeReport:
-    check_tolerance(tol)
-    if not f.sos_certified and _reduce(min, f.values(f.grid())) < -tol:
-        raise ValueError("function not nonnegative on interval")
-
-    def sup_on(n: int) -> float:
-        grid = f.grid(n)
-        pv = f.values(grid)
-        kept = [i for i, p in enumerate(pv) if p != 0.0]
-        if not kept:
-            return 0.0
-        dv = f.derivative_values(grid)
-        terms = [(degree, float(c)) for degree, c in tensor.coeff.terms()]
-        values = []
-        for i in kept:
-            coeff_at = 0.0
-            for degree, c in terms:
-                coeff_at += c * _power(pv[i], degree)
-            values.append(coeff_at * _power(dv[i], tensor.degree))
-        return _sup_abs(values)
-
-    sup = sup_on(f.grid_n)
-    refined = sup_on(4 * f.grid_n)
-    growth = refined / sup if sup > 0.0 else 1.0
-    bounded = math.isfinite(refined) and growth <= 2.0
-    bound = bound_ok = None
-    if tensor.degree == 2 and tensor.coeff == _SIMPLE_POLE:
-        bound = 2.0 * _sup_abs(f.second_derivative_values(f.grid()))
-        bound_ok = refined <= bound + tol
-    return PullbackProbeReport(
-        sup=sup,
-        refined_sup=refined,
-        growth=growth,
-        bounded=bounded,
-        bound=bound,
-        bound_ok=bound_ok,
-    )

@@ -21,18 +21,6 @@ def jet1s(draw, min_order=0, max_order=8):
 
 
 @st.composite
-def nonzero_jet1s(draw, min_order=0, max_order=8):
-    jet = draw(jet1s(min_order, max_order))
-    if jet.is_zero:
-        index = draw(st.integers(0, jet.order))
-        value = draw(nonzero_rationals)
-        coeffs = list(jet.coeffs)
-        coeffs[index] = value
-        jet = Jet1(coeffs)
-    return jet
-
-
-@st.composite
 def unit_jet1s(draw, max_order=4):
     """Jets with positive constant term, usable as boundary-plot units."""
     jet = draw(jet1s(0, max_order))

@@ -1,14 +1,20 @@
-"""Independent exact oracles for the tests.
+"""Independent oracles for the tests.
 
-Each oracle is written the plain way, with one ``Fraction`` operation per
-step, and shares no code with the kernels it checks.  Series are
-{degree: coefficient} dicts unless a function says otherwise.
+Each exact oracle is written the plain way, with one ``Fraction`` operation
+per step, and shares no code with the kernels it checks.  Series are
+{degree: coefficient} dicts unless a function says otherwise.  The float
+probe at the end samples a pullback on a grid, apart from the exact pullback
+whose verdicts it corroborates.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from cornerjet import LaurentJet
+from cornerjet import LaurentJet, SampledFunction
+from cornerjet.numeric import _reduce, _sup_abs, check_tolerance
 from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
+from cornerjet.tensors import HalfLineTensor
 
 
 def schoolbook_product(a, b) -> dict[int, Fraction]:
@@ -78,3 +84,79 @@ def compose(outer, inner, order: int) -> dict[int, Fraction]:
         acc = {e: c for e, c in schoolbook_product(acc, inner).items() if e <= order}
         acc[0] = acc.get(0, Fraction(0)) + Fraction(outer.get(d, 0))
     return {e: c for e, c in acc.items() if c != 0}
+
+
+_SIMPLE_POLE = LaurentJet(-1, (1,))
+
+
+def _power(x: float, e: int) -> float:
+    """x**e as array power gives it: x*x and 1/x for e = 2 and -1, and a signed
+    infinity instead of an overflow error."""
+    if e == 2:
+        return x * x
+    if e == -1:
+        return 1.0 / x
+    try:
+        return x ** e
+    except OverflowError:
+        return -math.inf if x < 0 and e % 2 else math.inf
+
+
+@dataclass(frozen=True)
+class PullbackProbeReport:
+    """Grid boundedness probe of coeff(P(t)) P'(t)^k.
+
+    ``bounded`` compares the supremum on the base grid with the supremum on a
+    4x refined grid: a genuine pole at a zero of P multiplies the observed sup
+    by at least 4 under that refinement, while a smooth pullback stabilizes.
+    For the canonical simple-pole 2-tensor the report also checks the
+    curvature bound sup <= 2 sup|P''| + tol.
+    """
+
+    sup: float
+    refined_sup: float
+    growth: float
+    bounded: bool
+    bound: float | None = None
+    bound_ok: bool | None = None
+
+
+def numeric_pullback_probe(
+    tensor: HalfLineTensor, f: SampledFunction, tol: float = 1e-9
+) -> PullbackProbeReport:
+    check_tolerance(tol)
+    if not f.sos_certified and _reduce(min, f.values(f.grid())) < -tol:
+        raise ValueError("function not nonnegative on interval")
+
+    def sup_on(n: int) -> float:
+        grid = f.grid(n)
+        pv = f.values(grid)
+        kept = [i for i, p in enumerate(pv) if p != 0.0]
+        if not kept:
+            return 0.0
+        dv = f.derivative_values(grid)
+        terms = [(degree, float(c)) for degree, c in tensor.coeff.terms()]
+        values = []
+        for i in kept:
+            coeff_at = 0.0
+            for degree, c in terms:
+                coeff_at += c * _power(pv[i], degree)
+            values.append(coeff_at * _power(dv[i], tensor.degree))
+        return _sup_abs(values)
+
+    sup = sup_on(f.grid_n)
+    refined = sup_on(4 * f.grid_n)
+    growth = refined / sup if sup > 0.0 else 1.0
+    bounded = math.isfinite(refined) and growth <= 2.0
+    bound = bound_ok = None
+    if tensor.degree == 2 and tensor.coeff == _SIMPLE_POLE:
+        bound = 2.0 * _sup_abs(f.second_derivative_values(f.grid()))
+        bound_ok = refined <= bound + tol
+    return PullbackProbeReport(
+        sup=sup,
+        refined_sup=refined,
+        growth=growth,
+        bounded=bounded,
+        bound=bound,
+        bound_ok=bound_ok,
+    )

@@ -453,6 +453,21 @@ class TestCliScenarios:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: %s\n" % message)
 
+    def test_gl_check_json_is_strict_when_the_oracle_overflows(self, capsys):
+        def refuse(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+
+        argv = ["gl-check", "--f", "t^200", "--interval", " -1000", "1000", "--grid", "16"]
+        assert run(argv) == 2
+        assert capsys.readouterr().out == "C = inf\nmax_violation = nan\nfail\n"
+        assert run(argv + ["--format", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert (payload["C"], payload["max_violation"], payload["passed"]) == ("inf", "nan", False)
+        # finite values stay JSON numbers
+        assert run(["gl-check", "--format", "json", "--f", "t^2"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert (payload["C"], payload["max_violation"]) == (2.0, 0.0)
+
     def test_order_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("CORNERJET_ORDER", "8")
         assert run(["decompose", "--format", "json", "(1/x)*dx^2"]) == 0

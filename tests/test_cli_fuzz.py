@@ -4,11 +4,13 @@ Every argv is built from the expression grammar of ``cornerjet.parser`` for
 one of the seven subcommands, with exponents and integer options drawn up to
 10^20 in absolute value, rational literals, plot germs and both output
 formats.  Whatever the input, ``run`` must answer with exit code 0, 1 or 2,
-never a traceback, and print nothing to stderr when it exits 0.
+never a traceback, and print nothing to stderr when it exits 0; whatever it
+prints in JSON mode must be strict JSON (no NaN or Infinity).
 """
 
 import contextlib
 import io
+import json
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -99,6 +101,10 @@ def argvs(draw) -> list[str]:
     return argv + ["--", draw(quadrant_tensors)]
 
 
+def _refuse(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
@@ -110,3 +116,5 @@ def test_run_answers_every_argv(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert err.getvalue() == "", argv
+    if argv[2] == "json" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_refuse)

@@ -5,10 +5,15 @@ from hypothesis import given
 
 from cornerjet import LaurentJet
 from cornerjet.jets import Jet1, LaurentJet2, laurent_divide, parity_masses, whitney_descend
-from cornerjet.pullback import _derivative
+from cornerjet.pullback import _derivative, _mul_through
 
 from conftest import jet1s, laurent_jets, laurent2s, nonzero_laurent_jets
 from oracles import compose, schoolbook_product
+
+
+def times(a: LaurentJet, b: LaurentJet) -> LaurentJet:
+    """The full product a * b, by the pullback's truncated product."""
+    return _mul_through(a, b, (a.degree or 0) + (b.degree or 0))
 
 
 def naive_compose(outer, inner, order: int) -> dict:
@@ -96,7 +101,7 @@ class TestLaurentDivide:
 
     @given(nonzero_laurent_jets(), nonzero_laurent_jets())
     def test_multiply_back(self, a, b):
-        assert laurent_divide(a * b, b) == a
+        assert laurent_divide(times(a, b), b) == a
 
 
 class TestWhitneyDescend:
@@ -153,27 +158,25 @@ class TestParityDecompose2:
 
 
 class TestRingLaws:
-    @given(jet1s(max_order=5), jet1s(max_order=5), jet1s(max_order=5))
-    def test_jet1_laws(self, a, b, c):
-        n = min(a.order, b.order, c.order)
-        a, b, c = (Jet1(j.coeffs[: n + 1]) for j in (a, b, c))
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-
-        def plus(u, v):
-            return Jet1(x + y for x, y in zip(u.coeffs, v.coeffs))
-
-        assert a * plus(b, c) == plus(a * b, a * c)
-
     @given(laurent_jets(), laurent_jets(), laurent_jets())
     def test_laurent_laws(self, a, b, c):
         assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
+        assert times(a, b) == times(b, a)
+        assert times(a, b + c) == times(a, b) + times(a, c)
 
     @given(laurent_jets(), laurent_jets())
     def test_leibniz(self, a, b):
-        assert _derivative(a * b) == _derivative(a) * b + a * _derivative(b)
+        assert _derivative(times(a, b)) == times(_derivative(a), b) + times(a, _derivative(b))
+
+    @pytest.mark.parametrize(
+        "jet", [Jet1([1, F(1, 2)]), LaurentJet(-1, [2, 3]), LaurentJet2({(-1, 2): 3})]
+    )
+    def test_star_only_scales(self, jet):
+        assert jet * 2 == 2 * jet == jet * F(2)
+        with pytest.raises(TypeError):
+            jet * jet
+        with pytest.raises(TypeError):
+            jet ** 2
 
 
 class TestCanonicalForms:
@@ -210,8 +213,7 @@ class TestLaurentJet2:
     def test_tight_valuations(self):
         j = LaurentJet2({(-1, 2): 1, (0, -1): 2})
         assert j.valuations == (-1, -1)
-        assert j.coefficient(-1, 2) == 1
-        assert j.coefficient(5, 5) == 0
+        assert list(j.terms()) == [(-1, 2, 1), (0, -1, 2)]
 
     def test_zero_coefficients_dropped(self):
         assert LaurentJet2({(1, 1): 0}) == LaurentJet2()
@@ -231,15 +233,6 @@ class TestLaurentJet2:
         assert j.slice_x(-1) == LaurentJet(0, [2, 0, 5])
         assert j.slice_y(1) == LaurentJet(3, [7])
         assert j.slice_x(10).is_zero
-
-    @given(laurent2s(), laurent2s())
-    def test_product_matches_pointwise_convolution(self, a, b):
-        prod = a * b
-        for i, j, c in prod.terms():
-            acc = F(0)
-            for i1, j1, c1 in a.terms():
-                acc += c1 * b.coefficient(i - i1, j - j1)
-            assert acc == c
 
     def test_parity_masses(self):
         j = LaurentJet2({(-1, 1): 1, (0, 0): 2, (2, 4): 3, (1, 0): 4})

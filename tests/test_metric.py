@@ -9,9 +9,10 @@ from cornerjet import (
     NotSmoothError,
     check_metric,
     make_halfline_tensor,
+    pullback_halfline,
     tau_sing,
 )
-from cornerjet.metric import TestPlotFamily
+from cornerjet.metric import DEFAULT_FAMILY
 from cornerjet.plots import BoundaryGerm, InteriorGerm
 
 from conftest import jet1s, nonzero_rationals
@@ -66,15 +67,24 @@ class TestCheckMetric:
 
     def test_acceptance_is_heuristic_without_contact_order_one(self):
         # along t^(2m) the simple pole pulls back to 4 m^2 t^(2m-2), which
-        # vanishes at 0 for m >= 2: only the m = 1 germ detects it
-        family = TestPlotFamily(boundary_ms=(2, 3), interior_points=(F(3),))
-        assert check_metric(tau_sing(), family).accepted
+        # vanishes at 0 for m >= 2: only the m = 1 germ detects it, and every
+        # other germ of the family passes its clause
+        for germ in DEFAULT_FAMILY:
+            witness = pullback_halfline(tau_sing(), germ).witness
+            if isinstance(germ, BoundaryGerm):
+                assert witness == LaurentJet(2 * germ.m - 2, [4 * germ.m ** 2])
+                assert (witness.coefficient(0) == 0) == (germ.m != 1)
+            else:
+                assert witness.coefficient(0) > 0
+        assert check_metric(tau_sing()).witness.plot.m == 1
 
     def test_first_witness_uses_lowest_contact_order(self):
-        family = TestPlotFamily(boundary_ms=(3, 1, 2), interior_points=(F(1),))
-        verdict = check_metric(tau_sing(), family)
-        assert not verdict.accepted
-        assert verdict.witness.plot.m == 1
+        # boundary germs by increasing contact order, then interior points
+        assert [g.m for g in DEFAULT_FAMILY[:3]] == [1, 2, 3]
+        assert all(isinstance(g, InteriorGerm) for g in DEFAULT_FAMILY[3:])
+        # -dx^2 fails positivity on every germ; the witness is the first one
+        verdict = check_metric(make_halfline_tensor(2, -1))
+        assert verdict.witness.plot == DEFAULT_FAMILY[0]
 
     @settings(max_examples=100)
     @given(nonzero_rationals, jet1s(max_order=8))

@@ -13,7 +13,8 @@ from cornerjet import (
     pullback_halfline,
     tau_sing,
 )
-from cornerjet.numeric import numeric_pullback_probe
+
+from oracles import numeric_pullback_probe
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 

@@ -25,6 +25,20 @@ from conftest import laurent_jets, polynomial_laurent2s, unit_jet1s
 from oracles import long_divide, realize_jet, schoolbook_product
 
 
+def power(base: dict, n: int) -> dict:
+    """base^n for a series given as {degree: coefficient}, by schoolbook products."""
+    out = {0: F(1)}
+    for _ in range(n):
+        out = schoolbook_product(out, base)
+    return out
+
+
+def x_minus_one_power(n: int, valuation: int = 0) -> LaurentJet:
+    """(x - 1)^n * x^valuation."""
+    terms = power({0: -1, 1: 1}, n)
+    return LaurentJet(valuation, [terms[d] for d in range(n + 1)])
+
+
 def symbolic_pullback(coeff: LaurentJet, plot, k: int, order: int = 24) -> LaurentJet:
     """Oracle: substitute the realized plot jet term by term and multiply out.
 
@@ -34,13 +48,6 @@ def symbolic_pullback(coeff: LaurentJet, plot, k: int, order: int = 24) -> Laure
     """
     jet = dict(realize_jet(plot, order).terms())
     deriv = {d - 1: d * c for d, c in jet.items() if d}
-
-    def power(base, n):
-        out = {0: F(1)}
-        for _ in range(n):
-            out = schoolbook_product(out, base)
-        return out
-
     composed: dict[int, F] = {}
     for d, c in coeff.terms():
         if d >= 0:
@@ -94,7 +101,7 @@ class TestPullbackHalfline:
         assert verdict.witness == LaurentJet(0, [1, -1, 1, -1, 1])
 
     def test_interior_polynomial_cancellation_is_resolved_exactly(self):
-        coeff = LaurentJet(0, [-1, 1]) ** 20  # vanishes to order 20 at x = 1
+        coeff = x_minus_one_power(20)  # vanishes to order 20 at x = 1
         tensor = make_halfline_tensor(2, coeff)
         verdict = pullback_halfline(tensor, make_interior_plot(1), order=16)
         # polynomial coefficients compose exactly, so the deep zero is visible
@@ -105,7 +112,7 @@ class TestPullbackHalfline:
         # (x - 1)^20 / x at x0 = 1 along 1 + t: the pole is cleared before
         # composing, so the zero of order 20 is seen exactly and the witness
         # is t^20 / (1 + t) through t^36
-        coeff = (LaurentJet(0, [-1, 1]) ** 20).shifted(-1)
+        coeff = x_minus_one_power(20, -1)
         tensor = make_halfline_tensor(2, coeff)
         verdict = pullback_halfline(tensor, make_interior_plot(1), order=16)
         assert verdict.status is Status.SMOOTH
@@ -117,7 +124,7 @@ class TestPullbackHalfline:
         # val(W) = 20 with only 12 degrees above it, and the bound rises to t^36
         from math import comb
 
-        coeff = (LaurentJet(0, [-1, 1]) ** 20).shifted(29)
+        coeff = x_minus_one_power(20, 29)
         verdict = pullback_halfline(make_halfline_tensor(2, coeff), make_interior_plot(1))
         assert verdict.witness == LaurentJet(20, [comb(29, n) for n in range(17)])
 
