@@ -3,7 +3,7 @@
 Exit codes: 0 when the computation accepts/passes (smooth pullback, accepted
 metric, admissible capacity, inequality holds), 2 when it rejects/fails
 (pole, rejected metric, capacity exceeded, parity violation, inequality
-failure), 1 on usage or parse errors.
+failure), 1 on usage or parse errors and on a failed internal cross-check.
 
 JSON mode serializes every exact rational as a "num/den" string; jets are
 {"order", "coeffs"} (power series), {"valuation", "coeffs"} (Laurent), or
@@ -496,7 +496,8 @@ def run(argv=None) -> int:
     except NotSmoothError as err:
         print("rejected: %s" % err, file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError, RuntimeError) as err:
+        # RuntimeError: a failed internal cross-check, such as a capacity margin.
         print("error: %s" % err, file=sys.stderr)
         return 1
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .jets import Jet1, LaurentJet, LaurentJet2, parity_masses, whitney_descend
-from .plots import make_boundary_plot
-from .pullback import NotSmoothError, SquarePullback, pullback_halfline, pullback_sq2
+from .pullback import NotSmoothError, SquarePullback, _capacity_exceeded, pullback_sq2
 from .tensors import (
     Decomposition,
     DecompositionTrace,
@@ -43,17 +42,14 @@ def decompose_halfline(tensor: HalfLineTensor, order: int | None = None) -> Deco
 
     ``order`` fixes the order at which the regular part is reported (default:
     the highest degree present in the input).  Inputs whose pole is too deep
-    to be smooth are rejected, with the pullback along t^2 attached as the
-    witness.
+    to be smooth are rejected, with the pullback along t^2 through ``order``
+    (default ``DEFAULT_ORDER``) attached as the witness.
     """
     if tensor.degree != 2:
         raise ValueError("decomposition requires a symmetric 2-tensor")
     coeff = tensor.coeff
     if coeff.pole_order >= 2:
-        verdict = pullback_halfline(tensor, make_boundary_plot(1, 1))
-        raise NotSmoothError(
-            "not a smooth tensor on the half-line: capacity exceeded", verdict=verdict
-        )
+        raise _capacity_exceeded(tensor, order)
     natural = max(coeff.degree or 0, 0)
     if order is None:
         order = natural

@@ -1,4 +1,4 @@
-"""Exact truncated power-series and Laurent-series arithmetic in one and two variables.
+"""Exact truncated power-series and Laurent-series values in one and two variables.
 
 This is the computational substrate of the package: germs of smooth curves are
 represented by truncated Taylor expansions with arbitrary-precision rational
@@ -10,30 +10,22 @@ Conventions:
 * every coefficient is a ``fractions.Fraction``; floats are rejected, so no
   operation in this module can round,
 * ``*`` on every jet type scales by an ``int`` or ``Fraction`` only; a
-  series ``*`` or ``**`` raises ``TypeError``.  The one series product is the
-  pullback's truncated product (``cornerjet.pullback``) on the exact kernel
-  ``_convolve``: each operand is scaled to integer numerators over the lcm of
-  its denominators (the ``fmpq_poly`` layout of FLINT), the integers are
-  convolved only as far as the requested output degree, and one ``Fraction``
-  is built per output coefficient,
+  series ``*`` or ``**`` raises ``TypeError``: series products and the one
+  division run on integers in the pullback stage (``cornerjet.pullback``),
+  and this module keeps the value types and exact reindexing,
 * a ``Jet1`` of order N is a record of the coefficients of t^0 .. t^N, the
   form in which plot germs and decompositions report their jets,
 * a ``LaurentJet`` is kept canonical: leading and trailing coefficients are
   nonzero, and the zero jet is (valuation 0, no coefficients),
-* curve germs and tensor coefficients are polynomials and Laurent
-  polynomials, so a pullback clears its denominators and stays polynomial
-  until one final series division (``cornerjet.pullback``); that division,
-  ``laurent_divide``, is the only operation that truncates, and it returns
-  exactly the number of quotient terms asked for; degrees beyond them are
-  unknown, never assumed zero.
+* a pullback witness is the only jet that is known through a window: it holds
+  exactly the quotient terms the pullback asked for, and degrees beyond them
+  are unknown, never assumed zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -46,7 +38,6 @@ __all__ = [
     "Jet1",
     "LaurentJet",
     "LaurentJet2",
-    "laurent_divide",
     "format_terms",
     "whitney_descend",
     "parity_masses",
@@ -63,27 +54,6 @@ def as_fraction(value: Rational) -> Fraction:
             "floating-point coefficient %r is not allowed in exact arithmetic" % (value,)
         )
     return Fraction(value)
-
-
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    """The first ``n`` coefficients of the product of two nonempty coefficient lists.
-
-    Exact: both operands become integer numerators over one denominator each,
-    so the inner loop multiplies and adds plain integers.
-    """
-    da = lcm(*[c.denominator for c in a])
-    db = lcm(*[c.denominator for c in b])
-    na = [c.numerator * (da // c.denominator) for c in a]
-    rb = [c.numerator * (db // c.denominator) for c in reversed(b)]
-    la, lb = len(na), len(rb)
-    den = da * db
-    out = []
-    for k in range(min(n, la + lb - 1)):
-        lo = max(0, k - lb + 1)
-        hi = min(k + 1, la)
-        shift = lb - 1 - k
-        out.append(Fraction(sum(map(mul, na[lo:hi], rb[lo + shift : hi + shift])), den))
-    return out
 
 
 def format_terms(rows: Iterable[tuple[Fraction, Iterable[tuple[str, int]]]]) -> str:
@@ -176,8 +146,8 @@ class LaurentJet:
 
     Canonical form: if nonzero, the coefficients at the lowest and highest
     stored degrees are nonzero; the zero jet is (valuation 0, empty).
-    Results of :func:`laurent_divide` agree with the true quotient only
-    through their highest stored degree.
+    A pullback witness agrees with the true pullback only through its highest
+    stored degree.
     """
 
     __slots__ = ("valuation", "coeffs")
@@ -314,33 +284,6 @@ class LaurentJet:
             self.valuation,
             ", ".join(repr(str(c)) for c in self.coeffs),
         )
-
-
-def laurent_divide(num: LaurentJet, den: LaurentJet, terms: int | None = None) -> LaurentJet:
-    """Valuation-tracked division of Laurent jets.
-
-    The result valuation is num.valuation - den.valuation and the
-    coefficients come from exact long division of the unit parts.  ``terms``
-    bounds how many quotient coefficients are produced (default: as many as
-    the numerator stores); the quotient may continue beyond the returned
-    window and those degrees are not represented.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("division by the zero jet")
-    if num.is_zero:
-        return LaurentJet()
-    n_terms = len(num.coeffs) if terms is None else terms
-    if n_terms < 1:
-        raise ValueError("at least one quotient term is required")
-    nu, du = num.coeffs, den.coeffs
-    q: list[Fraction] = []
-    for n in range(n_terms):
-        acc = nu[n] if n < len(nu) else Fraction(0)
-        for k in range(max(0, n - len(du) + 1), n):
-            if du[n - k] != 0:
-                acc -= q[k] * du[n - k]
-        q.append(acc / du[0])
-    return LaurentJet(num.valuation - den.valuation, q)
 
 
 SECTOR_NAMES = {

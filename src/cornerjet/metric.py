@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .jets import DEFAULT_ORDER
 from .plots import BoundaryGerm, InteriorGerm, PlotGerm, make_boundary_plot, make_interior_plot
-from .pullback import NotSmoothError, pullback_halfline
+from .pullback import _capacity_exceeded, pullback_halfline
 from .tensors import HalfLineTensor
 
 __all__ = ["DEFAULT_FAMILY", "MetricWitness", "MetricVerdict", "check_metric"]
@@ -58,10 +58,7 @@ def check_metric(g: HalfLineTensor, order: int = DEFAULT_ORDER) -> MetricVerdict
     if g.degree != 2:
         raise ValueError("a metric candidate must be a symmetric 2-tensor")
     if g.pole_order >= 2:
-        verdict = pullback_halfline(g, make_boundary_plot(1, 1), order)
-        raise NotSmoothError(
-            "not a smooth tensor on the half-line: capacity exceeded", verdict=verdict
-        )
+        raise _capacity_exceeded(g, order)
     for germ in DEFAULT_FAMILY:
         verdict = pullback_halfline(g, germ, order)
         witness = verdict.witness

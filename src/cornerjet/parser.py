@@ -51,7 +51,6 @@ __all__ = [
     "parse_plot",
     "parse_polynomial",
     "parse_rational",
-    "format_halfline_tensor",
     "format_quadrant_tensor",
     "format_plot",
 ]
@@ -440,10 +439,6 @@ def _parse_interior(text: str, tokens: list[_Token]) -> InteriorGerm:
 
 
 # -- printing ----------------------------------------------------------------
-
-
-def format_halfline_tensor(t: HalfLineTensor) -> str:
-    return format_terms((c, [("x", d), ("dx", t.degree)]) for d, c in t.coeff.terms())
 
 
 # The dx^2, dy^2 and dx*dy factors, in the order terms of equal x, y powers print.

@@ -18,6 +18,12 @@ term valuation, from powers that keep ``top - lo`` coefficients above their
 valuation.  Only when cancellation hides val(W) does the bound grow, and never
 past deg W, so every verdict is exact.  The witness is the one series division
 W / D, reported through the requested order above its valuation.
+
+The stage computes on integers from the curves to the witness: each curve is
+scaled once by the lcm of its denominators, it and its derivative carry their
+content as one fraction, and every term's scalar is an integer over one common
+denominator.  The division is fraction-free (pseudo-division; Knuth, TAOCP
+vol. 2, 4.6.1): Q_k = q_k d0^(k+1) stays an integer.
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 from typing import NamedTuple
 
-from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, _convolve, laurent_divide
-from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm
+from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2
+from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, make_boundary_plot
 from .tensors import HalfLineTensor, QuadrantTensor
 
 __all__ = [
@@ -83,56 +91,113 @@ class NotSmoothError(ValueError):
         self.parity = parity
 
 
-# -- the one evaluation routine ------------------------------------------------
+def _capacity_exceeded(tensor: HalfLineTensor, order: int | None) -> NotSmoothError:
+    """Rejection of a too-deep pole, witnessed along t^2 at ``order`` (None: the default)."""
+    order = DEFAULT_ORDER if order is None else order
+    verdict = pullback_halfline(tensor, make_boundary_plot(1, 1), order)
+    return NotSmoothError("not a smooth tensor on the half-line: capacity exceeded", verdict)
 
-_ONE = LaurentJet(0, (1,))
+
+# -- the one evaluation routine ------------------------------------------------
 
 # A tensor term c x^i y^j dx^p dy^q as (i, j, p, q, c).
 _Term = tuple[int, int, int, int, Fraction]
 
+# The stage's number layout: a series as (valuation, integer coefficients); a
+# curve or its derivative as (n, d, s), meaning (n / d) * s with s primitive, so
+# no power table carries a common factor.  Only sums may start with a zero.
+_Series = tuple[int, list[int]]
+_Factor = tuple[int, int, _Series]
 
-def _mul_through(a: LaurentJet, b: LaurentJet, top: int) -> LaurentJet:
+
+def _primitive(num: int, den: int, s: _Series) -> _Factor:
+    """(num / den) * s with the content of s moved into the fraction, in lowest terms."""
+    g = gcd(*s[1]) or 1
+    r = gcd(num * g, den)
+    return num * g // r, den // r, (s[0], [c // g for c in s[1]])
+
+
+def _factors(curve: LaurentJet) -> tuple[_Factor, _Factor]:
+    """The curve and its derivative as factors, scaled by the lcm of the curve's denominators."""
+    e = lcm(*[c.denominator for c in curve.coeffs])
+    scaled = [c.numerator * (e // c.denominator) for c in curve.coeffs]
+    n, d, s = _primitive(1, e, (curve.valuation, scaled))
+    return (n, d, s), _primitive(n, d, _derivative(s))
+
+
+def _stripped(s: _Series) -> _Series:
+    """s from its first nonzero coefficient on; the zero series is (0, [])."""
+    lead = next((i for i, c in enumerate(s[1]) if c), None)
+    return (0, []) if lead is None else (s[0] + lead, s[1][lead:])
+
+
+def _derivative(curve: _Series) -> _Series:
+    """The derivative, stripped: powers rely on a nonzero leading coefficient."""
+    val, coeffs = curve
+    return _stripped((val - 1, [(val + i) * c for i, c in enumerate(coeffs)]))
+
+
+def _times(a: _Series, b: _Series, top: int) -> _Series:
     """The product a * b through degree ``top``; nothing above it is formed."""
-    if a.is_zero or b.is_zero:
-        return LaurentJet()
-    val = a.valuation + b.valuation
-    if top < val:
-        return LaurentJet()
-    return LaurentJet(val, _convolve(a.coeffs, b.coeffs, top - val + 1))
+    val, x, ry = a[0] + b[0], a[1], b[1][::-1]
+    n = len(ry) - 1
+    # Coefficient k pairs x[i] with b's coefficient k - i, which is ry[n - k + i].
+    return val, [
+        sum(map(mul, x[max(0, k - n) : k + 1], ry[max(n - k, 0) :]))
+        for k in range(min(top - val + 1, len(x) + n))
+    ]
 
 
-def _powers(base: LaurentJet, exponents: set[int], keep: int) -> dict[int, LaurentJet]:
+def _combine(parts: list[tuple[int, _Series]]) -> _Series:
+    """The sum of c * s over the (c, s) in ``parts``."""
+    low = min(s[0] for _, s in parts)
+    out: list[int] = []
+    for c, (val, coeffs) in parts:
+        start = val - low
+        end = start + len(coeffs)
+        out.extend([0] * (end - len(out)))
+        out[start:end] = map(add, out[start:end], [c * x for x in coeffs] if c != 1 else coeffs)
+    return low, out
+
+
+def _powers(base: _Series, exponents: set[int], keep: int) -> dict[int, _Series]:
     """base^e for each e in ``exponents``, each through ``keep`` degrees above its valuation.
 
     ``base`` has a nonzero leading coefficient, so val(base^e) = e val(base)
     exactly, and coefficients of base above val(base) + keep never reach the
     kept degrees.
     """
-    def times(a: LaurentJet, b: LaurentJet) -> LaurentJet:
-        return _mul_through(a, b, a.valuation + b.valuation + keep)
-
-    base = base.truncated(base.valuation + keep)
+    base = (base[0], base[1][: keep + 1])
     out = {}
-    power, reached = _ONE, 0
+    power, reached = (0, [1]), 0
     for e in sorted(exponents):
         # From base^reached to base^e: one product for a gap of 1, repeated
         # squaring of the base for a larger gap.
         gap, square = e - reached, base
         while gap:
             if gap & 1:
-                power = times(power, square)
+                power = _times(power, square, power[0] + square[0] + keep)
             gap >>= 1
             if gap:
-                square = times(square, square)
+                square = _times(square, square, 2 * square[0] + keep)
         out[e] = power
         reached = e
     return out
 
 
-def _derivative(curve: LaurentJet) -> LaurentJet:
-    return LaurentJet(
-        curve.valuation - 1, [(curve.valuation + i) * c for i, c in enumerate(curve.coeffs)]
-    )
+def _divide(w: list[int], d: list[int], terms: int) -> list[Fraction]:
+    """The first ``terms`` coefficients q_k of w / d, both read from their valuations.
+
+    Q_k = q_k d0^(k+1) = w_k d0^k - sum over j >= 1 of d_j d0^(j-1) Q_(k-j)
+    is an integer; only the q_k are built as Fractions.
+    """
+    d0, powers, quotient = d[0], [1], []
+    steps = [(j, c * d0 ** (j - 1)) for j, c in enumerate(d) if j and c]
+    for k in range(terms):
+        acc = w[k] * powers[k] if k < len(w) else 0
+        quotient.append(acc - sum(e * quotient[k - j] for j, e in steps if j <= k))
+        powers.append(powers[k] * d0)
+    return [Fraction(q, powers[k + 1]) for k, q in enumerate(quotient)]
 
 
 def _curve(plot: PlotGerm) -> LaurentJet:
@@ -147,48 +212,53 @@ def _curve(plot: PlotGerm) -> LaurentJet:
 def _pull_back(terms: list[_Term], px: LaurentJet, py: LaurentJet, order: int) -> LaurentJet:
     """sum c px^i py^j px'^p py'^q through ``order`` degrees above its valuation.
 
-    Exact: W (the sum with denominators cleared) is built through a degree
-    that exposes its valuation, then divided once by D = px^vx py^vy.
+    Exact: W (the sum with denominators cleared) is built on integers through
+    a degree that exposes its valuation, then divided once by D = px^vx py^vy.
     """
-    curves = (px, py, _derivative(px), _derivative(py))
+    (fx, fdx), (fy, fdy) = _factors(px), _factors(py)
+    factors = (fx, fy, fdx, fdy)
+    curves = tuple(s for _, _, s in factors)
     # A differential of a constant curve component kills its terms.
-    terms = [
-        t for t in terms
-        if not ((t[2] and curves[2].is_zero) or (t[3] and curves[3].is_zero))
-    ]
+    terms = [t for t in terms if not ((t[2] and not fdx[2][1]) or (t[3] and not fdy[2][1]))]
     if not terms:
         return LaurentJet()
     vx = max(0, -min(t[0] for t in terms))
     vy = max(0, -min(t[1] for t in terms))
-    # W grouped as sum over (p, q) of px'^p py'^q sum over a of px^a sum over b of c py^b.
-    slots: dict[tuple[int, int], dict[int, list[tuple[int, Fraction]]]] = {}
-    spans = []
+    # Per term: the exponents of (px, py, px', py') and the scalar with their
+    # contents, as num / d.
+    scaled = []
     for i, j, p, q, c in terms:
-        slots.setdefault((p, q), {}).setdefault(i + vx, []).append((j + vy, c))
-        pairs = [(n, f) for n, f in zip((i + vx, j + vy, p, q), curves) if n]
-        spans.append(
-            (sum(n * f.valuation for n, f in pairs), sum(n * f.degree for n, f in pairs))
-        )
-    lo = min(v for v, _ in spans)
-    deg_w = max(d for _, d in spans)
+        exps = (i + vx, j + vy, p, q)
+        num, d = c.numerator, c.denominator
+        for n, (fn, fd, _) in zip(exps, factors):
+            num, d = num * fn ** n, d * fd ** n
+        scaled.append((exps, num, d))
+    # W times den, grouped as sum over (p, q) of px'^p py'^q sum over a of px^a
+    # sum over b of c py^b, every c an integer.
+    den = lcm(*[d for _, _, d in scaled])
+    slots: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
+    for (a, b, p, q), num, d in scaled:
+        slots.setdefault((p, q), {}).setdefault(a, []).append((b, num * (den // d)))
+    lo = min(sum(n * v for n, (v, _) in zip(e, curves)) for e, _, _ in scaled)
+    deg_w = max(sum(n * (v + len(f) - 1) for n, (v, f) in zip(e, curves)) for e, _, _ in scaled)
     top = min(lo + order, deg_w)
     while True:
-        w = _evaluate(slots, curves, top - lo, top)
-        if top == deg_w or (not w.is_zero and w.valuation + order <= top):
+        w_val, w = _stripped(_evaluate(slots, curves, top - lo, top))
+        if top == deg_w or (w and w_val + order <= top):
             break
         # Cancellation: raise the bound to what val(W) needs, or double it
         # while W vanishes through it.
-        top = min(deg_w, w.valuation + order if not w.is_zero else 2 * top - lo)
-    if w.is_zero:
-        return w
-    d = _mul_through(
-        _powers(px, {vx}, order)[vx], _powers(py, {vy}, order)[vy],
-        vx * px.valuation + vy * py.valuation + order,
-    )
-    return laurent_divide(w, d, order + 1)
+        top = min(deg_w, w_val + order if w else 2 * top - lo)
+    if not w:
+        return LaurentJet()
+    (nx, dx, sx), (ny, dy, sy) = fx, fy
+    d_val, d = _times(_powers(sx, {vx}, order)[vx], _powers(sy, {vy}, order)[vy],
+                      vx * sx[0] + vy * sy[0] + order)
+    scale = Fraction(dx ** vx * dy ** vy, den * nx ** vx * ny ** vy)
+    return LaurentJet(w_val - d_val, [q * scale for q in _divide(w, d, order + 1)])
 
 
-def _evaluate(slots, curves: tuple[LaurentJet, ...], keep: int, top: int) -> LaurentJet:
+def _evaluate(slots, curves: tuple[_Series, ...], keep: int, top: int) -> _Series:
     """W through degree ``top``, every term of which has valuation >= top - keep.
 
     Each power keeps ``keep`` degrees above its valuation, which is all that a
@@ -201,19 +271,15 @@ def _evaluate(slots, curves: tuple[LaurentJet, ...], keep: int, top: int) -> Lau
     y_pows = _powers(py, y_exps, keep)
     dx_pows = _powers(dpx, {p for p, _ in slots}, keep)
     dy_pows = _powers(dpy, {q for _, q in slots}, keep)
-    w = LaurentJet()
+    parts = []
     for (p, q), rows in slots.items():
-        factor = _mul_through(
-            dx_pows[p], dy_pows[q], p * dpx.valuation + q * dpy.valuation + keep
-        )
-        slot = LaurentJet()
-        for a, row in rows.items():
-            inner = LaurentJet()
-            for b, c in row:
-                inner = inner + y_pows[b] * c
-            slot = slot + _mul_through(x_pows[a], inner, top - factor.valuation)
-        w = w + _mul_through(slot, factor, top)
-    return w
+        factor = _times(dx_pows[p], dy_pows[q], p * dpx[0] + q * dpy[0] + keep)
+        slot = _combine([
+            (1, _times(x_pows[a], _combine([(c, y_pows[b]) for b, c in row]), top - factor[0]))
+            for a, row in rows.items()
+        ])
+        parts.append((1, _times(slot, factor, top)))
+    return _combine(parts)
 
 
 def _verdict(witness: LaurentJet, boundary: bool) -> SmoothnessVerdict:
@@ -241,7 +307,7 @@ def pullback_halfline(
             return SmoothnessVerdict(Status.FLAT_SMOOTH)
         return SmoothnessVerdict(Status.FLAT_INDETERMINATE)
     terms = [(d, 0, k, 0, c) for d, c in tensor.coeff.terms()]
-    witness = _pull_back(terms, _curve(plot), _ONE, order)
+    witness = _pull_back(terms, _curve(plot), LaurentJet(0, (1,)), order)
     return _verdict(witness, isinstance(plot, BoundaryGerm))
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -29,20 +30,25 @@ from cornerjet.cli import (
     laurent_from_json,
     run,
 )
-from cornerjet.jets import Jet1, LaurentJet2
+from cornerjet.jets import Jet1, LaurentJet2, format_terms
 from cornerjet.parser import (
     MAX_EXPONENT,
     MAX_POWER_BITS,
     ParseError,
-    format_halfline_tensor,
     format_plot,
     parse_polynomial,
     parse_rational,
 )
 from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
-from cornerjet.tensors import make_quadrant_tensor
+from cornerjet.pullback import SmoothnessVerdict
+from cornerjet.tensors import HalfLineTensor, make_quadrant_tensor
 
 from conftest import nonzero_laurent_jets, polynomial_laurent2s
+
+
+def format_halfline_tensor(t: HalfLineTensor) -> str:
+    """A half-line tensor in the syntax that ``parse_tensor`` reads."""
+    return format_terms((c, [("x", d), ("dx", t.degree)]) for d, c in t.coeff.terms())
 
 
 class TestParseTensor:
@@ -478,6 +484,44 @@ class TestCliScenarios:
         monkeypatch.setenv("CORNERJET_ORDER", "8")
         assert run(["decompose", "--order", "4", "--format", "json", "(1/x)*dx^2"]) == 0
         assert json.loads(capsys.readouterr().out)["regular"]["order"] == 4
+
+    def test_decompose_witness_follows_the_order(self, capsys):
+        # The capacity-exceeded witness is the pullback along t^2 at --order,
+        # the same as check-metric reports.
+        tensor = "(1/x^2 + 1/x + 3 + x^2)*dx^2"
+        for command in ("decompose", "check-metric"):
+            assert run([command, "--order", "4", tensor]) == 2
+            assert capsys.readouterr().out == (
+                "rejected: not a smooth tensor on the half-line: capacity exceeded\n"
+                "status = Pole(2)\nwitness = 4*t^-2 + 4 + 12*t^2\n"
+            )
+            assert run([command, "--order", "4", "--format", "json", tensor]) == 2
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["witness"]["witness"] == {
+                "valuation": -2, "coeffs": ["4/1", "0/1", "4/1", "0/1", "12/1"],
+            }
+        assert run(["decompose", "--order", "1", tensor]) == 1
+        assert capsys.readouterr().err == "error: order must be at least 2\n"
+
+    def test_capacity_cross_check_failure_exits_one(self, capsys, monkeypatch):
+        # A margin that disagrees with the pullback valuation is an internal
+        # inconsistency: it ends in a message and exit 1, not a traceback.
+        # (``cornerjet.capacity`` is the function; the module comes from importlib.)
+        capacity_module = importlib.import_module("cornerjet.capacity")
+        pullback = capacity_module.pullback_halfline
+
+        def shifted(tensor, plot, order):
+            verdict = pullback(tensor, plot, order)
+            return SmoothnessVerdict(verdict.status, witness=verdict.witness.shifted(1))
+
+        monkeypatch.setattr(capacity_module, "pullback_halfline", shifted)
+        assert run(["verify-capacity", "2", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: capacity margin 0 disagrees with pullback valuation 1 at k=2 p=1 m=1\n"
+        )
+        assert "Traceback" not in captured.err
 
 
 class TestJsonRoundTrip:

@@ -1,18 +1,23 @@
-"""The integer convolution kernel and the truncated products of the pullback
-against a schoolbook Fraction product."""
+"""The pullback stage's integer kernels, its truncated products, powers and one
+fraction-free division, against schoolbook Fraction oracles.
+
+The stage reads a series as (valuation, integer coefficients) over a
+denominator it keeps; ``scaled`` and ``unscaled`` convert a ``LaurentJet`` to
+and from that layout, so every oracle still works on exact rationals.
+"""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cornerjet import LaurentJet
-from cornerjet.jets import _convolve
-from cornerjet.pullback import _mul_through, _powers
+from cornerjet.pullback import _divide, _powers, _times
 
 from conftest import rationals
-from oracles import schoolbook_product
+from oracles import long_divide, schoolbook_product
 
 # Zeros between nonzero coefficients, small and large denominators side by side.
 coefficients = st.one_of(
@@ -20,6 +25,31 @@ coefficients = st.one_of(
     rationals,
     st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
 )
+
+
+def scaled(jet: LaurentJet) -> tuple[int, tuple[int, list[int]]]:
+    """(e, s) with jet = s / e: the stage's integer layout of a jet."""
+    e = lcm(*[c.denominator for c in jet.coeffs])
+    return e, (jet.valuation, [c.numerator * (e // c.denominator) for c in jet.coeffs])
+
+
+def unscaled(s: tuple[int, list[int]], e: int) -> LaurentJet:
+    return LaurentJet(s[0], [F(c, e) for c in s[1]])
+
+
+def times(a: LaurentJet, b: LaurentJet, top: int) -> LaurentJet:
+    """a * b through degree ``top``, by the stage's truncated product."""
+    (ea, sa), (eb, sb) = scaled(a), scaled(b)
+    product = _times(sa, sb, top)
+    assert all(type(c) is int for c in product[1])
+    return unscaled(product, ea * eb)
+
+
+def divide(num: LaurentJet, den: LaurentJet, terms: int | None = None) -> LaurentJet:
+    """The first ``terms`` coefficients of num / den (default: as many as num stores)."""
+    (en, sn), (ed, sd) = scaled(num), scaled(den)
+    quotient = _divide(sn[1], sd[1], len(num.coeffs) if terms is None else terms)
+    return LaurentJet(sn[0] - sd[0], [q * F(ed, en) for q in quotient])
 
 
 @st.composite
@@ -54,11 +84,8 @@ def _val_lb(jet, top):
 @settings(max_examples=150, deadline=None)
 @given(laurents(), laurents())
 def test_laurent_product_matches_schoolbook(a, b):
-    product = _mul_through(a, b, (a.degree or 0) + (b.degree or 0))
+    product = times(a, b, (a.degree or 0) + (b.degree or 0))
     assert _terms(product) == schoolbook_product(_terms(a), _terms(b))
-    if not product.is_zero:
-        assert product.coeffs[0] != 0 and product.coeffs[-1] != 0
-        assert all(type(c) is F for c in product.coeffs)
 
 
 def _window_top(a, b):
@@ -76,7 +103,7 @@ def test_windowed_product_matches_schoolbook(a, b, tail_a, tail_b, exact_top):
     top = _window_top(a, b)
     if top is None:
         top = exact_top
-    product = _mul_through(ja, jb, top)
+    product = times(ja, jb, top)
     full = schoolbook_product(_terms(ja), _terms(jb))
     assert _terms(product) == {d: c for d, c in full.items() if d <= top}
     # Whatever a windowed operand holds beyond its top cannot reach the result.
@@ -100,15 +127,21 @@ def test_windowed_product_matches_schoolbook(a, b, tail_a, tail_b, exact_top):
 )
 def test_windowed_zero_operand(a, b, expected_top):
     assert _window_top(a, b) == _window_top(b, a) == expected_top
-    assert _mul_through(a[0], b[0], expected_top) == LaurentJet()
-    assert _mul_through(b[0], a[0], expected_top) == LaurentJet()
+    assert times(a[0], b[0], expected_top) == LaurentJet()
+    assert times(b[0], a[0], expected_top) == LaurentJet()
 
 
 @pytest.mark.parametrize("other", [(LaurentJet(-3, [1, 2]), None), (LaurentJet(), 7), (LaurentJet(2, [5]), 4)])
 def test_exact_zero_operand(other):
     for top in (-5, 0, 9):
-        assert _mul_through(LaurentJet(), other[0], top) == LaurentJet()
-        assert _mul_through(other[0], LaurentJet(), top) == LaurentJet()
+        assert times(LaurentJet(), other[0], top) == LaurentJet()
+        assert times(other[0], LaurentJet(), top) == LaurentJet()
+
+
+def _power_table(base: LaurentJet, exponents, keep):
+    """The stage's power table of ``base``, read back as jets."""
+    e, s = scaled(base)
+    return {n: unscaled(power, e ** n) for n, power in _powers(s, exponents, keep).items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -116,7 +149,7 @@ def test_exact_zero_operand(other):
 def test_powers_keep_their_window(base, exponents, keep):
     if base.is_zero:
         base = LaurentJet(base.valuation, [1])
-    powers = _powers(base, exponents, keep)
+    powers = _power_table(base, exponents, keep)
     assert set(powers) == exponents
     for e, power in powers.items():
         exact = {0: F(1)}
@@ -133,7 +166,7 @@ def test_powers_by_squaring_match_repeated_products(base, exponents, keep):
     # one schoolbook product per unit of the exponent, each cut to the window.
     if base.is_zero:
         base = LaurentJet(base.valuation, [1])
-    powers = _powers(base, exponents, keep)
+    powers = _power_table(base, exponents, keep)
     chain = {0: F(1)}
     for e in range(max(exponents) + 1):
         if e in exponents:
@@ -143,7 +176,34 @@ def test_powers_by_squaring_match_repeated_products(base, exponents, keep):
 
 
 def test_kernel_stops_at_the_requested_degree():
-    a, b = [F(1, 2), F(0), F(-3, 4)], [F(2, 3), F(5)]
-    assert _convolve(a, b, 0) == []
-    assert _convolve(a, b, 2) == [F(1, 3), F(5, 2)]
-    assert _convolve(a, b, 99) == [F(1, 3), F(5, 2), F(-1, 2), F(-15, 4)]
+    # 4 (1/2 x^-1 - 3/4 x) times 3 (2/3 + 5 x) is 12 (1/3 x^-1 + 5/2 - 1/2 x - 15/4 x^2).
+    a, b = (-1, [2, 0, -3]), (0, [2, 15])
+    assert _times(a, b, -2) == (-1, [])
+    assert _times(a, b, 0) == (-1, [4, 30])
+    assert _times(a, b, 99) == (-1, [4, 30, -6, -45])
+
+
+@st.composite
+def divisors(draw):
+    """Monomials and multi-coefficient jets, some with a leading coefficient near 10^6."""
+    lead = draw(st.one_of(
+        st.fractions(min_value=-10, max_value=10, max_denominator=12),
+        st.fractions(min_value=10**5, max_value=10**6, max_denominator=10**6),
+        st.fractions(min_value=-10**6, max_value=-10**5, max_denominator=7),
+    ).filter(lambda q: q != 0))
+    tail = draw(st.lists(coefficients, max_size=draw(st.sampled_from([0, 0, 3, 6]))))
+    return LaurentJet(draw(st.integers(-6, 6)), [lead, *tail])
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents().filter(lambda j: not j.is_zero), divisors(), st.integers(1, 14))
+def test_divide_matches_long_division(num, den, terms):
+    quotient = divide(num, den, terms)
+    assert _terms(quotient) == long_divide(_terms(num), _terms(den), terms)
+    assert all(type(q) is F for q in _divide(scaled(num)[1][1], scaled(den)[1][1], terms))
+
+
+def test_divide_known_quotients():
+    # 1 / (2 + 3t): q_k = (-3/2)^k / 2, from the integers Q_k = q_k 2^(k+1) = (-3)^k.
+    assert _divide([1], [2, 3], 4) == [F(1, 2), F(-3, 4), F(9, 8), F(-27, 16)]
+    assert _divide([6, 0, 6], [3], 4) == [2, 0, 2, 0]
