@@ -496,8 +496,8 @@ def run(argv=None) -> int:
     except NotSmoothError as err:
         print("rejected: %s" % err, file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, RuntimeError) as err:
-        # RuntimeError: a failed internal cross-check, such as a capacity margin.
+    except (ValueError, ZeroDivisionError, RuntimeError, TypeError) as err:
+        # RuntimeError, TypeError: a failed internal check, such as a capacity margin.
         print("error: %s" % err, file=sys.stderr)
         return 1
 

@@ -15,10 +15,18 @@ coefficient (it is stored as-is, not halved).
 
 Plot germs:  ``t^2``, ``t^4*(1+t)``, ``interior(1; 1+t)``, ``flat``.
 
+Evaluation runs with the parse, one term at a time.  The term's monomial
+factors (``3``, ``x``, ``/7``, ``x^7``, ``(3/2*x)^5``) add into four exponents
+and multiply into an integer numerator and denominator; a parenthesized factor
+that is not raised to a power stays a {monomial: coefficient} dict, multiplied
+out only in the terms that have one.  Each term adds one ``Fraction`` per
+monomial, in place, to the expression's dict.
+
 Parentheses nest at most ``MAX_NESTING`` deep; deeper input is a parse error,
-not a recursion failure.  Exponents, written or reached by raising a power to
-a power, are at most ``MAX_EXPONENT`` in absolute value, and a power c^n of a
-coefficient is refused when |n| times the bit length of c exceeds
+not a recursion failure.  An integer literal has at most ``MAX_LITERAL_DIGITS``
+digits, on every Python version.  Exponents, written or reached by raising a
+power to a power, are at most ``MAX_EXPONENT`` in absolute value, and a power
+c^n of a coefficient is refused when |n| times the bit length of c exceeds
 ``MAX_POWER_BITS``, so that a short input cannot ask for unbounded work.
 """
 
@@ -26,7 +34,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .jets import Jet1, LaurentJet, LaurentJet2, format_terms
 from .plots import (
@@ -59,6 +66,8 @@ __all__ = [
 MAX_NESTING = 100
 # The largest exponent in absolute value: x*dx^2000 and t^2048 are accepted.
 MAX_EXPONENT = 2048
+# The most digits in an integer literal: CPython's default int-to-str limit.
+MAX_LITERAL_DIGITS = 4300
 # The most bits in the numerator or denominator of c^n, as |n| times the bits
 # of c: (3/2*x)^2048 counts 4,096.
 MAX_POWER_BITS = 1 << 13
@@ -72,28 +81,27 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class _Token(NamedTuple):
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    column: int
-
-
-# Digits and names are ASCII only; whitespace is whatever str.isspace accepts.
+# Digits and names are ASCII only; whitespace is whatever str.isspace accepts,
+# as \s does.  The operator group is unnamed: an operator's kind is its text.
 _TOKEN_RE = re.compile(
-    r"\s+|(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^();])|(?P<bad>.)",
-    re.DOTALL,
+    r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|([-+*/^();])|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, column) triples: "num", "name" or an operator, then "end"."""
+    tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
+        i = m.lastindex
+        tok, column = m[i], m.start(i) + 1
+        kind = m.lastgroup or tok
+        if kind == "num" and len(tok) > MAX_LITERAL_DIGITS:
+            raise ParseError("integer literal of %d digits exceeds the maximum %d"
+                             % (len(tok), MAX_LITERAL_DIGITS), column)
         if kind == "bad":
-            raise ParseError("unexpected character %r" % m.group(), m.start() + 1)
-        if kind:
-            tokens.append(_Token(kind, m.group(), m.start() + 1))
-    tokens.append(_Token("end", "", len(text) + 1))
+            raise ParseError("unexpected character %r" % tok, column)
+        tokens.append((kind, tok, column))
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
@@ -110,40 +118,24 @@ def _clean(value: _Value) -> _Value:
     return {k: c for k, c in value.items() if c != 0}
 
 
-def _vadd(a: _Value, b: _Value) -> _Value:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, Fraction(0)) + c
-    return out
-
-
-def _vneg(a: _Value) -> _Value:
-    return {k: -c for k, c in a.items()}
-
-
-def _vmul(a: _Value, b: _Value, column: int) -> _Value:
+def _vmul(a: _Value, b: _Value) -> _Value:
     out: _Value = {}
     for (x1, y1, p1, q1), c1 in a.items():
         for (x2, y2, p2, q2), c2 in b.items():
             k = (x1 + x2, y1 + y2, p1 + p2, q1 + q2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
+            out[k] = out.get(k, 0) + c1 * c2
     return out
 
 
-def _single_term(value: _Value, what: str, column: int) -> tuple[_Key, Fraction]:
+def _single_term(value: _Value, what: str, column: int) -> tuple:
+    """The one nonzero monomial of ``value`` as (key, num, den); (None, 0, 1) if none."""
     value = _clean(value)
-    if len(value) != 1:
+    if len(value) > 1:
         raise ParseError("cannot %s a sum" % what, column)
-    return next(iter(value.items()))
-
-
-def _vdiv(a: _Value, b: _Value, column: int) -> _Value:
-    if not _clean(b):
-        raise ParseError("division by zero", column)
-    (x, y, p, q), c = _single_term(b, "divide by", column)
-    if p or q:
-        raise ParseError("cannot divide by a differential symbol", column)
-    return {(x1 - x, y1 - y, p1, q1): c1 / c for (x1, y1, p1, q1), c1 in a.items()}
+    if not value:
+        return None, 0, 1
+    (key, c), = value.items()
+    return key, c.numerator, c.denominator
 
 
 def _check_exponent(e: int, column: int) -> None:
@@ -158,114 +150,126 @@ def _raised(key: _Key, n: int, column: int) -> _Key:
     return out
 
 
-def _vpow(a: _Value, n: int, column: int) -> _Value:
-    _check_exponent(n, column)
-    if not _clean(a):
-        if n <= 0:
-            raise ParseError("zero cannot carry exponent %d" % n, column)
-        return {_raised(key, n, column): Fraction(0) for key in a}
-    key, c = _single_term(a, "exponentiate", column)
+def _power(key: _Key, num: int, den: int, n: int, column: int) -> tuple[_Key, int, int]:
+    """The monomial (key, num/den) raised to n; num/den is nonzero, in lowest terms."""
     if n < 0 and (key[2] or key[3]):
         raise ParseError("differential symbols cannot carry negative powers", column)
     key = _raised(key, n, column)
-    if c == 1:  # the common case, x^3: skip the slow Fraction power
-        return {key: c}
-    if abs(n) * max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_POWER_BITS:
+    if num == den == 1:  # the common case, x^3
+        return key, 1, 1
+    if abs(n) * max(num.bit_length(), den.bit_length()) > MAX_POWER_BITS:
         raise ParseError("power too large: its coefficient exceeds %d bits" % MAX_POWER_BITS,
                          column)
-    return {key: c ** n}
+    return (key, num ** n, den ** n) if n >= 0 else (key, den ** -n, num ** -n)
 
 
 class _ExprParser:
-    def __init__(self, tokens: list[_Token], symbols: dict[str, _Key]):
+    """Evaluates while it parses, one term at a time (see the module docstring)."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]], symbols: dict[str, _Key]):
         self.tokens = tokens
         self.pos = 0
         self.symbols = symbols
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def expect_op(self, text: str) -> None:
+        kind, _, column = self.tokens[self.pos]
+        if kind != text:
+            raise ParseError("expected %r" % text, column)
         self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError("expected %r" % text, tok.column)
-        return self.advance()
 
     def expr(self) -> _Value:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            value = _vneg(self.term())
-        else:
-            value = self.term()
+        value: _Value = {}
+        sign = 1
+        if self.tokens[self.pos][0] == "-":
+            self.pos, sign = self.pos + 1, -1
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = _vadd(value, rhs if tok.text == "+" else _vneg(rhs))
-            else:
+            self.term(value, sign)
+            kind = self.tokens[self.pos][0]
+            if kind != "+" and kind != "-":
                 return value
+            self.pos += 1
+            sign = 1 if kind == "+" else -1
 
-    def term(self) -> _Value:
-        value = self.factor()
+    def term(self, value: _Value, sign: int) -> None:
+        """Add sign times the next term to ``value`` in place."""
+        x = y = p = q = 0
+        num, den = sign, 1
+        sums = None  # the product of the term's parenthesized factors
+        divide = False
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                rhs = self.factor()
-                if tok.text == "*":
-                    value = _vmul(value, rhs, tok.column)
-                else:
-                    value = _vdiv(value, rhs, tok.column)
+            key, fnum, fden = self.factor()
+            if divide:
+                if key is None:
+                    key, fnum, fden = _single_term(fnum, "divide by", column)
+                if not fnum:
+                    raise ParseError("division by zero", column)
+                if key[2] or key[3]:
+                    raise ParseError("cannot divide by a differential symbol", column)
+                x, y, num, den = x - key[0], y - key[1], num * fden, den * fnum
+            elif key is None:
+                sums = fnum if sums is None else _vmul(sums, fnum)
             else:
-                return value
+                x, y, p, q = x + key[0], y + key[1], p + key[2], q + key[3]
+                num, den = num * fnum, den * fden
+            kind, _, column = self.tokens[self.pos]
+            if kind != "*" and kind != "/":
+                break
+            self.pos += 1
+            divide = kind == "/"
+        coeff = Fraction(num, den)
+        terms = {_UNIT_KEY: coeff} if sums is None else {k: c * coeff for k, c in sums.items()}
+        for (a, b, c, d), v in terms.items():
+            key = (a + x, b + y, c + p, d + q)
+            old = value.get(key)
+            value[key] = v if old is None else old + v
 
-    def factor(self) -> _Value:
-        value = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            sign = 1
-            if self.peek().kind == "op" and self.peek().text == "-":
-                self.advance()
-                sign = -1
-            num = self.peek()
-            if num.kind != "num":
-                raise ParseError("expected an integer exponent", num.column)
-            self.advance()
-            value = _vpow(value, sign * int(num.text), tok.column)
-        return value
-
-    def atom(self) -> _Value:
-        tok = self.advance()
-        if tok.kind == "num":
-            return {_UNIT_KEY: Fraction(int(tok.text))}
-        if tok.kind == "name":
-            key = self.symbols.get(tok.text)
+    def factor(self) -> tuple:
+        """The next factor: a monomial (key, num, den), or (None, value, 0) for a
+        parenthesized expression that is not raised to a power."""
+        tokens = self.tokens
+        kind, text, column = tokens[self.pos]
+        self.pos += 1
+        if kind == "num":
+            key, num, den = _UNIT_KEY, int(text), 1
+        elif kind == "name":
+            key, num, den = self.symbols.get(text), 1, 1
             if key is None:
-                raise ParseError("unknown symbol %r" % tok.text, tok.column)
-            return {key: Fraction(1)}
-        if tok.kind == "op" and tok.text == "(":
+                raise ParseError("unknown symbol %r" % text, column)
+        elif kind == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError("expression nested too deeply", tok.column)
-            value = self.expr()
+                raise ParseError("expression nested too deeply", column)
+            key, num, den = None, self.expr(), 0
             self.expect_op(")")
             self.depth -= 1
-            return value
-        raise ParseError("unexpected %s" % (tok.text or "end of input"), tok.column)
+        else:
+            raise ParseError("unexpected %s" % (text or "end of input"), column)
+        kind, _, column = tokens[self.pos]
+        if kind != "^":
+            return key, num, den
+        negative = tokens[self.pos + 1][0] == "-"
+        self.pos += 3 if negative else 2
+        kind, text, at = tokens[self.pos - 1]
+        if kind != "num":
+            raise ParseError("expected an integer exponent", at)
+        n = -int(text) if negative else int(text)
+        _check_exponent(n, column)
+        if key is None:  # a parenthesized expression, whose value is in num
+            terms = num
+            key, num, den = _single_term(terms, "exponentiate", column)
+        if num:
+            return _power(key, num, den, n, column)
+        if n <= 0:
+            raise ParseError("zero cannot carry exponent %d" % n, column)
+        if key is None:
+            return None, {_raised(k, n, column): Fraction(0) for k in terms}, 0
+        return key, 0, 1  # the literal 0: raising the unit key leaves it unchanged
 
     def expect_end(self):
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("unexpected %r after expression" % tok.text, tok.column)
+        kind, text, column = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError("unexpected %r after expression" % text, column)
 
 
 _HALFLINE_SYMBOLS = {"x": (1, 0, 0, 0), "dx": (0, 0, 1, 0)}
@@ -343,9 +347,7 @@ def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | Quadran
 
 def _value_to_jet1(value: _Value) -> Jet1:
     coeffs: dict[int, Fraction] = {}
-    for (xe, ye, p, q), c in value.items():
-        if ye or p or q:
-            raise ParseError("only the curve parameter 't' may appear here")
+    for (xe, _, _, _), c in value.items():  # the curve symbols give only powers of t
         if xe < 0:
             raise ParseError("negative powers of t are not allowed")
         coeffs[xe] = c
@@ -378,54 +380,56 @@ def parse_plot(text: str) -> PlotGerm:
     """Parse a plot germ: t^2, t^4*(1+t), interior(1; 1+t), or flat."""
     tokens = _tokenize(text)
     head = tokens[0]
-    if head.kind == "name" and head.text == "flat":
-        if tokens[1].kind != "end":
-            raise ParseError("unexpected input after 'flat'", tokens[1].column)
+    if head[1] == "flat":
+        if tokens[1][0] != "end":
+            raise ParseError("unexpected input after 'flat'", tokens[1][2])
         return FlatGerm()
-    if head.kind == "name" and head.text == "interior":
+    if head[1] == "interior":
         return _parse_interior(text, tokens)
-    if head.kind == "name" and head.text == "t":
+    if head[1] == "t":
         return _parse_boundary(tokens)
     raise ParseError("expected a plot germ (t^2, t^4*(1+t), interior(x0; jet), flat)",
-                     head.column)
+                     head[2])
 
 
-def _parse_boundary(tokens: list[_Token]) -> BoundaryGerm:
+def _parse_boundary(tokens: list[tuple[str, str, int]]) -> BoundaryGerm:
     pos = 1
     exponent = 1
-    if tokens[pos].kind == "op" and tokens[pos].text == "^":
+    if tokens[pos][0] == "^":
         pos += 1
-        if tokens[pos].kind != "num":
-            raise ParseError("expected an integer exponent", tokens[pos].column)
-        exponent = int(tokens[pos].text)
-        _check_exponent(exponent, tokens[pos - 1].column)
+        kind, text, column = tokens[pos]
+        if kind != "num":
+            raise ParseError("expected an integer exponent", column)
+        exponent = int(text)
+        _check_exponent(exponent, tokens[pos - 1][2])
         pos += 1
     if exponent < 2 or exponent % 2 != 0:
         raise ParseError("plot not certified nonnegative: leading term t^%d" % exponent)
     unit = Jet1.constant(1)
-    if tokens[pos].kind == "op" and tokens[pos].text == "*":
+    if tokens[pos][0] == "*":
         pos += 1
-        if not (tokens[pos].kind == "op" and tokens[pos].text == "("):
-            raise ParseError("expected a parenthesized unit factor", tokens[pos].column)
+        if tokens[pos][0] != "(":
+            raise ParseError("expected a parenthesized unit factor", tokens[pos][2])
         parser = _ExprParser(tokens, _CURVE_SYMBOLS)
         parser.pos = pos + 1
         unit = _value_to_jet1(parser.expr())
         parser.expect_op(")")
         pos = parser.pos
-    if tokens[pos].kind != "end":
-        raise ParseError("unexpected %r after plot" % tokens[pos].text, tokens[pos].column)
+    kind, text, column = tokens[pos]
+    if kind != "end":
+        raise ParseError("unexpected %r after plot" % text, column)
     if unit.constant_term <= 0:
         raise ParseError("plot not certified nonnegative: unit constant term must be positive")
     return make_boundary_plot(exponent // 2, unit)
 
 
-def _parse_interior(text: str, tokens: list[_Token]) -> InteriorGerm:
-    if not (tokens[1].kind == "op" and tokens[1].text == "("):
-        raise ParseError("interior germ syntax is interior(x0; jet)", tokens[1].column)
-    semi = next((i for i, tok in enumerate(tokens) if tok.text == ";"), None)
+def _parse_interior(text: str, tokens: list[tuple[str, str, int]]) -> InteriorGerm:
+    if tokens[1][0] != "(":
+        raise ParseError("interior germ syntax is interior(x0; jet)", tokens[1][2])
+    semi = next((i for i, tok in enumerate(tokens) if tok[0] == ";"), None)
     if semi is None:
         raise ParseError("interior germ needs a ';' between base point and jet")
-    x0 = parse_rational(text[tokens[1].column : tokens[semi].column - 1])
+    x0 = parse_rational(text[tokens[1][2] : tokens[semi][2] - 1])
     if x0 <= 0:
         raise ParseError("interior base point must be positive")
     parser = _ExprParser(tokens, _CURVE_SYMBOLS)

@@ -1,8 +1,9 @@
 """Independent oracles for the tests.
 
 Each exact oracle is written the plain way, with one ``Fraction`` operation
-per step, and shares no code with the kernels it checks.  Series are
-{degree: coefficient} dicts unless a function says otherwise.  The float
+per step, and shares no code with the kernels or the parser it checks.
+Series are {degree: coefficient} dicts unless a function says otherwise.
+Expression trees evaluate to {monomial: coefficient} dicts.  The float
 probe at the end samples a pullback on a grid, apart from the exact pullback
 whose verdicts it corroborates.
 """
@@ -84,6 +85,78 @@ def compose(outer, inner, order: int) -> dict[int, Fraction]:
         acc = {e: c for e, c in schoolbook_product(acc, inner).items() if e <= order}
         acc[0] = acc.get(0, Fraction(0)) + Fraction(outer.get(d, 0))
     return {e: c for e, c in acc.items() if c != 0}
+
+
+# Expression trees for the tensor grammar: ("num", n), ("sym", name),
+# ("paren", tree), ("pow", base, n), ("product", [factor, (op, factor), ...])
+# with op "*" or "/", and ("sum", [(sign, term), ...]).  A tree's value is
+# {(x exp, y exp, dx power, dy power): coefficient}.
+_SYMBOL_KEYS = {"x": (1, 0, 0, 0), "y": (0, 1, 0, 0), "dx": (0, 0, 1, 0), "dy": (0, 0, 0, 1)}
+
+
+def render_expression(tree) -> str:
+    """The tree written in the grammar of ``parse_tensor``."""
+    kind = tree[0]
+    if kind in ("num", "sym"):
+        return str(tree[1])
+    if kind == "paren":
+        return "(%s)" % render_expression(tree[1])
+    if kind == "pow":
+        return "%s^%d" % (render_expression(tree[1]), tree[2])
+    if kind == "product":
+        first, *rest = tree[1]
+        return render_expression(first) + "".join(op + render_expression(f) for op, f in rest)
+    text = ""
+    for i, (sign, term) in enumerate(tree[1]):
+        if i:
+            text += " - " if sign < 0 else " + "
+        elif sign < 0:
+            text += "-"
+        text += render_expression(term)
+    return text
+
+
+def _only_monomial(value: dict) -> tuple:
+    (key, c), = value.items()
+    return key, c
+
+
+def evaluate_expression(tree) -> dict[tuple[int, int, int, int], Fraction]:
+    """The nonzero coefficients of the tree's value, multiplied out the plain
+    way: every sum and product on dicts, one ``Fraction`` operation per step.
+
+    A power's base and a divisor must have exactly one nonzero monomial.
+    """
+    kind = tree[0]
+    if kind == "num":
+        value = {(0, 0, 0, 0): Fraction(tree[1])}
+    elif kind == "sym":
+        value = {_SYMBOL_KEYS[tree[1]]: Fraction(1)}
+    elif kind == "paren":
+        value = evaluate_expression(tree[1])
+    elif kind == "pow":
+        key, c = _only_monomial(evaluate_expression(tree[1]))
+        value = {tuple(e * tree[2] for e in key): c ** tree[2]}
+    elif kind == "product":
+        first, *rest = tree[1]
+        value = evaluate_expression(first)
+        for op, factor in rest:
+            other = evaluate_expression(factor)
+            if op == "/":
+                key, c = _only_monomial(other)
+                other = {tuple(-e for e in key): 1 / c}
+            product: dict = {}
+            for k1, c1 in value.items():
+                for k2, c2 in other.items():
+                    k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+                    product[k] = product.get(k, Fraction(0)) + c1 * c2
+            value = product
+    else:
+        value = {}
+        for sign, term in tree[1]:
+            for key, c in evaluate_expression(term).items():
+                value[key] = value.get(key, Fraction(0)) + sign * c
+    return {key: c for key, c in value.items() if c != 0}
 
 
 _SIMPLE_POLE = LaurentJet(-1, (1,))

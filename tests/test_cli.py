@@ -41,9 +41,10 @@ from cornerjet.parser import (
 )
 from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
 from cornerjet.pullback import SmoothnessVerdict
-from cornerjet.tensors import HalfLineTensor, make_quadrant_tensor
+from cornerjet.tensors import MIN_VALUATION, HalfLineTensor, make_quadrant_tensor
 
 from conftest import nonzero_laurent_jets, polynomial_laurent2s
+from oracles import evaluate_expression, render_expression
 
 
 def format_halfline_tensor(t: HalfLineTensor) -> str:
@@ -199,6 +200,72 @@ class TestParsePolynomial:
             parse_polynomial(text)
 
 
+# One row per ``raise ParseError`` site in ``cornerjet.parser``: the input, the
+# parser it goes to, and the full message with its column.
+PARSE_ERRORS = [
+    ("halfline", "1" + "0" * 4300 + "*dx^2",
+     "syntax error at 1:1: integer literal of 4301 digits exceeds the maximum 4300"),
+    ("halfline", "x*dx^2 $", "syntax error at 1:8: unexpected character '$'"),
+    ("halfline", "x/(x+1)*dx", "syntax error at 1:2: cannot divide by a sum"),
+    ("halfline", "(x+1)^2*dx", "syntax error at 1:6: cannot exponentiate a sum"),
+    ("halfline", "x^2049*dx", "syntax error at 1:2: exponent 2049 exceeds the maximum 2048"),
+    ("halfline", "(x^64)^33*dx", "syntax error at 1:7: exponent 2112 exceeds the maximum 2048"),
+    ("halfline", "x*dx^-2", "syntax error at 1:5: differential symbols cannot carry negative powers"),
+    ("halfline", "(3^2048)^3*dx", "syntax error at 1:9: power too large: its coefficient exceeds 8192 bits"),
+    ("halfline", "(x*dx", "syntax error at 1:6: expected ')'"),
+    ("halfline", "1/0*dx", "syntax error at 1:2: division by zero"),
+    ("halfline", "x/(x-x)*dx", "syntax error at 1:2: division by zero"),
+    ("halfline", "x/dx", "syntax error at 1:2: cannot divide by a differential symbol"),
+    ("halfline", "x*dz", "syntax error at 1:3: unknown symbol 'dz'"),
+    ("halfline", "(" * 101 + "x" + ")" * 101, "syntax error at 1:101: expression nested too deeply"),
+    ("halfline", "x*", "syntax error at 1:3: unexpected end of input"),
+    ("halfline", "x*)", "syntax error at 1:3: unexpected )"),
+    ("halfline", "x^y*dx", "syntax error at 1:3: expected an integer exponent"),
+    ("halfline", "0^0*dx", "syntax error at 1:2: zero cannot carry exponent 0"),
+    ("halfline", "(x-x)^-1*dx", "syntax error at 1:6: zero cannot carry exponent -1"),
+    ("halfline", "x*dx^2 )", "syntax error at 1:8: unexpected ')' after expression"),
+    ("halfline", "dx^2 + dx", "mixed tensor degree: dx^1 vs dx^2"),
+    ("halfline", "x^-5*dx^2", "exponent -5 below minimum -4"),
+    ("quadrant", "x*dy*dx + x*dx", "quadrant terms must carry dx^2, dy^2 or dx*dy (got dx^1*dy^0)"),
+    ("quadrant", "y^-5*dy^2", "exponent below minimum -4 in x^0*y^-5"),
+    ("polynomial", "1/t", "negative powers of t are not allowed"),
+    ("rational", "0.5", "rational literals only; '0.5' has a decimal point"),
+    ("rational", "1e1", "invalid rational literal '1e1'"),
+    ("plot", "flat x", "syntax error at 1:6: unexpected input after 'flat'"),
+    ("plot", "s^2", "syntax error at 1:1: expected a plot germ (t^2, t^4*(1+t), interior(x0; jet), flat)"),
+    ("plot", "t^x", "syntax error at 1:3: expected an integer exponent"),
+    ("plot", "t^2050", "syntax error at 1:2: exponent 2050 exceeds the maximum 2048"),
+    ("plot", "t^3", "plot not certified nonnegative: leading term t^3"),
+    ("plot", "t^2*t", "syntax error at 1:5: expected a parenthesized unit factor"),
+    ("plot", "t^2 t", "syntax error at 1:5: unexpected 't' after plot"),
+    ("plot", "t^2*(0 + t)", "plot not certified nonnegative: unit constant term must be positive"),
+    ("plot", "interior 1; t", "syntax error at 1:10: interior germ syntax is interior(x0; jet)"),
+    ("plot", "interior(1 1+t)", "interior germ needs a ';' between base point and jet"),
+    ("plot", "interior(0; t)", "interior base point must be positive"),
+    ("plot", "interior(1; 2+t)", "interior jet constant term must equal the base point"),
+    ("plot", "interior(1; 1+t", "syntax error at 1:16: expected ')'"),
+    ("plot", "interior(1; 1+t) x", "syntax error at 1:18: unexpected 'x' after expression"),
+]
+
+_PARSERS = {
+    "halfline": lambda text: parse_tensor(text, "halfline"),
+    "quadrant": lambda text: parse_tensor(text, "quadrant"),
+    "polynomial": parse_polynomial,
+    "rational": parse_rational,
+    "plot": parse_plot,
+}
+
+
+@pytest.mark.parametrize("space, text, message", PARSE_ERRORS, ids=[
+    "%s:%s" % (space, text if len(text) < 30 else "%s...(%d chars)" % (text[:6], len(text)))
+    for space, text, _ in PARSE_ERRORS
+])
+def test_parse_error_messages(space, text, message):
+    with pytest.raises(ParseError) as err:
+        _PARSERS[space](text)
+    assert str(err.value) == message
+
+
 def _nested(depth: int, core: str = "x") -> str:
     return "(" * depth + core + ")" * depth
 
@@ -320,6 +387,106 @@ class TestPrintParseRoundTrip:
 
     def test_flat_plot(self):
         assert parse_plot(format_plot(FlatGerm())) == FlatGerm()
+
+
+# Expression trees for ``oracles.evaluate_expression``: quadrant tensors whose
+# terms multiply coefficient factors in x and y (literals, powers, parenthesized
+# monomials and sums, divisions) by a degree-2 basis (dx^2, dx*dy, or a product
+# of two parenthesized linear forms in dx and dy), with planted cancellations.
+_digits = st.integers(0, 9).map(lambda n: ("num", n))
+_nonzero_digits = st.integers(1, 9).map(lambda n: ("num", n))
+_variables = st.sampled_from(["x", "y"]).map(lambda name: ("sym", name))
+_differentials = st.sampled_from(["dx", "dy"]).map(lambda name: ("sym", name))
+_signs = st.sampled_from([1, -1])
+
+
+@st.composite
+def _monomials(draw):
+    """A parenthesized nonzero monomial in x and y, such as (3/x*y)."""
+    factors = [draw(_nonzero_digits)]
+    for _ in range(draw(st.integers(0, 2))):
+        factors.append((draw(st.sampled_from("*/")), draw(st.one_of(_variables, _nonzero_digits))))
+    return ("paren", ("product", factors))
+
+
+@st.composite
+def _with_cancellation(draw, terms):
+    """``terms`` plus, now and then, a planted pair that cancels."""
+    if draw(st.booleans()):
+        term = draw(_monomials())[1]
+        for sign in (1, -1):
+            terms.insert(draw(st.integers(0, len(terms))), (sign, term))
+    return ("sum", terms)
+
+
+@st.composite
+def _single_monomials(draw):
+    """A factor whose value has one nonzero monomial, for a power base or a divisor."""
+    base = draw(st.one_of(_variables, _nonzero_digits, _monomials()))
+    if base[0] == "paren" and draw(st.booleans()):  # (3*x + 2*y - 2*y)
+        base = ("paren", draw(_with_cancellation([(1, base[1])])))
+    if draw(st.booleans()):
+        base = ("pow", base, draw(st.integers(-3, 3)))
+    return base
+
+
+@st.composite
+def _coefficient_factors(draw, depth):
+    kind = draw(st.integers(0, 2 if depth else 1))
+    if kind == 0:
+        return draw(st.one_of(_digits, _variables))
+    if kind == 1:
+        return draw(_single_monomials())
+    return ("paren", draw(_sums(depth - 1, basis=False)))
+
+
+@st.composite
+def _linear_forms(draw):
+    """(c1*dx + c2*dy), one factor of degree 1 in the differentials."""
+    terms = [(draw(_signs), ("product", [draw(_coefficient_factors(0)), ("*", ("sym", d))]))
+             for d in ("dx", "dy")]
+    return ("paren", ("sum", terms))
+
+
+@st.composite
+def _terms(draw, depth, basis):
+    items = [("*", draw(_coefficient_factors(depth))) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        items.insert(draw(st.integers(1, len(items))), ("/", draw(_single_monomials())))
+    if basis:
+        if draw(st.booleans()):
+            parts = [("pow", draw(_differentials), 2)]
+        else:
+            parts = [draw(st.one_of(_differentials, _linear_forms())) for _ in range(2)]
+        for part in parts:
+            items.insert(draw(st.integers(0, len(items))), ("*", part))
+    return ("product", [items[0][1]] + items[1:])
+
+
+@st.composite
+def _sums(draw, depth, basis):
+    terms = [(draw(_signs), draw(_terms(depth, basis))) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):  # a whole term cancels
+        sign, term = draw(st.sampled_from(terms))
+        terms.insert(draw(st.integers(0, len(terms))), (-sign, term))
+    return draw(_with_cancellation(terms))
+
+
+class TestExpressionOracle:
+    """``parse_tensor`` against a plain evaluation of the same expression tree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sums(1, basis=True))
+    def test_quadrant_tensor(self, tree):
+        text = render_expression(tree)
+        expected = evaluate_expression(tree)
+        if any(min(key[:2]) < MIN_VALUATION for key in expected):
+            with pytest.raises(ParseError, match="below minimum"):
+                parse_tensor(text, "quadrant")
+            return
+        t = parse_tensor(text, "quadrant")
+        bases = (((2, 0), t.a), ((0, 2), t.b), ((1, 1), t.c))
+        assert {(i, j) + basis: c for basis, jet in bases for i, j, c in jet.terms()} == expected
 
 
 SCENARIOS = [
@@ -522,6 +689,33 @@ class TestCliScenarios:
             "error: capacity margin 0 disagrees with pullback valuation 1 at k=2 p=1 m=1\n"
         )
         assert "Traceback" not in captured.err
+
+
+    def test_long_literal_exits_one_with_column(self, capsys):
+        # int() refuses more than 4,300 digits on CPython 3.10.7+ (and earlier
+        # builds have no limit at all); the tokenizer refuses them first.
+        assert run(["decompose", "x*dx^2 + 1" + "0" * 5000 + "*dx^2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: syntax error at 1:10: integer literal of 5001 digits exceeds the maximum 4300\n"
+        )
+        assert run(["decompose", "1" + "0" * 4299 + "*dx^2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_internal_type_error_exits_one(self, capsys, monkeypatch):
+        # An internal inconsistency that surfaces as a TypeError ends in a
+        # message and exit 1, not a traceback.
+        cli_module = importlib.import_module("cornerjet.cli")
+
+        def broken(k):
+            raise TypeError("unsupported operand type(s) for +: 'int' and 'NoneType'")
+
+        monkeypatch.setattr(cli_module, "capacity", broken)
+        assert run(["capacity", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unsupported operand type(s) for +: 'int' and 'NoneType'\n"
 
 
 class TestJsonRoundTrip:
