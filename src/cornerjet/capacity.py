@@ -10,9 +10,7 @@ rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .jets import DEFAULT_ORDER, LaurentJet
+from .jets import DEFAULT_ORDER, LaurentJet, Record
 from .plots import make_boundary_plot
 from .pullback import pullback_halfline
 from .tensors import make_halfline_tensor
@@ -27,8 +25,7 @@ def capacity(k: int) -> int:
     return k // 2
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(Record):
     k: int
     p: int
     margins: tuple[int, ...]

@@ -61,46 +61,27 @@ __all__ = [
     "run",
     "main",
     "fraction_str",
-    "fraction_from_str",
     "jet1_to_json",
-    "jet1_from_json",
     "laurent_to_json",
-    "laurent_from_json",
     "laurent2_to_json",
-    "laurent2_from_json",
     "verdict_to_json",
     "parity_to_json",
 ]
 
 
-# -- JSON encoding of the exact types (and decoding, for round trips) --------
+# -- JSON encoding of the exact types ------------------------------------------
 
 
 def fraction_str(f: Fraction) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def jet1_to_json(j: Jet1) -> dict:
     return {"order": j.order, "coeffs": [fraction_str(c) for c in j.coeffs]}
 
 
-def jet1_from_json(data: dict) -> Jet1:
-    coeffs = [fraction_from_str(c) for c in data["coeffs"]]
-    if len(coeffs) != data["order"] + 1:
-        raise ValueError("jet payload length does not match its order")
-    return Jet1(coeffs)
-
-
 def laurent_to_json(j: LaurentJet) -> dict:
     return {"valuation": j.valuation, "coeffs": [fraction_str(c) for c in j.coeffs]}
-
-
-def laurent_from_json(data: dict) -> LaurentJet:
-    return LaurentJet(data["valuation"], [fraction_from_str(c) for c in data["coeffs"]])
 
 
 def laurent2_to_json(j: LaurentJet2) -> dict:
@@ -109,12 +90,6 @@ def laurent2_to_json(j: LaurentJet2) -> dict:
             {"x": i, "y": jj, "c": fraction_str(c)} for i, jj, c in j.terms()
         ]
     }
-
-
-def laurent2_from_json(data: dict) -> LaurentJet2:
-    return LaurentJet2(
-        {(t["x"], t["y"]): fraction_from_str(t["c"]) for t in data["terms"]}
-    )
 
 
 _STATUS_TEXT = {

@@ -15,10 +15,9 @@ tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import Jet1, LaurentJet, LaurentJet2, parity_masses, whitney_descend
+from .jets import Jet1, LaurentJet, LaurentJet2, Record, parity_masses, whitney_descend
 from .pullback import NotSmoothError, SquarePullback, _capacity_exceeded, pullback_sq2
 from .tensors import (
     Decomposition,
@@ -65,8 +64,7 @@ def decompose_halfline(tensor: HalfLineTensor, order: int | None = None) -> Deco
     return Decomposition(c=c, regular=regular, trace=DecompositionTrace(g=g, h=h))
 
 
-@dataclass(frozen=True)
-class ComponentParity:
+class ComponentParity(Record):
     """Parity-sector occupancy of one pulled-back component."""
 
     component: str
@@ -81,8 +79,7 @@ class ComponentParity:
         return self.sector_ok and self.smooth
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(Record):
     du2: ComponentParity
     dv2: ComponentParity
     dudv: ComponentParity
@@ -123,8 +120,7 @@ def check_gamma_parity(tensor: QuadrantTensor) -> ParityReport:
     return _parity_report(pullback_sq2(tensor))
 
 
-@dataclass(frozen=True)
-class QuadrantDecomposition:
+class QuadrantDecomposition(Record):
     """A(y)/x dx^2 + B(x)/y dy^2 plus pole-free regular components."""
 
     A: Jet1

@@ -7,6 +7,8 @@ carrying an explicit integer valuation.
 
 Conventions:
 
+* every value type of the package derives from ``Record``: immutable, equal
+  only to a value of the same type with equal fields, never a tuple,
 * every coefficient is a ``fractions.Fraction``; floats are rejected, so no
   operation in this module can round,
 * ``*`` on every jet type scales by an ``int`` or ``Fraction`` only; a
@@ -35,6 +37,7 @@ __all__ = [
     "DEFAULT_ORDER",
     "Rational",
     "as_fraction",
+    "Record",
     "Jet1",
     "LaurentJet",
     "LaurentJet2",
@@ -75,7 +78,74 @@ def format_terms(rows: Iterable[tuple[Fraction, Iterable[tuple[str, int]]]]) -> 
     return " ".join(parts) if parts else "0"
 
 
-class Jet1:
+_MISSING = object()
+
+
+class Record:
+    """An immutable value whose fields are its class's own annotations, in order.
+
+    A class attribute named like a field is that field's default.  ``__init__``
+    binds positional and keyword values, then calls ``__post_init__``.  A
+    record equals only a record of the same type with equal fields, hashes by
+    its fields and prints as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(
+                "%s takes %d values, %d given" % (cls.__name__, len(names), len(args)))
+        bind = object.__setattr__
+        for name, value in zip(names, args):
+            bind(self, name, value)
+        rest = names[len(args):]
+        for name, value in kwargs.items():
+            if name not in rest:
+                raise TypeError("%s got %s value for %r" % (
+                    cls.__name__, "a second" if name in names else "an unknown", name))
+            bind(self, name, value)
+        if len(kwargs) < len(rest):
+            for name in rest:
+                if name not in kwargs:
+                    value = vars(cls).get(name, _MISSING)
+                    if value is _MISSING:
+                        raise TypeError("%s is missing a value for %r" % (cls.__name__, name))
+                    bind(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+class Jet1(Record):
     """Fixed-order coefficient record c_0 + c_1 t + ... + c_N t^N, exact in every stored degree."""
 
     __slots__ = ("coeffs",)
@@ -87,9 +157,6 @@ class Jet1:
         if not cs:
             raise ValueError("a jet stores at least its constant term")
         object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Jet1 is immutable")
 
     @classmethod
     def constant(cls, value: Rational) -> "Jet1":
@@ -117,12 +184,6 @@ class Jet1:
     def __pow__(self, n):  # kept by name: perfbench/spans.py wraps it
         return NotImplemented
 
-    def __eq__(self, other):
-        return isinstance(other, Jet1) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("Jet1", self.coeffs))
-
     def __str__(self):
         return self.to_str("t")
 
@@ -141,7 +202,7 @@ def whitney_descend(g: Jet1) -> Jet1:
     return Jet1(g.coeffs[0::2])
 
 
-class LaurentJet:
+class LaurentJet(Record):
     """Finite Laurent expansion sum c_d x^d starting at an integer valuation.
 
     Canonical form: if nonzero, the coefficients at the lowest and highest
@@ -169,9 +230,6 @@ class LaurentJet:
                 tail -= 1
             object.__setattr__(self, "valuation", int(valuation) + lead)
             object.__setattr__(self, "coeffs", tuple(cs[lead:tail]))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("LaurentJet is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -261,16 +319,6 @@ class LaurentJet:
     def __pow__(self, n):  # kept by name: perfbench/spans.py wraps it
         return NotImplemented
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentJet)
-            and self.valuation == other.valuation
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(("LaurentJet", self.valuation, self.coeffs))
-
     def __str__(self):
         return self.to_str("x")
 
@@ -294,7 +342,7 @@ SECTOR_NAMES = {
 }
 
 
-class LaurentJet2:
+class LaurentJet2(Record):
     """Two-variable Laurent expansion stored sparsely: (i, j) -> nonzero rational.
 
     Exact: these arise from finite expressions and the operations on them
@@ -302,6 +350,8 @@ class LaurentJet2:
     """
 
     __slots__ = ("_terms",)
+
+    _terms: dict[tuple[int, int], Fraction]
 
     def __init__(self, terms: Mapping[tuple[int, int], Rational] | None = None):
         cleaned: dict[tuple[int, int], Fraction] = {}
@@ -311,9 +361,6 @@ class LaurentJet2:
                 if f != 0:
                     cleaned[(int(i), int(j))] = f
         object.__setattr__(self, "_terms", cleaned)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("LaurentJet2 is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -384,11 +431,8 @@ class LaurentJet2:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return isinstance(other, LaurentJet2) and self._terms == other._terms
-
     def __hash__(self):
-        return hash(("LaurentJet2", frozenset(self._terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self):
         return self.to_str(("x", "y"))

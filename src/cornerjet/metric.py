@@ -15,10 +15,9 @@ points in listed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import DEFAULT_ORDER
+from .jets import DEFAULT_ORDER, Record
 from .plots import BoundaryGerm, InteriorGerm, PlotGerm, make_boundary_plot, make_interior_plot
 from .pullback import _capacity_exceeded, pullback_halfline
 from .tensors import HalfLineTensor
@@ -37,8 +36,7 @@ DEFAULT_FAMILY: tuple[PlotGerm, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class MetricWitness:
+class MetricWitness(Record):
     """A germ on which the metric fails, with the exact offending values."""
 
     plot: PlotGerm
@@ -47,8 +45,7 @@ class MetricWitness:
     leading: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class MetricVerdict:
+class MetricVerdict(Record):
     accepted: bool
     witness: MetricWitness | None = None
 

@@ -16,10 +16,9 @@ minimum or maximum NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import as_fraction
+from .jets import Record, as_fraction
 
 __all__ = [
     "SampledFunction",
@@ -58,8 +57,7 @@ def _sup_abs(values: list[float]) -> float:
     return _reduce(max, [abs(v) for v in values])
 
 
-@dataclass(frozen=True)
-class SampledFunction:
+class SampledFunction(Record):
     """Polynomial sample function on a rational interval.
 
     ``squares`` holds the sum-of-squares representation when there is one;
@@ -166,8 +164,7 @@ class SampledFunction:
         return total
 
 
-@dataclass(frozen=True)
-class GlaeserLandauReport:
+class GlaeserLandauReport(Record):
     """Grid verification of f'(t)^2 <= 2 C f(t) with C = sup |f''|.
 
     C is a grid supremum (of a polynomial), so it may undershoot the true sup

@@ -8,11 +8,10 @@ contact point carry no usable jet and are a separate variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .jets import Jet1, Rational, as_fraction
+from .jets import Jet1, Rational, Record, as_fraction
 
 __all__ = [
     "InteriorGerm",
@@ -25,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InteriorGerm:
+class InteriorGerm(Record):
     """Germ based at x0 > 0; ``jet`` is the full curve jet (constant term x0)."""
 
     x0: Fraction
@@ -39,8 +37,7 @@ class InteriorGerm:
             raise ValueError("interior jet constant term must equal the base point")
 
 
-@dataclass(frozen=True)
-class BoundaryGerm:
+class BoundaryGerm(Record):
     """Germ touching 0 as t^(2m) * unit(t) with unit(0) > 0."""
 
     m: int
@@ -55,16 +52,14 @@ class BoundaryGerm:
         return 2 * self.m
 
 
-@dataclass(frozen=True)
-class FlatGerm:
+class FlatGerm(Record):
     """All derivatives vanish at the contact point; no finite jet exists."""
 
 
 PlotGerm = Union[InteriorGerm, BoundaryGerm, FlatGerm]
 
 
-@dataclass(frozen=True)
-class PairGerm:
+class PairGerm(Record):
     """Component-pair germ (px(t), py(t)) into the quadrant."""
 
     px: PlotGerm

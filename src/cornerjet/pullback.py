@@ -29,13 +29,11 @@ vol. 2, 4.6.1): Q_k = q_k d0^(k+1) stays an integer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import NamedTuple
 
-from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2
+from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, Record
 from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, make_boundary_plot
 from .tensors import HalfLineTensor, QuadrantTensor
 
@@ -57,8 +55,7 @@ class Status(enum.Enum):
     FLAT_INDETERMINATE = "flat-indeterminate"
 
 
-@dataclass(frozen=True)
-class SmoothnessVerdict:
+class SmoothnessVerdict(Record):
     """Outcome of a pullback: smooth (valuation >= 0), a pole, or a flat-germ rule.
 
     ``witness`` is the pulled-back coefficient jet in t, reported through the
@@ -311,7 +308,7 @@ def pullback_halfline(
     return _verdict(witness, isinstance(plot, BoundaryGerm))
 
 
-class SquarePullback(NamedTuple):
+class SquarePullback(Record):
     """Coefficients of du^2, dv^2 and du dv after substituting (x,y) = (u^2,v^2)."""
 
     du2: LaurentJet2

@@ -8,11 +8,10 @@ cross coefficient (stored once, not halved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .jets import Jet1, LaurentJet, LaurentJet2, Rational, as_fraction
+from .jets import Jet1, LaurentJet, LaurentJet2, Rational, Record, as_fraction
 
 # The deepest pole, in x and in y, that a tensor coefficient may have.
 MIN_VALUATION = -4
@@ -29,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HalfLineTensor:
+class HalfLineTensor(Record):
     """coeff(x) * dx^degree on [0, inf)."""
 
     degree: int
@@ -76,8 +74,7 @@ def make_halfline_tensor(k: int, coeff: LaurentJet | Jet1 | Rational) -> HalfLin
     return HalfLineTensor(k, _as_laurent(coeff))
 
 
-@dataclass(frozen=True)
-class QuadrantTensor:
+class QuadrantTensor(Record):
     """a dx^2 + b dy^2 + c dx dy with two-variable Laurent coefficients."""
 
     a: LaurentJet2
@@ -108,16 +105,14 @@ def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
     return QuadrantTensor(*parts)
 
 
-@dataclass(frozen=True)
-class DecompositionTrace:
+class DecompositionTrace(Record):
     """Intermediate jets of the constructive split: g(t) = 4 t^2 f(t^2), h with g = h(t^2)."""
 
     g: Jet1
     h: Jet1
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Result of splitting coeff(x) dx^2 into c/x * dx^2 plus a pole-free part."""
 
     c: Fraction

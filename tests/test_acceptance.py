@@ -32,19 +32,19 @@ from cornerjet import (
     verify_capacity,
 )
 from cornerjet.capacity import capacity_table
-from cornerjet.cli import (
-    fraction_from_str,
-    jet1_from_json,
-    laurent2_from_json,
-    laurent_from_json,
-    run,
-)
+from cornerjet.cli import run
 from cornerjet.jets import Jet1, LaurentJet2, parity_masses
 from cornerjet.plots import BoundaryGerm
 from cornerjet.pullback import Status
 from cornerjet.tensors import make_quadrant_tensor
 
-from test_cli import SCENARIOS
+from test_cli import (
+    SCENARIOS,
+    fraction_from_str,
+    jet1_from_json,
+    laurent2_from_json,
+    laurent_from_json,
+)
 from test_numeric import poly_from_roots
 
 

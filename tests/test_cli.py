@@ -19,17 +19,7 @@ from cornerjet import (
     parse_plot,
     parse_tensor,
 )
-from cornerjet.cli import (
-    MAX_GRID,
-    MAX_M_MAX,
-    MAX_ORDER,
-    fraction_from_str,
-    fraction_str,
-    jet1_from_json,
-    laurent2_from_json,
-    laurent_from_json,
-    run,
-)
+from cornerjet.cli import MAX_GRID, MAX_M_MAX, MAX_ORDER, fraction_str, run
 from cornerjet.jets import Jet1, LaurentJet2, format_terms
 from cornerjet.parser import (
     MAX_EXPONENT,
@@ -50,6 +40,30 @@ from oracles import evaluate_expression, render_expression
 def format_halfline_tensor(t: HalfLineTensor) -> str:
     """A half-line tensor in the syntax that ``parse_tensor`` reads."""
     return format_terms((c, [("x", d), ("dx", t.degree)]) for d, c in t.coeff.terms())
+
+
+# Decoders of the CLI's JSON forms, for round trips.
+
+
+def fraction_from_str(s: str) -> F:
+    return F(s)
+
+
+def jet1_from_json(data: dict) -> Jet1:
+    coeffs = [fraction_from_str(c) for c in data["coeffs"]]
+    if len(coeffs) != data["order"] + 1:
+        raise ValueError("jet payload length does not match its order")
+    return Jet1(coeffs)
+
+
+def laurent_from_json(data: dict) -> LaurentJet:
+    return LaurentJet(data["valuation"], [fraction_from_str(c) for c in data["coeffs"]])
+
+
+def laurent2_from_json(data: dict) -> LaurentJet2:
+    return LaurentJet2(
+        {(t["x"], t["y"]): fraction_from_str(t["c"]) for t in data["terms"]}
+    )
 
 
 class TestParseTensor:
@@ -569,15 +583,18 @@ class TestCliScenarios:
         assert run(["pullback", "--plot", "t^²", "dx^2"]) == 1
         assert "syntax error at 1:3: unexpected character '²'" in capsys.readouterr().err
 
-    def test_no_subcommand_imports_numpy(self):
+    def test_no_subcommand_imports_numpy_or_dataclasses(self):
+        # Modules loaded before the CLI (a site hook, say) do not count.
         argvs = list({argv[0]: argv for argv, _, _ in SCENARIOS}.values())
         assert len(argvs) == 7
         code = (
             "import sys\n"
+            "before = set(sys.modules)\n"
             "from cornerjet.cli import run\n"
             "for argv in %r:\n"
             "    run(argv)\n"
-            "assert 'numpy' not in sys.modules, sorted(sys.modules)\n" % (argvs,)
+            "loaded = set(sys.modules) - before\n"
+            "assert not loaded & {'numpy', 'dataclasses'}, sorted(loaded)\n" % (argvs,)
         )
         src = str(Path(cornerjet.__file__).resolve().parents[1])
         env = dict(os.environ)

@@ -3,9 +3,27 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given
 
-from cornerjet import LaurentJet
-from cornerjet.jets import Jet1, LaurentJet2, parity_masses, whitney_descend
-from cornerjet.pullback import _derivative, _divide
+from cornerjet import (
+    LaurentJet,
+    check_gamma_parity,
+    check_metric,
+    decompose_halfline,
+    decompose_quadrant,
+    glaeser_landau_check,
+    make_boundary_plot,
+    parse_tensor,
+    pullback_halfline,
+    pullback_sq2,
+    tau_sing,
+    verify_capacity,
+)
+from cornerjet.decompose import ComponentParity, ParityReport, QuadrantDecomposition
+from cornerjet.jets import Jet1, LaurentJet2, Record, parity_masses, whitney_descend
+from cornerjet.metric import MetricVerdict, MetricWitness
+from cornerjet.numeric import SampledFunction
+from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, make_interior_plot
+from cornerjet.pullback import SmoothnessVerdict, Status, _derivative, _divide
+from cornerjet.tensors import HalfLineTensor, make_quadrant_tensor
 
 from conftest import jet1s, laurent_jets, laurent2s, nonzero_laurent_jets
 from oracles import compose, schoolbook_product
@@ -253,3 +271,145 @@ class TestLaurentJet2:
             "odd-even": 1,
             "odd-odd": 1,
         }
+
+
+# One instance of every value type of the package.
+_QUADRANT = make_quadrant_tensor({(-1, 2): 1}, {(0, -1): 1}, {(1, 1): 1})
+_BOUNDARY = make_boundary_plot(1, 1)
+_METRIC = check_metric(tau_sing())
+_DECOMPOSITION = decompose_halfline(parse_tensor("(1/x + 3 - x/2)*dx^2"), order=1)
+_PARITY = check_gamma_parity(_QUADRANT)
+_SAMPLED = SampledFunction.polynomial([0, 0, 1], (-1, 1))
+_VERDICT = pullback_halfline(tau_sing(), _BOUNDARY, order=2)
+_CAPACITY = verify_capacity(2, 1, m_max=3)
+VALUES = [
+    Jet1([1, F(1, 2)]),
+    LaurentJet(-1, [1, 3]),
+    LaurentJet2({(-1, 2): 1, (0, 0): F(1, 2)}),
+    tau_sing(),
+    _QUADRANT,
+    _DECOMPOSITION.trace,
+    _DECOMPOSITION,
+    make_interior_plot(2),
+    _BOUNDARY,
+    FlatGerm(),
+    PairGerm(_BOUNDARY, _BOUNDARY),
+    _METRIC.witness,
+    _METRIC,
+    _CAPACITY,
+    _VERDICT,
+    pullback_sq2(_QUADRANT),
+    _PARITY.du2,
+    _PARITY,
+    decompose_quadrant(_QUADRANT),
+    _SAMPLED,
+    glaeser_landau_check(_SAMPLED),
+]
+# Types with their own canonicalizing constructors; the rest bind their fields.
+JETS = (Jet1, LaurentJet, LaurentJet2)
+# A dict field (parity masses) makes a value unhashable.
+UNHASHABLE = (ComponentParity, ParityReport, QuadrantDecomposition)
+RECORDS = [v for v in VALUES if not isinstance(v, JETS)]
+
+
+def _ids(value):
+    return type(value).__name__
+
+
+def _fields(value) -> list:
+    return [getattr(value, name) for name in type(value)._fields]
+
+
+class TestValueTypes:
+    def test_every_value_type_is_listed(self):
+        types = {type(v) for v in VALUES}
+        assert len(types) == len(VALUES) == 21
+        assert types == set(Record.__subclasses__())
+
+    @pytest.mark.parametrize("value", VALUES, ids=_ids)
+    def test_assignment_and_del_raise(self, value):
+        name = (type(value)._fields or ("anything",))[0]
+        before = repr(value)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+        assert repr(value) == before
+
+    @pytest.mark.parametrize("value", VALUES, ids=_ids)
+    def test_equal_only_to_the_same_type_with_equal_fields(self, value):
+        copy = type(value)(*_fields(value))
+        assert copy == value and not copy != value
+        if isinstance(value, UNHASHABLE):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+        else:
+            assert hash(copy) == hash(value)
+        assert value != tuple(_fields(value))
+        assert value.__eq__(object()) is NotImplemented
+
+    def test_equality_across_types(self):
+        jet = Jet1([1, 1])
+        assert InteriorGerm(F(1), jet) != BoundaryGerm(1, jet)
+        pulled = pullback_sq2(_QUADRANT)
+        assert pulled != (pulled.du2, pulled.dv2, pulled.dudv)
+        assert FlatGerm() == FlatGerm() and FlatGerm() != ()
+
+    @pytest.mark.parametrize("value", RECORDS, ids=_ids)
+    def test_binding_values(self, value):
+        cls, names, values = type(value), type(value)._fields, _fields(value)
+        assert cls(**dict(zip(names, values))) == value
+        with pytest.raises(TypeError, match="takes %d values, %d given" % (len(names), len(names) + 1)):
+            cls(*values, 0)
+        with pytest.raises(TypeError, match="an unknown value for 'nonexistent'"):
+            cls(*values, nonexistent=0)
+        if names:
+            with pytest.raises(TypeError, match="a second value for %r" % names[0]):
+                cls(*values, **{names[0]: values[0]})
+            with pytest.raises(TypeError, match="missing a value for %r" % names[0]):
+                cls()
+
+    def test_defaults(self):
+        assert SmoothnessVerdict(Status.SMOOTH) == SmoothnessVerdict(Status.SMOOTH, None, 0, None)
+        verdict = SmoothnessVerdict(Status.POLE, pole_order=2)
+        assert (verdict.witness, verdict.pole_order, verdict.vanishing_order) == (None, 2, None)
+        assert MetricVerdict(True).witness is None
+        assert MetricWitness(_BOUNDARY, F(4), "clause").leading is None
+        assert (_SAMPLED.grid_n, _SAMPLED.squares) == (1024, None)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: HalfLineTensor(-1, LaurentJet()), "degree must be nonnegative"),
+        (lambda: InteriorGerm(F(0), Jet1([0, 1])), "base point must be positive"),
+        (lambda: InteriorGerm(F(1), Jet1([2, 1])), "must equal the base point"),
+        (lambda: BoundaryGerm(0, Jet1([1])), "not certified nonnegative"),
+        (lambda: BoundaryGerm(1, Jet1([0])), "not certified nonnegative"),
+        (lambda: SampledFunction((F(1),), (F(1), F(0))), "a < b"),
+        (lambda: SampledFunction((F(1),), (F(0), F(1)), 15), "at least 16"),
+        (lambda: SampledFunction((F(1),), (F(0), F(10**400))), "interval endpoint beyond"),
+        (lambda: SampledFunction((F(10**400),), (F(0), F(1))), "coefficient beyond"),
+        (lambda: SampledFunction((F(1),), (F(0), F(1)), squares=((F(1), F(10**400)),)),
+         "coefficient beyond"),
+    ])
+    def test_post_init_checks(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_repr(self):
+        # Name(field=value, ...) with each value's repr, as a frozen dataclass prints.
+        assert repr(_VERDICT) == (
+            "SmoothnessVerdict(status=<Status.SMOOTH: 'smooth'>, witness=LaurentJet(0, ['4']),"
+            " pole_order=0, vanishing_order=0)"
+        )
+        assert repr(_DECOMPOSITION) == (
+            "Decomposition(c=Fraction(1, 1), regular=Jet1(['3', '-1/2']),"
+            " trace=DecompositionTrace(g=Jet1(['4', '0', '12', '0', '-2']),"
+            " h=Jet1(['4', '12', '-2'])))"
+        )
+        assert repr(_METRIC) == (
+            "MetricVerdict(accepted=False, witness=MetricWitness(plot=BoundaryGerm(m=1,"
+            " unit=Jet1(['1'])), value=Fraction(4, 1), clause='definiteness-zero-required',"
+            " leading=None))"
+        )
+        assert repr(_CAPACITY) == (
+            "CapacityReport(k=2, p=1, margins=(0, 2, 4), admissible=True, binding_m=1)"
+        )
