@@ -1,16 +1,20 @@
 """Constructive singular/regular decomposition on the half-line and the quadrant.
 
-The half-line algorithm follows the constructive route end to end: pull the
-tensor back through the square map, check the result is even, descend to a
-series in x = t^2, then split off the constant term.  Shortcutting to a
-valuation split would give the same answer; the test suite keeps that
-shortcut as an independent oracle precisely so the two routes can be compared.
+The half-line algorithm follows the constructive route end to end, and its
+trace is part of the output: pull the tensor back through the square map to
+g(t) = 4 t^2 f(t^2), descend the even jet to h with g = h(t^2), then split off
+the constant term.  Shortcutting to a valuation split would give the same
+answer; the test suite keeps that shortcut as an independent oracle precisely
+so the two routes can be compared.
 
-On the quadrant the same steps run per component, and the sign-change
-symmetries of the corner decide which components may carry an axial pole at
-all: the dx^2 and dy^2 coefficients pull back even-even, the cross term
-odd-odd, and a pole in the cross term is structurally impossible for a smooth
-tensor.
+On the quadrant the square map (u, v) -> (u^2, v^2) and its parity report
+decide: the sign-change symmetries of the corner make the dx^2 and dy^2
+coefficients pull back even-even and the cross term odd-odd, a pole in the
+cross term is structurally impossible for a smooth tensor, and an axial pole
+deeper than one does not pull back smooth.  Once the report accepts, the split
+is read off the components themselves: descending the pullback inverts the
+square map exactly, so it would only give them back.  The test suite keeps
+that descent as an independent oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .jets import Jet1, LaurentJet, LaurentJet2, Record, parity_masses, whitney_descend
-from .pullback import NotSmoothError, SquarePullback, _capacity_exceeded, pullback_sq2
+from .pullback import NotSmoothError, _capacity_exceeded, pullback_sq2
 from .tensors import (
     Decomposition,
     DecompositionTrace,
@@ -56,8 +60,11 @@ def decompose_halfline(tensor: HalfLineTensor, order: int | None = None) -> Deco
         raise ValueError(
             "order %d cannot represent the input (degree %d)" % (order, natural)
         )
-    # g(t) = 4 t^2 f(t^2): exact exponent doubling, then the shift by t^2.
-    g = (coeff.substitute_square().shifted(2) * 4).to_jet1(2 * order + 2)
+    # g(t) = 4 t^2 f(t^2): the term c x^d lands at t^(2d + 2) as 4c.
+    g_coeffs = [Fraction(0)] * (2 * order + 3)
+    for d, c in coeff.terms():
+        g_coeffs[2 * d + 2] = 4 * c
+    g = Jet1(g_coeffs)
     h = whitney_descend(g)
     c = h.constant_term / 4
     regular = Jet1(h.coeffs[1:]) * Fraction(1, 4)
@@ -106,18 +113,15 @@ def _component_parity(name: str, expected: str, jet: LaurentJet2) -> ComponentPa
     )
 
 
-def _parity_report(pulled: SquarePullback) -> ParityReport:
+def check_gamma_parity(tensor: QuadrantTensor) -> ParityReport:
+    """Which parity sectors each pulled-back component occupies, and whether
+    the corner selection rule (axial even-even, cross odd-odd, no poles) holds."""
+    pulled = pullback_sq2(tensor)
     return ParityReport(
         du2=_component_parity("du^2", "even-even", pulled.du2),
         dv2=_component_parity("dv^2", "even-even", pulled.dv2),
         dudv=_component_parity("du*dv", "odd-odd", pulled.dudv),
     )
-
-
-def check_gamma_parity(tensor: QuadrantTensor) -> ParityReport:
-    """Which parity sectors each pulled-back component occupies, and whether
-    the corner selection rule (axial even-even, cross odd-odd, no poles) holds."""
-    return _parity_report(pullback_sq2(tensor))
 
 
 class QuadrantDecomposition(Record):
@@ -148,10 +152,11 @@ def decompose_quadrant(
     Rejections carry the parity report of the square-map pullback as witness:
     a pole in the cross coefficient lands in the odd-odd sector at negative
     degree, and axial poles deeper than one violate smoothness of the
-    pulled-back even-even coefficients.
+    pulled-back even-even coefficients.  An accepted tensor has no pole
+    deeper than x^-1 in a, y^-1 in b and none in c, so A(y) is the x^-1
+    slice of a, B(x) the y^-1 slice of b, and the rest is regular.
     """
-    pulled = pullback_sq2(tensor)
-    report = _parity_report(pulled)
+    report = check_gamma_parity(tensor)
     if not report.dudv.ok:
         raise NotSmoothError(
             "singular cross term: violates odd-odd parity", parity=report
@@ -163,24 +168,17 @@ def decompose_quadrant(
                 " with a pole" % name,
                 parity=report,
             )
-    # Axial route, dx^2 side: descend 4 u^2 a(u^2, v^2) to K(x, y) = 4 x a(x, y),
-    # then split K at x = 0.
-    k_a = pulled.du2.halve_degrees()
-    a_profile = k_a.slice_x(0) * Fraction(1, 4)
-    regular_dx2 = k_a.restrict(lambda i, j: i >= 1).shifted(-1, 0) * Fraction(1, 4)
-    k_b = pulled.dv2.halve_degrees()
-    b_profile = k_b.slice_y(0) * Fraction(1, 4)
-    regular_dy2 = k_b.restrict(lambda i, j: j >= 1).shifted(0, -1) * Fraction(1, 4)
-    # Cross route: strip the forced odd factor u v, descend, undo the scale.
-    regular_cross = pulled.dudv.shifted(-1, -1).halve_degrees() * Fraction(1, 8)
+    a, b = tensor.a, tensor.b
+    a_profile = a.slice_x(-1)
+    b_profile = b.slice_y(-1)
     order_a = _axis_order(a_profile, order)
     order_b = _axis_order(b_profile, order)
     return QuadrantDecomposition(
         A=a_profile.to_jet1(order_a),
         B=b_profile.to_jet1(order_b),
-        regular_dx2=regular_dx2,
-        regular_dy2=regular_dy2,
-        regular_cross=regular_cross,
+        regular_dx2=a.restrict(lambda i, j: i >= 0),
+        regular_dy2=b.restrict(lambda i, j: j >= 0),
+        regular_cross=tensor.c,
         parity_report=report,
     )
 

@@ -14,7 +14,7 @@ Conventions:
 * ``*`` on every jet type scales by an ``int`` or ``Fraction`` only; a
   series ``*`` or ``**`` raises ``TypeError``: series products and the one
   division run on integers in the pullback stage (``cornerjet.pullback``),
-  and this module keeps the value types and exact reindexing,
+  and this module keeps the value types, their slices and Whitney descent,
 * a ``Jet1`` of order N is a record of the coefficients of t^0 .. t^N, the
   form in which plot germs and decompositions report their jets,
 * a ``LaurentJet`` is kept canonical: leading and trailing coefficients are
@@ -26,10 +26,10 @@ Conventions:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
 
-Rational = Union[int, str, Fraction]
+Rational = int | str | Fraction
 
 DEFAULT_ORDER = 16
 
@@ -257,22 +257,6 @@ class LaurentJet(Record):
             if c != 0:
                 yield self.valuation + i, c
 
-    def shifted(self, n: int) -> "LaurentJet":
-        if self.is_zero:
-            return self
-        return LaurentJet(self.valuation + n, self.coeffs)
-
-    def substitute_square(self) -> "LaurentJet":
-        """Exact reindexing x -> t^2: every stored degree doubles."""
-        if self.is_zero:
-            return self
-        spread: list[Fraction] = []
-        for i, c in enumerate(self.coeffs):
-            if i:
-                spread.append(Fraction(0))
-            spread.append(c)
-        return LaurentJet(2 * self.valuation, spread)
-
     def truncated(self, max_degree: int) -> "LaurentJet":
         """Drop all degrees above ``max_degree``."""
         if self.is_zero or self.degree <= max_degree:
@@ -346,7 +330,7 @@ class LaurentJet2(Record):
     """Two-variable Laurent expansion stored sparsely: (i, j) -> nonzero rational.
 
     Exact: these arise from finite expressions and the operations on them
-    (sums, scaling, exponent doubling, monomial shifts) never truncate.
+    (sums, scaling, slices, restriction) never truncate.
     """
 
     __slots__ = ("_terms",)
@@ -379,22 +363,6 @@ class LaurentJet2(Record):
     def terms(self) -> Iterator[tuple[int, int, Fraction]]:
         for (i, j) in sorted(self._terms):
             yield i, j, self._terms[(i, j)]
-
-    def double_degrees(self) -> "LaurentJet2":
-        """Exact substitution (x, y) -> (u^2, v^2): indices double."""
-        return LaurentJet2({(2 * i, 2 * j): c for (i, j), c in self._terms.items()})
-
-    def halve_degrees(self) -> "LaurentJet2":
-        """Inverse reindexing for even-even jets; errors on odd exponents."""
-        out = {}
-        for (i, j), c in self._terms.items():
-            if i % 2 or j % 2:
-                raise ValueError("jet is not even-even: term x^%d y^%d" % (i, j))
-            out[(i // 2, j // 2)] = c
-        return LaurentJet2(out)
-
-    def shifted(self, di: int, dj: int) -> "LaurentJet2":
-        return LaurentJet2({(i + di, j + dj): c for (i, j), c in self._terms.items()})
 
     def restrict(self, predicate) -> "LaurentJet2":
         return LaurentJet2({k: c for k, c in self._terms.items() if predicate(*k)})

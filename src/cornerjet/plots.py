@@ -9,7 +9,6 @@ contact point carry no usable jet and are a separate variant.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .jets import Jet1, Rational, Record, as_fraction
 
@@ -56,7 +55,7 @@ class FlatGerm(Record):
     """All derivatives vanish at the contact point; no finite jet exists."""
 
 
-PlotGerm = Union[InteriorGerm, BoundaryGerm, FlatGerm]
+PlotGerm = InteriorGerm | BoundaryGerm | FlatGerm
 
 
 class PairGerm(Record):

@@ -316,18 +316,24 @@ class SquarePullback(Record):
     dudv: LaurentJet2
 
 
+def _square(jet: LaurentJet2, di: int, dj: int, scale: int) -> LaurentJet2:
+    """scale * u^di * v^dj * jet(u^2, v^2), in one pass over the terms."""
+    return LaurentJet2({(2 * i + di, 2 * j + dj): scale * c for i, j, c in jet.terms()})
+
+
 def pullback_sq2(tensor: QuadrantTensor) -> SquarePullback:
     """Pull a quadrant tensor back along (u, v) -> (u^2, v^2).
 
-    The substitution doubles every exponent, so the result is exact:
-    du^2 gets 4 u^2 a(u^2, v^2), dv^2 gets 4 v^2 b(u^2, v^2) and du dv gets
-    8 u v c(u^2, v^2) (the displayed coefficient, counting both du (x) dv
-    and dv (x) du).
+    With dx = 2u du and dy = 2v dv, each component is one exponent map
+    x^i y^j -> u^(2i+di) v^(2j+dj) with a fixed scale, so the result is
+    exact: du^2 gets 4 u^2 a(u^2, v^2), dv^2 gets 4 v^2 b(u^2, v^2) and
+    du dv gets 8 u v c(u^2, v^2) (the displayed coefficient, counting both
+    du (x) dv and dv (x) du).
     """
     return SquarePullback(
-        tensor.a.double_degrees().shifted(2, 0) * 4,
-        tensor.b.double_degrees().shifted(0, 2) * 4,
-        tensor.c.double_degrees().shifted(1, 1) * 8,
+        _square(tensor.a, 2, 0, 4),
+        _square(tensor.b, 0, 2, 4),
+        _square(tensor.c, 1, 1, 8),
     )
 
 

@@ -8,8 +8,8 @@ cross coefficient (stored once, not halved).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .jets import Jet1, LaurentJet, LaurentJet2, Rational, Record, as_fraction
 

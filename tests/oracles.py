@@ -87,6 +87,36 @@ def compose(outer, inner, order: int) -> dict[int, Fraction]:
     return {e: c for e, c in acc.items() if c != 0}
 
 
+def descend_square_pullback(pulled):
+    """The quadrant split by the constructive route, from the square-map pullback.
+
+    Each pulled-back component becomes {(i, j): coefficient} with its even
+    exponents halved: 4 u^2 a(u^2, v^2) descends to K = 4 x a(x, y), which
+    splits at x = 0 into A(y) = K|x^0 / 4 and the regular dx^2 part (K - 4A)
+    / 4x; likewise in y for dv^2.  The cross component sheds its factor u v
+    first and is divided by 8.  Returns (A as {j: c}, B as {i: c}, regular
+    dx^2, regular dy^2, regular cross).
+    """
+
+    def halve(terms) -> dict[tuple[int, int], Fraction]:
+        out = {}
+        for i, j, c in terms:
+            if i % 2 or j % 2:
+                raise ValueError("not even-even: term u^%d v^%d" % (i, j))
+            out[(i // 2, j // 2)] = Fraction(c)
+        return out
+
+    k_a = halve(pulled.du2.terms())
+    k_b = halve(pulled.dv2.terms())
+    A = {j: c / 4 for (i, j), c in k_a.items() if i == 0}
+    B = {i: c / 4 for (i, j), c in k_b.items() if j == 0}
+    regular_dx2 = {(i - 1, j): c / 4 for (i, j), c in k_a.items() if i >= 1}
+    regular_dy2 = {(i, j - 1): c / 4 for (i, j), c in k_b.items() if j >= 1}
+    k_c = halve((i - 1, j - 1, c) for i, j, c in pulled.dudv.terms())
+    regular_cross = {k: c / 8 for k, c in k_c.items()}
+    return A, B, regular_dx2, regular_dy2, regular_cross
+
+
 # Expression trees for the tensor grammar: ("num", n), ("sym", name),
 # ("paren", tree), ("pow", base, n), ("product", [factor, (op, factor), ...])
 # with op "*" or "/", and ("sum", [(sign, term), ...]).  A tree's value is

@@ -583,8 +583,9 @@ class TestCliScenarios:
         assert run(["pullback", "--plot", "t^²", "dx^2"]) == 1
         assert "syntax error at 1:3: unexpected character '²'" in capsys.readouterr().err
 
-    def test_no_subcommand_imports_numpy_or_dataclasses(self):
-        # Modules loaded before the CLI (a site hook, say) do not count.
+    def test_no_subcommand_imports_numpy_dataclasses_or_typing(self):
+        # -S keeps ``site`` out, which may load typing itself; modules loaded
+        # before the CLI do not count.
         argvs = list({argv[0]: argv for argv, _, _ in SCENARIOS}.values())
         assert len(argvs) == 7
         code = (
@@ -594,12 +595,12 @@ class TestCliScenarios:
             "for argv in %r:\n"
             "    run(argv)\n"
             "loaded = set(sys.modules) - before\n"
-            "assert not loaded & {'numpy', 'dataclasses'}, sorted(loaded)\n" % (argvs,)
+            "assert not loaded & {'numpy', 'dataclasses', 'typing'}, sorted(loaded)\n" % (argvs,)
         )
         src = str(Path(cornerjet.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, "-c", code], env=env,
+        result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
 
@@ -696,7 +697,8 @@ class TestCliScenarios:
 
         def shifted(tensor, plot, order):
             verdict = pullback(tensor, plot, order)
-            return SmoothnessVerdict(verdict.status, witness=verdict.witness.shifted(1))
+            w = verdict.witness
+            return SmoothnessVerdict(verdict.status, witness=LaurentJet(w.valuation + 1, w.coeffs))
 
         monkeypatch.setattr(capacity_module, "pullback_halfline", shifted)
         assert run(["verify-capacity", "2", "1"]) == 1

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -9,6 +11,7 @@ from cornerjet import (
     decompose_halfline,
     decompose_quadrant,
     make_halfline_tensor,
+    parse_tensor,
     pullback_sq2,
     tau_sing,
 )
@@ -17,6 +20,7 @@ from cornerjet.pullback import Status
 from cornerjet.tensors import make_quadrant_tensor
 
 from conftest import jet1s, nonzero_rationals, polynomial_laurent2s, rationals
+from oracles import descend_square_pullback
 
 
 def valuation_split(coeff: LaurentJet, order: int):
@@ -40,6 +44,17 @@ class TestDecomposeHalfline:
         # the constructive route passes through g(t) = 4 t^2 f(t^2) and h
         assert d.trace.g == Jet1([4, 0, 12, 0, 4])
         assert d.trace.h == Jet1([4, 12, 4])
+
+    def test_gap_and_rational_coefficient(self):
+        # g runs through degree 2 * order + 2, zeros included
+        d = decompose_halfline(parse_tensor("(1/x + 3/2*x^2)*dx^2"), order=3)
+        assert d.trace.g == Jet1([4, 0, 0, 0, 0, 0, 6, 0, 0])
+        assert str(d.trace.g) == "4 + 6*t^6"
+        assert d.trace.h == Jet1([4, 0, 0, 6, 0])
+        assert str(d.trace.h) == "4 + 6*t^3"
+        assert d.c == 1
+        assert d.regular == Jet1([0, 0, Fraction(3, 2), 0])
+        assert str(d.regular) == "3/2*t^2"
 
     def test_pole_free_input(self):
         d = decompose_halfline(make_halfline_tensor(2, LaurentJet(1, [1])))
@@ -101,6 +116,10 @@ def build_quadrant(A, B, reg_a, reg_b, reg_c):
     a = LaurentJet2({(-1, j): c for j, c in enumerate(A.coeffs) if c != 0}) + reg_a
     b = LaurentJet2({(i, -1): c for i, c in enumerate(B.coeffs) if c != 0}) + reg_b
     return make_quadrant_tensor(a, b, reg_c)
+
+
+def terms_dict(jet: LaurentJet2) -> dict:
+    return {(i, j): c for i, j, c in jet.terms()}
 
 
 class TestDecomposeQuadrant:
@@ -167,6 +186,28 @@ class TestDecomposeQuadrant:
         assert d.regular_dy2 == reg_b
         assert d.regular_cross == reg_c
         assert d.reconstruct() == tensor
+
+    @settings(max_examples=100)
+    @given(
+        jet1s(max_order=5),
+        jet1s(max_order=5),
+        polynomial_laurent2s(),
+        polynomial_laurent2s(),
+        polynomial_laurent2s(),
+    )
+    def test_split_equals_descent_of_square_pullback(self, A, B, reg_a, reg_b, reg_c):
+        # the split read off the components against the paper's route: descend
+        # the square-map pullback and split it at the axes
+        tensor = build_quadrant(A, B, reg_a, reg_b, reg_c)
+        d = decompose_quadrant(tensor)
+        got = (
+            {j: c for j, c in enumerate(d.A.coeffs) if c},
+            {i: c for i, c in enumerate(d.B.coeffs) if c},
+            terms_dict(d.regular_dx2),
+            terms_dict(d.regular_dy2),
+            terms_dict(d.regular_cross),
+        )
+        assert got == descend_square_pullback(pullback_sq2(tensor))
 
     @settings(max_examples=100)
     @given(
