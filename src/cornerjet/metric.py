@@ -7,6 +7,13 @@ value there to be zero as well; positivity is read off the sign of the lowest
 nonvanishing witness coefficient.  On interior germs with nonzero velocity the
 value must be strictly positive.
 
+The verdict reads two values of each witness: its leading coefficient and its
+t^0 coefficient.  A metric candidate has at most a simple pole, so every
+witness along the family has valuation >= 0 and the shortest window holds both
+exactly; each germ is pulled back at that window, whatever ``order`` is.
+``order`` (``--order`` on ``check-metric``) sets only the window of the witness
+printed when a deeper pole exceeds the capacity.
+
 The family is finite, so a rejection is a genuine counterexample while an
 acceptance is heuristic (soundness is one-sided).  Witness selection is
 deterministic: boundary germs by increasing contact order first, then interior
@@ -27,6 +34,9 @@ __all__ = ["DEFAULT_FAMILY", "MetricWitness", "MetricVerdict", "check_metric"]
 POSITIVITY = "positivity"
 DEFINITE_ZERO = "definiteness-zero-required"
 DEFINITE_NONZERO = "definiteness-nonzero-required"
+
+# The shortest window pullback_halfline takes, which is all the verdict reads.
+_WINDOW = 2
 
 # The germs a metric is tested against, in witness order: t^(2m) for
 # m = 1, 2, 3, then x0 + t for x0 = 1/2, 1, 2.
@@ -57,8 +67,7 @@ def check_metric(g: HalfLineTensor, order: int = DEFAULT_ORDER) -> MetricVerdict
     if g.pole_order >= 2:
         raise _capacity_exceeded(g, order)
     for germ in DEFAULT_FAMILY:
-        verdict = pullback_halfline(g, germ, order)
-        witness = verdict.witness
+        witness = pullback_halfline(g, germ, _WINDOW).witness
         value = witness.coefficient(0)
         if isinstance(germ, BoundaryGerm):
             leading = witness.coeffs[0] if not witness.is_zero else Fraction(0)

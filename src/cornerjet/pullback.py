@@ -23,7 +23,9 @@ The stage computes on integers from the curves to the witness: each curve is
 scaled once by the lcm of its denominators, it and its derivative carry their
 content as one fraction, and every term's scalar is an integer over one common
 denominator.  The division is fraction-free (pseudo-division; Knuth, TAOCP
-vol. 2, 4.6.1): Q_k = q_k d0^(k+1) stays an integer.
+vol. 2, 4.6.1): Q_k = q_k d0^(k+1) stays an integer, and each witness
+coefficient is one reduced fraction built from Q_k, the power of d0 and the
+scalar that W / D carries.
 """
 
 from __future__ import annotations
@@ -182,11 +184,12 @@ def _powers(base: _Series, exponents: set[int], keep: int) -> dict[int, _Series]
     return out
 
 
-def _divide(w: list[int], d: list[int], terms: int) -> list[Fraction]:
-    """The first ``terms`` coefficients q_k of w / d, both read from their valuations.
+def _divide(w: list[int], d: list[int], terms: int, scale: Fraction) -> list[Fraction]:
+    """The first ``terms`` coefficients of scale * w / d, both read from their valuations.
 
     Q_k = q_k d0^(k+1) = w_k d0^k - sum over j >= 1 of d_j d0^(j-1) Q_(k-j)
-    is an integer; only the q_k are built as Fractions.
+    is an integer, and each output is built once, in lowest terms, as
+    Q_k sn / (d0^(k+1) sd) with scale = sn / sd.
     """
     d0, powers, quotient = d[0], [1], []
     steps = [(j, c * d0 ** (j - 1)) for j, c in enumerate(d) if j and c]
@@ -194,7 +197,8 @@ def _divide(w: list[int], d: list[int], terms: int) -> list[Fraction]:
         acc = w[k] * powers[k] if k < len(w) else 0
         quotient.append(acc - sum(e * quotient[k - j] for j, e in steps if j <= k))
         powers.append(powers[k] * d0)
-    return [Fraction(q, powers[k + 1]) for k, q in enumerate(quotient)]
+    sn, sd = scale.numerator, scale.denominator
+    return [Fraction(q * sn, powers[k + 1] * sd) for k, q in enumerate(quotient)]
 
 
 def _curve(plot: PlotGerm) -> LaurentJet:
@@ -252,7 +256,7 @@ def _pull_back(terms: list[_Term], px: LaurentJet, py: LaurentJet, order: int) -
     d_val, d = _times(_powers(sx, {vx}, order)[vx], _powers(sy, {vy}, order)[vy],
                       vx * sx[0] + vy * sy[0] + order)
     scale = Fraction(dx ** vx * dy ** vy, den * nx ** vx * ny ** vy)
-    return LaurentJet(w_val - d_val, [q * scale for q in _divide(w, d, order + 1)])
+    return LaurentJet(w_val - d_val, _divide(w, d, order + 1, scale))
 
 
 def _evaluate(slots, curves: tuple[_Series, ...], keep: int, top: int) -> _Series:

@@ -121,7 +121,7 @@ class TestLaurentDivide:
     def test_zero_denominator(self):
         # The divisor is read from its valuation: a zero there cannot divide.
         with pytest.raises(ZeroDivisionError):
-            _divide([1], [0, 1], 2)
+            _divide([1], [0, 1], 2, F(1))
 
     def test_nonterminating_quotient_window(self):
         # 1 / (1 - t) to five coefficients

@@ -48,8 +48,8 @@ def times(a: LaurentJet, b: LaurentJet, top: int) -> LaurentJet:
 def divide(num: LaurentJet, den: LaurentJet, terms: int | None = None) -> LaurentJet:
     """The first ``terms`` coefficients of num / den (default: as many as num stores)."""
     (en, sn), (ed, sd) = scaled(num), scaled(den)
-    quotient = _divide(sn[1], sd[1], len(num.coeffs) if terms is None else terms)
-    return LaurentJet(sn[0] - sd[0], [q * F(ed, en) for q in quotient])
+    quotient = _divide(sn[1], sd[1], len(num.coeffs) if terms is None else terms, F(ed, en))
+    return LaurentJet(sn[0] - sd[0], quotient)
 
 
 @st.composite
@@ -200,10 +200,34 @@ def divisors(draw):
 def test_divide_matches_long_division(num, den, terms):
     quotient = divide(num, den, terms)
     assert _terms(quotient) == long_divide(_terms(num), _terms(den), terms)
-    assert all(type(q) is F for q in _divide(scaled(num)[1][1], scaled(den)[1][1], terms))
+    assert all(type(q) is F for q in _divide(scaled(num)[1][1], scaled(den)[1][1], terms, F(1)))
+
+
+@st.composite
+def scales(draw, d0):
+    """Nonzero scales of either sign, some with powers of d0's factors above or below."""
+    shared = F(d0) ** draw(st.integers(-3, 3))
+    base = draw(st.one_of(rationals, st.fractions(max_denominator=10**6)).filter(lambda q: q != 0))
+    return draw(st.sampled_from([1, -1])) * shared * base
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents().filter(lambda j: not j.is_zero), divisors(), st.integers(1, 14), st.data())
+def test_divide_folds_the_scale_into_each_quotient(num, den, terms, data):
+    # One Fraction per coefficient, Q_k sn / (d0^(k+1) sd), against the two
+    # steps it replaces, Fraction(Q_k, d0^(k+1)) * scale, and long division.
+    (_, (_, w)), (_, (_, d)) = scaled(num), scaled(den)
+    scale = data.draw(scales(d[0]))
+    folded = _divide(w, d, terms, scale)
+    assert folded == [q * scale for q in _divide(w, d, terms, F(1))]
+    exact = long_divide(dict(enumerate(w)), dict(enumerate(d)), terms)
+    assert folded == [exact.get(k, 0) * scale for k in range(terms)]
+    assert all(type(q) is F for q in folded)
 
 
 def test_divide_known_quotients():
     # 1 / (2 + 3t): q_k = (-3/2)^k / 2, from the integers Q_k = q_k 2^(k+1) = (-3)^k.
-    assert _divide([1], [2, 3], 4) == [F(1, 2), F(-3, 4), F(9, 8), F(-27, 16)]
-    assert _divide([6, 0, 6], [3], 4) == [2, 0, 2, 0]
+    assert _divide([1], [2, 3], 4, F(1)) == [F(1, 2), F(-3, 4), F(9, 8), F(-27, 16)]
+    assert _divide([6, 0, 6], [3], 4, F(1)) == [2, 0, 2, 0]
+    # The scale meets d0's powers in one reduction: -4/3 / (2 + 3t).
+    assert _divide([1], [2, 3], 4, F(-4, 3)) == [F(-2, 3), 1, F(-3, 2), F(9, 4)]

@@ -13,9 +13,11 @@ from cornerjet import (
     tau_sing,
 )
 from cornerjet.metric import DEFAULT_FAMILY
-from cornerjet.plots import BoundaryGerm, InteriorGerm
+from cornerjet.plots import BoundaryGerm, InteriorGerm, make_boundary_plot
 
-from conftest import jet1s, nonzero_rationals
+from conftest import jet1s, nonzero_rationals, rationals
+
+ORDERS = (2, 16, 64, 256)
 
 
 class TestCheckMetric:
@@ -102,3 +104,53 @@ class TestCheckMetric:
     def test_positive_scaling_invariance(self, regular, scale):
         g = make_halfline_tensor(2, regular)
         assert check_metric(g).accepted == check_metric(scale * g).accepted
+
+
+@st.composite
+def metric_candidates(draw):
+    """f(x) dx^2 with at most a simple pole: mixed signs, or only zero and positive coefficients."""
+    coefficients = draw(st.sampled_from([
+        rationals,
+        st.one_of(st.just(F(0)), st.fractions(min_value=F(1, 12), max_value=10, max_denominator=12)),
+    ]))
+    coeffs = draw(st.lists(coefficients, min_size=1, max_size=7))
+    return make_halfline_tensor(2, LaurentJet(draw(st.integers(-1, 3)), coeffs))
+
+
+class TestMetricWindow:
+    """The verdict reads two witness coefficients that every window holds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(metric_candidates())
+    def test_verdict_does_not_depend_on_the_order(self, g):
+        verdicts = [check_metric(g, order=o) for o in ORDERS]
+        assert all(v == verdicts[0] for v in verdicts)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_double_pole_witness_follows_the_order(self, order):
+        # 1/x^2 + 1/x + 1 + x + ... along t^2 is 4 t^-2 (1 + t^2 + t^4 + ...):
+        # nonzero at every even degree, so the window shows in the witness.
+        g = make_halfline_tensor(2, LaurentJet(-2, [1] * 200))
+        with pytest.raises(NotSmoothError, match="capacity exceeded") as err:
+            check_metric(g, order=order)
+        witness = err.value.verdict.witness
+        assert witness.valuation == -2
+        assert len(witness.coeffs) == order + 1
+        assert witness == pullback_halfline(g, make_boundary_plot(1, 1), order).witness
+
+    def test_accepted_metric_asks_only_for_the_shortest_window(self, monkeypatch):
+        # An edit that pulls the germs back at ``order`` again would redo the
+        # 257-coefficient witness work at order 256 for two coefficients.
+        g = make_halfline_tensor(2, LaurentJet(0, [1, 0, 1]))
+        with pytest.raises(ValueError, match="at least 2"):
+            pullback_halfline(g, DEFAULT_FAMILY[0], 1)
+        asked = []
+
+        def recording(tensor, plot, order):
+            asked.append(order)
+            return pullback_halfline(tensor, plot, order)
+
+        monkeypatch.setattr("cornerjet.metric.pullback_halfline", recording)
+        assert check_metric(g, order=256).accepted
+        assert len(asked) == len(DEFAULT_FAMILY)
+        assert max(asked) == 2
