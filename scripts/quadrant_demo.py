@@ -42,8 +42,7 @@ def main() -> None:
     print("\ndecomposition:")
     print("  A(y) =", d.A.to_str("y"), " (coefficient of dx^2/x)")
     print("  B(x) =", d.B.to_str("x"), " (coefficient of dy^2/y)")
-    regular = type(tensor)(d.regular_dx2, d.regular_dy2, d.regular_cross)
-    print("  regular remainder =", format_quadrant_tensor(regular))
+    print("  regular remainder =", format_quadrant_tensor(d.regular))
     print("  reconstruction exact:", d.reconstruct() == tensor)
 
     print("\na cross-term pole cannot occur in a smooth tensor:")

@@ -47,6 +47,7 @@ from .pullback import (
     Status,
     pullback_halfline,
 )
+from .tensors import QUADRANT_BASIS, basis_name
 
 ORDER_ENV_VAR = "CORNERJET_ORDER"
 
@@ -185,19 +186,15 @@ def _resolve_order(ns) -> int:
 # -- command handlers ---------------------------------------------------------
 
 
+# The JSON key of each quadrant component, its basis element dx^p dy^q.
+_BASIS_KEYS = tuple(basis_name(basis, ("dx", "dy")) for basis in QUADRANT_BASIS)
+
+
 def _cmd_decompose(ns) -> int:
     order = _resolve_order(ns)
     tensor = parse_tensor(ns.tensor, ns.space)
     if ns.space == "halfline":
-        try:
-            result = decompose_halfline(tensor, order=order)
-        except NotSmoothError as err:
-            lines = ["rejected: %s" % err] + _verdict_lines(err.verdict)
-            _emit(ns, lines, {
-                "command": "decompose", "space": "halfline", "accepted": False,
-                "error": str(err), "witness": verdict_to_json(err.verdict),
-            })
-            return 2
+        result = decompose_halfline(tensor, order=order)
         _emit(
             ns,
             ["c = %s" % result.c, "regular = %s" % result.regular.to_str("x")],
@@ -214,24 +211,13 @@ def _cmd_decompose(ns) -> int:
             },
         )
         return 0
-    try:
-        result = decompose_quadrant(tensor, order=order)
-    except NotSmoothError as err:
-        lines = ["rejected: %s" % err, _parity_line(err.parity)]
-        _emit(ns, lines, {
-            "command": "decompose", "space": "quadrant", "accepted": False,
-            "error": str(err), "parity": parity_to_json(err.parity),
-        })
-        return 2
-    regular = format_quadrant_tensor(
-        type(tensor)(result.regular_dx2, result.regular_dy2, result.regular_cross)
-    )
+    result = decompose_quadrant(tensor, order=order)
     _emit(
         ns,
         [
             "A = %s" % result.A.to_str("y"),
             "B = %s" % result.B.to_str("x"),
-            "regular = %s" % regular,
+            "regular = %s" % format_quadrant_tensor(result.regular),
             _parity_line(result.parity_report),
         ],
         {
@@ -241,9 +227,8 @@ def _cmd_decompose(ns) -> int:
             "A": jet1_to_json(result.A),
             "B": jet1_to_json(result.B),
             "regular": {
-                "dx^2": laurent2_to_json(result.regular_dx2),
-                "dy^2": laurent2_to_json(result.regular_dy2),
-                "dx*dy": laurent2_to_json(result.regular_cross),
+                key: laurent2_to_json(jet)
+                for key, (_, jet) in zip(_BASIS_KEYS, result.regular.components())
             },
             "parity": parity_to_json(result.parity_report),
         },
@@ -301,15 +286,7 @@ def _cmd_verify_capacity(ns) -> int:
 def _cmd_check_metric(ns) -> int:
     order = _resolve_order(ns)
     tensor = parse_tensor(ns.tensor, "halfline")
-    try:
-        verdict = check_metric(tensor, order=order)
-    except NotSmoothError as err:
-        lines = ["rejected: %s" % err] + _verdict_lines(err.verdict)
-        _emit(ns, lines, {
-            "command": "check-metric", "accepted": False, "error": str(err),
-            "witness": verdict_to_json(err.verdict),
-        })
-        return 2
+    verdict = check_metric(tensor, order=order)
     if verdict.accepted:
         _emit(ns, ["accepted"], {
             "command": "check-metric", "accepted": True, "witness": None,
@@ -469,7 +446,17 @@ def run(argv=None) -> int:
         print("error: %s" % err, file=sys.stderr)
         return 1
     except NotSmoothError as err:
-        print("rejected: %s" % err, file=sys.stderr)
+        # A rejected tensor, with its witness: a pullback verdict or a parity report.
+        payload = {"command": ns.command, "accepted": False, "error": str(err)}
+        if hasattr(ns, "space"):
+            payload["space"] = ns.space
+        if err.verdict is not None:
+            lines = _verdict_lines(err.verdict)
+            payload["witness"] = verdict_to_json(err.verdict)
+        else:
+            lines = [_parity_line(err.parity)]
+            payload["parity"] = parity_to_json(err.parity)
+        _emit(ns, ["rejected: %s" % err] + lines, payload)
         return 2
     except (ValueError, ZeroDivisionError, RuntimeError, TypeError) as err:
         # RuntimeError, TypeError: a failed internal check, such as a capacity margin.

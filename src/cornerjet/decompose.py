@@ -8,27 +8,25 @@ answer; the test suite keeps that shortcut as an independent oracle precisely
 so the two routes can be compared.
 
 On the quadrant the square map (u, v) -> (u^2, v^2) and its parity report
-decide: the sign-change symmetries of the corner make the dx^2 and dy^2
-coefficients pull back even-even and the cross term odd-odd, a pole in the
-cross term is structurally impossible for a smooth tensor, and an axial pole
-deeper than one does not pull back smooth.  Once the report accepts, the split
-is read off the components themselves: descending the pullback inverts the
-square map exactly, so it would only give them back.  The test suite keeps
-that descent as an independent oracle.
+decide.  A component's rules come from its basis element (p, q) of
+``tensors.QUADRANT_BASIS``: it must pull back into parity sector
+(p mod 2, q mod 2), so dx^2 and dy^2 land even-even and the cross term
+odd-odd, and without a pole, so the cross term has none and an axial pole is
+at most simple.  Once the report accepts, the split is read off the components
+themselves: descending the pullback inverts the square map exactly, so it
+would only give them back.  The test suite keeps that descent as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .jets import Jet1, LaurentJet, LaurentJet2, Record, parity_masses, whitney_descend
+from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record
+from .jets import parity_masses, whitney_descend
 from .pullback import NotSmoothError, _capacity_exceeded, pullback_sq2
-from .tensors import (
-    Decomposition,
-    DecompositionTrace,
-    HalfLineTensor,
-    QuadrantTensor,
-)
+from .tensors import QUADRANT_BASIS, Decomposition, DecompositionTrace, HalfLineTensor
+from .tensors import QuadrantTensor, basis_name
 
 __all__ = [
     "ComponentParity",
@@ -53,13 +51,7 @@ def decompose_halfline(tensor: HalfLineTensor, order: int | None = None) -> Deco
     coeff = tensor.coeff
     if coeff.pole_order >= 2:
         raise _capacity_exceeded(tensor, order)
-    natural = max(coeff.degree or 0, 0)
-    if order is None:
-        order = natural
-    elif order < natural:
-        raise ValueError(
-            "order %d cannot represent the input (degree %d)" % (order, natural)
-        )
+    order = _report_order(coeff, order, "input")
     # g(t) = 4 t^2 f(t^2): the term c x^d lands at t^(2d + 2) as 4c.
     g_coeffs = [Fraction(0)] * (2 * order + 3)
     for d, c in coeff.terms():
@@ -113,35 +105,40 @@ def _component_parity(name: str, expected: str, jet: LaurentJet2) -> ComponentPa
     )
 
 
+# Per element (p, q) of QUADRANT_BASIS: the name of its pullback, du^p dv^q,
+# and the parity sector (p mod 2, q mod 2) that the pullback must fill.
+_PARITY_RULES = tuple(
+    (basis_name(basis, ("du", "dv")), SECTOR_NAMES[basis[0] % 2, basis[1] % 2])
+    for basis in QUADRANT_BASIS
+)
+
+
 def check_gamma_parity(tensor: QuadrantTensor) -> ParityReport:
     """Which parity sectors each pulled-back component occupies, and whether
-    the corner selection rule (axial even-even, cross odd-odd, no poles) holds."""
+    the corner selection rule (each in its basis element's sector, no poles) holds."""
     pulled = pullback_sq2(tensor)
-    return ParityReport(
-        du2=_component_parity("du^2", "even-even", pulled.du2),
-        dv2=_component_parity("dv^2", "even-even", pulled.dv2),
-        dudv=_component_parity("du*dv", "odd-odd", pulled.dudv),
-    )
+    return ParityReport(*[
+        _component_parity(name, expected, jet)
+        for (name, expected), jet in zip(_PARITY_RULES, (pulled.du2, pulled.dv2, pulled.dudv))
+    ])
 
 
 class QuadrantDecomposition(Record):
-    """A(y)/x dx^2 + B(x)/y dy^2 plus pole-free regular components."""
+    """A(y)/x dx^2 + B(x)/y dy^2 plus a pole-free regular tensor."""
 
     A: Jet1
     B: Jet1
-    regular_dx2: LaurentJet2
-    regular_dy2: LaurentJet2
-    regular_cross: LaurentJet2
+    regular: QuadrantTensor
     parity_report: ParityReport
 
     def reconstruct(self) -> QuadrantTensor:
-        a = LaurentJet2(
-            {(-1, j): c for j, c in enumerate(self.A.coeffs) if c != 0}
-        ) + self.regular_dx2
-        b = LaurentJet2(
-            {(i, -1): c for i, c in enumerate(self.B.coeffs) if c != 0}
-        ) + self.regular_dy2
-        return QuadrantTensor(a, b, self.regular_cross)
+        a = LaurentJet2({(-1, j): c for j, c in enumerate(self.A.coeffs)}) + self.regular.a
+        b = LaurentJet2({(i, -1): c for i, c in enumerate(self.B.coeffs)}) + self.regular.b
+        return QuadrantTensor(a, b, self.regular.c)
+
+
+# The names of the basis elements, dx^p dy^q, for rejection messages.
+_BASIS_NAMES = tuple(basis_name(basis, ("dx", "dy")) for basis in QUADRANT_BASIS)
 
 
 def decompose_quadrant(
@@ -161,34 +158,32 @@ def decompose_quadrant(
         raise NotSmoothError(
             "singular cross term: violates odd-odd parity", parity=report
         )
-    for name, component in (("dx^2", report.du2), ("dy^2", report.dv2)):
+    for name, component in zip(_BASIS_NAMES, report.components()):
         if not component.ok:
             raise NotSmoothError(
                 "not a smooth tensor on the quadrant: %s coefficient pulls back"
                 " with a pole" % name,
                 parity=report,
             )
-    a, b = tensor.a, tensor.b
-    a_profile = a.slice_x(-1)
-    b_profile = b.slice_y(-1)
-    order_a = _axis_order(a_profile, order)
-    order_b = _axis_order(b_profile, order)
+    a_profile = tensor.a.slice_x(-1)
+    b_profile = tensor.b.slice_y(-1)
     return QuadrantDecomposition(
-        A=a_profile.to_jet1(order_a),
-        B=b_profile.to_jet1(order_b),
-        regular_dx2=a.restrict(lambda i, j: i >= 0),
-        regular_dy2=b.restrict(lambda i, j: j >= 0),
-        regular_cross=tensor.c,
+        A=a_profile.to_jet1(_report_order(a_profile, order, "axial profile")),
+        B=b_profile.to_jet1(_report_order(b_profile, order, "axial profile")),
+        regular=QuadrantTensor(*[
+            jet.restrict(lambda i, j: i >= 0 and j >= 0) for _, jet in tensor.components()
+        ]),
         parity_report=report,
     )
 
 
-def _axis_order(profile: LaurentJet, order: int | None) -> int:
-    natural = max(profile.degree or 0, 0)
+def _report_order(jet: LaurentJet, order: int | None, noun: str) -> int:
+    """``order``, or by default the highest degree of ``jet`` (at least 0)."""
+    natural = max(jet.degree or 0, 0)
     if order is None:
         return natural
     if order < natural:
         raise ValueError(
-            "order %d cannot represent the axial profile (degree %d)" % (order, natural)
+            "order %d cannot represent the %s (degree %d)" % (order, noun, natural)
         )
     return order

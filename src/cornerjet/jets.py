@@ -231,6 +231,14 @@ class LaurentJet(Record):
             object.__setattr__(self, "valuation", int(valuation) + lead)
             object.__setattr__(self, "coeffs", tuple(cs[lead:tail]))
 
+    @classmethod
+    def from_terms(cls, terms: Mapping[int, Fraction]) -> "LaurentJet":
+        """The jet sum c x^d over a sparse {d: c}."""
+        if not terms:
+            return cls()
+        lo, hi = min(terms), max(terms)
+        return cls(lo, tuple(terms.get(d, Fraction(0)) for d in range(lo, hi + 1)))
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -369,19 +377,11 @@ class LaurentJet2(Record):
 
     def slice_x(self, i: int) -> LaurentJet:
         """The coefficient of x^i as a Laurent jet in y."""
-        picked = {j: c for (ii, j), c in self._terms.items() if ii == i}
-        if not picked:
-            return LaurentJet()
-        lo, hi = min(picked), max(picked)
-        return LaurentJet(lo, tuple(picked.get(d, Fraction(0)) for d in range(lo, hi + 1)))
+        return LaurentJet.from_terms({j: c for (ii, j), c in self._terms.items() if ii == i})
 
     def slice_y(self, j: int) -> LaurentJet:
         """The coefficient of y^j as a Laurent jet in x."""
-        picked = {i: c for (i, jj), c in self._terms.items() if jj == j}
-        if not picked:
-            return LaurentJet()
-        lo, hi = min(picked), max(picked)
-        return LaurentJet(lo, tuple(picked.get(d, Fraction(0)) for d in range(lo, hi + 1)))
+        return LaurentJet.from_terms({i: c for (i, jj), c in self._terms.items() if jj == j})
 
     def __add__(self, other):
         if not isinstance(other, LaurentJet2):

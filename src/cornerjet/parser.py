@@ -9,9 +9,10 @@ only -- no floats):
     atom    := INT | NAME | '(' expr ')'
 
 Half-line tensors use the symbols ``x`` and ``dx`` (any uniform power dx^k);
-quadrant tensors use ``x``, ``y`` and the degree-2 symbols ``dx^2``, ``dy^2``,
-``dx*dy``.  A coefficient written on ``dx*dy`` is the total symmetric cross
-coefficient (it is stored as-is, not halved).
+quadrant tensors use ``x``, ``y`` and the degree-2 basis ``dx^2``, ``dy^2``,
+``dx*dy`` of ``tensors.QUADRANT_BASIS``.  A coefficient written on ``dx*dy``
+is stored as-is: it is the dx (x) dy entry, so the term stands for
+c (dx (x) dy + dy (x) dx).
 
 Plot germs:  ``t^2``, ``t^4*(1+t)``, ``interior(1; 1+t)``, ``flat``.
 
@@ -46,6 +47,7 @@ from .plots import (
 )
 from .tensors import (
     MIN_VALUATION,
+    QUADRANT_BASIS,
     HalfLineTensor,
     QuadrantTensor,
     make_halfline_tensor,
@@ -281,8 +283,6 @@ _QUADRANT_SYMBOLS = {
 }
 _CURVE_SYMBOLS = {"t": (1, 0, 0, 0)}
 
-_QUADRANT_BASES = {(2, 0): "a", (0, 2): "b", (1, 1): "c"}
-
 
 def _parse_raw(text: str, symbols: dict[str, _Key]) -> _Value:
     """The parsed value, cancelled monomials included (coefficient zero)."""
@@ -317,16 +317,14 @@ def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | Quadran
             if xe < MIN_VALUATION:
                 raise ParseError("exponent %d below minimum %d" % (xe, MIN_VALUATION))
             coeff[xe] = c
-        if not coeff:
-            return make_halfline_tensor(k, LaurentJet())
-        lo, hi = min(coeff), max(coeff)
-        jet = LaurentJet(lo, tuple(coeff.get(d, Fraction(0)) for d in range(lo, hi + 1)))
-        return make_halfline_tensor(k, jet)
+        return make_halfline_tensor(k, LaurentJet.from_terms(coeff))
     if space == "quadrant":
         value = _parse_value(text, _QUADRANT_SYMBOLS)
-        components: dict[str, dict[tuple[int, int], Fraction]] = {"a": {}, "b": {}, "c": {}}
+        components: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {
+            basis: {} for basis in QUADRANT_BASIS
+        }
         for (xe, ye, p, q), c in value.items():
-            slot = _QUADRANT_BASES.get((p, q))
+            slot = components.get((p, q))
             if slot is None:
                 raise ParseError(
                     "quadrant terms must carry dx^2, dy^2 or dx*dy (got dx^%d*dy^%d)"
@@ -336,12 +334,8 @@ def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | Quadran
                 raise ParseError(
                     "exponent below minimum %d in x^%d*y^%d" % (MIN_VALUATION, xe, ye)
                 )
-            components[slot][(xe, ye)] = c
-        return make_quadrant_tensor(
-            LaurentJet2(components["a"]),
-            LaurentJet2(components["b"]),
-            LaurentJet2(components["c"]),
-        )
+            slot[(xe, ye)] = c
+        return make_quadrant_tensor(*[LaurentJet2(terms) for terms in components.values()])
     raise ValueError("space must be 'halfline' or 'quadrant'")
 
 
@@ -445,16 +439,15 @@ def _parse_interior(text: str, tokens: list[tuple[str, str, int]]) -> InteriorGe
 # -- printing ----------------------------------------------------------------
 
 
-# The dx^2, dy^2 and dx*dy factors, in the order terms of equal x, y powers print.
-_QUADRANT_BASIS_FACTORS = ([("dx", 2)], [("dy", 2)], [("dx", 1), ("dy", 1)])
-
-
 def format_quadrant_tensor(t: QuadrantTensor) -> str:
+    """The terms by powers of x, then y, then in basis order."""
     rows = sorted(
-        (i, j, rank, c) for rank, jet in enumerate((t.a, t.b, t.c)) for i, j, c in jet.terms()
+        (i, j, rank, basis, c)
+        for rank, (basis, jet) in enumerate(t.components())
+        for i, j, c in jet.terms()
     )
     return format_terms(
-        (c, [("x", i), ("y", j)] + _QUADRANT_BASIS_FACTORS[rank]) for i, j, rank, c in rows
+        (c, [("x", i), ("y", j), ("dx", p), ("dy", q)]) for i, j, _, (p, q), c in rows
     )
 
 

@@ -3,7 +3,10 @@
 A tensor coeff(x) dx^k pulled back along a curve P(t) has coefficient
 coeff(P(t)) * P'(t)^k; whether that is smooth at the contact point is decided
 purely by the valuation of the resulting Laurent jet in t, never by magnitude
-thresholds.
+thresholds.  On the quadrant every rule is read off the basis element (p, q)
+of a component (``tensors.QUADRANT_BASIS``): along a curve its coefficient
+counts once per slot order, comb(p+q, p) times, and the square map sends its
+term x^i y^j to u^(2i+p) v^(2j+q) times 2^(p+q) comb(p+q, p).
 
 Clearing denominators: every curve germ is a polynomial in t and every
 coefficient a Laurent polynomial, so a sum of terms c x^i y^j dx^p dy^q pulls
@@ -32,12 +35,12 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 
 from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, Record
 from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, make_boundary_plot
-from .tensors import HalfLineTensor, QuadrantTensor
+from .tensors import QUADRANT_BASIS, HalfLineTensor, QuadrantTensor
 
 __all__ = [
     "Status",
@@ -320,25 +323,28 @@ class SquarePullback(Record):
     dudv: LaurentJet2
 
 
+# Per element of QUADRANT_BASIS: the weight of its coefficient along a curve
+# and its scale under the square map (see the module docstring).
+_SLOT_ORDERS = tuple(comb(p + q, p) for p, q in QUADRANT_BASIS)
+_SQUARE_SCALES = tuple(2 ** (p + q) * comb(p + q, p) for p, q in QUADRANT_BASIS)
+
+
 def _square(jet: LaurentJet2, di: int, dj: int, scale: int) -> LaurentJet2:
     """scale * u^di * v^dj * jet(u^2, v^2), in one pass over the terms."""
     return LaurentJet2({(2 * i + di, 2 * j + dj): scale * c for i, j, c in jet.terms()})
 
 
 def pullback_sq2(tensor: QuadrantTensor) -> SquarePullback:
-    """Pull a quadrant tensor back along (u, v) -> (u^2, v^2).
+    """Pull a quadrant tensor back along (u, v) -> (u^2, v^2), exactly.
 
-    With dx = 2u du and dy = 2v dv, each component is one exponent map
-    x^i y^j -> u^(2i+di) v^(2j+dj) with a fixed scale, so the result is
-    exact: du^2 gets 4 u^2 a(u^2, v^2), dv^2 gets 4 v^2 b(u^2, v^2) and
-    du dv gets 8 u v c(u^2, v^2) (the displayed coefficient, counting both
-    du (x) dv and dv (x) du).
+    With dx = 2u du and dy = 2v dv, each component is one exponent map with a
+    fixed scale: du^2 gets 4 u^2 a(u^2, v^2), dv^2 gets 4 v^2 b(u^2, v^2) and
+    du dv gets 8 u v c(u^2, v^2), counting both du (x) dv and dv (x) du.
     """
-    return SquarePullback(
-        _square(tensor.a, 2, 0, 4),
-        _square(tensor.b, 0, 2, 4),
-        _square(tensor.c, 1, 1, 8),
-    )
+    return SquarePullback(*[
+        _square(jet, p, q, scale)
+        for ((p, q), jet), scale in zip(tensor.components(), _SQUARE_SCALES)
+    ])
 
 
 def pullback_quadrant_path(
@@ -347,16 +353,18 @@ def pullback_quadrant_path(
     """Pull a quadrant tensor back along a component-pair curve (px(t), py(t)).
 
     The dt^2 coefficient is a(px,py) px'^2 + b(px,py) py'^2 + 2 c(px,py) px'py',
-    the cross slot contributing once per tensor-factor order.
+    the cross term once per slot order.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     for component in (germ.px, germ.py):
         if isinstance(component, FlatGerm):
             raise ValueError("flat components are not supported in path pullback")
-    terms = [(i, j, 2, 0, c) for i, j, c in tensor.a.terms()]
-    terms += [(i, j, 0, 2, c) for i, j, c in tensor.b.terms()]
-    terms += [(i, j, 1, 1, 2 * c) for i, j, c in tensor.c.terms()]
+    terms = [
+        (i, j, p, q, c if n == 1 else n * c)
+        for ((p, q), jet), n in zip(tensor.components(), _SLOT_ORDERS)
+        for i, j, c in jet.terms()
+    ]
     witness = _pull_back(terms, _curve(germ.px), _curve(germ.py), order)
     boundary = isinstance(germ.px, BoundaryGerm) or isinstance(germ.py, BoundaryGerm)
     return _verdict(witness, boundary)

@@ -1,23 +1,32 @@
 """Covariant tensor fields on the half-line and the quadrant, with axial poles.
 
 A half-line tensor of degree k is coeff(x) * dx^k with a Laurent-jet
-coefficient; a quadrant tensor is a symmetric 2-tensor
-a(x,y) dx^2 + b(x,y) dy^2 + c(x,y) dx dy, where c is the total symmetric
-cross coefficient (stored once, not halved).
+coefficient; a quadrant tensor is a symmetric 2-tensor with one coefficient
+per element of ``QUADRANT_BASIS``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .jets import Jet1, LaurentJet, LaurentJet2, Rational, Record, as_fraction
+from .jets import Jet1, LaurentJet, LaurentJet2, Rational, Record, as_fraction, format_terms
 
 # The deepest pole, in x and in y, that a tensor coefficient may have.
 MIN_VALUATION = -4
 
+# The quadrant's degree-2 basis dx^p dy^q as (p, q), in the order of the fields
+# a, b, c of QuadrantTensor.  A coefficient is the entry of each of the
+# comb(p + q, p) slot orders of its element, so the tensor is
+# a dx (x) dx + b dy (x) dy + c (dx (x) dy + dy (x) dx): along a curve the
+# cross term counts twice, 2 c px' py', and its square-map pullback
+# 8 u v c(u^2, v^2) du dv holds both slot orders.
+QUADRANT_BASIS = ((2, 0), (0, 2), (1, 1))
+
 __all__ = [
     "MIN_VALUATION",
+    "QUADRANT_BASIS",
+    "basis_name",
     "HalfLineTensor",
     "QuadrantTensor",
     "Decomposition",
@@ -74,12 +83,21 @@ def make_halfline_tensor(k: int, coeff: LaurentJet | Jet1 | Rational) -> HalfLin
     return HalfLineTensor(k, _as_laurent(coeff))
 
 
+def basis_name(basis: tuple[int, int], symbols: tuple[str, str]) -> str:
+    """The basis element (p, q) written in two differentials: dx^2, or du*dv."""
+    return format_terms([(1, zip(symbols, basis))])
+
+
 class QuadrantTensor(Record):
     """a dx^2 + b dy^2 + c dx dy with two-variable Laurent coefficients."""
 
     a: LaurentJet2
     b: LaurentJet2
     c: LaurentJet2
+
+    def components(self) -> Iterator[tuple[tuple[int, int], LaurentJet2]]:
+        """((p, q), coefficient) for each element of ``QUADRANT_BASIS``."""
+        return zip(QUADRANT_BASIS, (self.a, self.b, self.c))
 
 
 def _as_laurent2(component) -> LaurentJet2:
@@ -92,17 +110,14 @@ def _as_laurent2(component) -> LaurentJet2:
 
 def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
     """Assemble a quadrant tensor; no pole may reach deeper than ``MIN_VALUATION``."""
-    parts = []
-    for name, component in (("dx^2", a), ("dy^2", b), ("dx*dy", c)):
-        jet = _as_laurent2(component)
-        vx, vy = jet.valuations
-        if vx < MIN_VALUATION or vy < MIN_VALUATION:
+    tensor = QuadrantTensor(_as_laurent2(a), _as_laurent2(b), _as_laurent2(c))
+    for basis, jet in tensor.components():
+        if min(jet.valuations) < MIN_VALUATION:
             raise ValueError(
                 "%s coefficient valuation below the configured minimum %d"
-                % (name, MIN_VALUATION)
+                % (basis_name(basis, ("dx", "dy")), MIN_VALUATION)
             )
-        parts.append(jet)
-    return QuadrantTensor(*parts)
+    return tensor
 
 
 class DecompositionTrace(Record):

@@ -124,11 +124,11 @@ def test_criterion_3_quadrant_decomposition():
             tensor = _build_quadrant(A, B, reg_a, reg_b, reg_c)
             result = decompose_quadrant(tensor, order=8)
             assert result.A == A and result.B == B
-            assert result.regular_dx2 == reg_a
-            assert result.regular_dy2 == reg_b
-            assert result.regular_cross == reg_c
+            assert result.regular.a == reg_a
+            assert result.regular.b == reg_b
+            assert result.regular.c == reg_c
             assert result.reconstruct() == tensor
-            cx, cy = result.regular_cross.valuations
+            cx, cy = result.regular.c.valuations
             assert cx >= 0 and cy >= 0
         for _ in range(60):
             cross = _random_regular(rng, terms=3) + LaurentJet2(

@@ -767,6 +767,20 @@ class TestJsonRoundTrip:
         payload = json.loads(capsys.readouterr().out)
         assert laurent2_from_json(payload["regular"]["dx*dy"]) == LaurentJet2({(1, 1): 1})
         assert payload["parity"]["rule_holds"] is True
+        assert set(payload["regular"]) == {"dx^2", "dy^2", "dx*dy"}
+        assert set(payload["parity"]["components"]) == {"du^2", "dv^2", "du*dv"}
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["decompose", "(1/x^2)*dx^2"], {"command", "accepted", "error", "space", "witness"}),
+        (["decompose", "--space", "quadrant", "(1/x)*dx*dy"],
+         {"command", "accepted", "error", "space", "parity"}),
+        (["check-metric", "(1/x^2)*dx^2"], {"command", "accepted", "error", "witness"}),
+    ])
+    def test_rejection_payloads(self, capsys, argv, keys):
+        assert run(argv[:1] + ["--format", "json"] + argv[1:]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == keys
+        assert payload["command"] == argv[0] and payload["accepted"] is False
 
     def test_metric_payload(self, capsys):
         assert run(["check-metric", "--format", "json", "(1/x)*dx^2"]) == 2

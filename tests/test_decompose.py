@@ -130,17 +130,17 @@ class TestDecomposeQuadrant:
         # 4v^2 v^-2 = 4 descends to K = 4, so B = 1; cross passes through.
         assert d.A == Jet1([0, 0, 1])
         assert d.B == Jet1([1])
-        assert d.regular_dx2.is_zero and d.regular_dy2.is_zero
-        assert d.regular_cross == LaurentJet2({(1, 1): 1})
+        assert d.regular.a.is_zero and d.regular.b.is_zero
+        assert d.regular.c == LaurentJet2({(1, 1): 1})
         assert d.parity_report.rule_holds
         assert d.reconstruct() == tensor
 
     def test_euclidean_restriction(self):
         d = decompose_quadrant(make_quadrant_tensor(1, 1, 0))
         assert not any(d.A.coeffs + d.B.coeffs)
-        assert d.regular_dx2 == LaurentJet2({(0, 0): 1})
-        assert d.regular_dy2 == LaurentJet2({(0, 0): 1})
-        assert d.regular_cross.is_zero
+        assert d.regular.a == LaurentJet2({(0, 0): 1})
+        assert d.regular.b == LaurentJet2({(0, 0): 1})
+        assert d.regular.c.is_zero
 
     def test_zero_tensor(self):
         tensor = make_quadrant_tensor(0, 0, 0)
@@ -182,9 +182,9 @@ class TestDecomposeQuadrant:
         d = decompose_quadrant(tensor, order=max(A.order, B.order))
         assert d.A.coeffs[: A.order + 1] == A.coeffs
         assert d.B.coeffs[: B.order + 1] == B.coeffs
-        assert d.regular_dx2 == reg_a
-        assert d.regular_dy2 == reg_b
-        assert d.regular_cross == reg_c
+        assert d.regular.a == reg_a
+        assert d.regular.b == reg_b
+        assert d.regular.c == reg_c
         assert d.reconstruct() == tensor
 
     @settings(max_examples=100)
@@ -203,9 +203,9 @@ class TestDecomposeQuadrant:
         got = (
             {j: c for j, c in enumerate(d.A.coeffs) if c},
             {i: c for i, c in enumerate(d.B.coeffs) if c},
-            terms_dict(d.regular_dx2),
-            terms_dict(d.regular_dy2),
-            terms_dict(d.regular_cross),
+            terms_dict(d.regular.a),
+            terms_dict(d.regular.b),
+            terms_dict(d.regular.c),
         )
         assert got == descend_square_pullback(pullback_sq2(tensor))
 
@@ -218,7 +218,7 @@ class TestDecomposeQuadrant:
     def test_accepted_cross_is_pole_free(self, A, B, reg_c):
         tensor = build_quadrant(A, B, LaurentJet2(), LaurentJet2(), reg_c)
         d = decompose_quadrant(tensor)
-        vx, vy = d.regular_cross.valuations
+        vx, vy = d.regular.c.valuations
         assert vx >= 0 and vy >= 0
 
     @settings(max_examples=60)

@@ -247,6 +247,11 @@ class TestLaurentJet2:
         assert j.slice_y(1) == LaurentJet(3, [7])
         assert j.slice_x(10).is_zero
 
+    def test_laurent_jet_from_sparse_terms(self):
+        assert LaurentJet.from_terms({-2: F(1), 1: F(3)}) == LaurentJet(-2, [1, 0, 0, 3])
+        assert LaurentJet.from_terms({4: F(0), 5: F(2)}) == LaurentJet(5, [2])
+        assert LaurentJet.from_terms({}) == LaurentJet()
+
     def test_parity_masses(self):
         j = LaurentJet2({(-1, 1): 1, (0, 0): 2, (2, 4): 3, (1, 0): 4})
         assert parity_masses(j) == {

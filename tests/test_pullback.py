@@ -19,9 +19,9 @@ from cornerjet import (
 from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.plots import FlatGerm, make_interior_plot
 from cornerjet.pullback import Status
-from cornerjet.tensors import make_quadrant_tensor
+from cornerjet.tensors import QuadrantTensor, make_quadrant_tensor
 
-from conftest import laurent_jets, polynomial_laurent2s, unit_jet1s
+from conftest import laurent2s, laurent_jets, polynomial_laurent2s, rationals, unit_jet1s
 from oracles import long_divide, realize_jet, schoolbook_product
 
 
@@ -332,6 +332,36 @@ class TestPullbackQuadrantPath:
         assert verdict.status is Status.SMOOTH
         assert verdict.witness == LaurentJet(cut + 1, s[cut + 1 : cut + 18])
         assert verdict.vanishing_order == cut + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        laurent2s(),
+        laurent2s(),
+        laurent2s(),
+        st.fractions(min_value=F(1, 4), max_value=3, max_denominator=6),
+        st.fractions(min_value=F(1, 4), max_value=3, max_denominator=6),
+        rationals,
+        rationals,
+    )
+    def test_square_map_and_path_share_the_cross_convention(self, a, b, c, u0, v0, ua, va):
+        # T along (u(t)^2, v(t)^2) is the square-map pullback S along (u(t), v(t)).
+        # S.dudv sums both slot orders, so as a tensor S carries half of it in c;
+        # its exponents may pass MIN_VALUATION, so it is built directly.
+        def root(x0, x2):  # x0 + t + x2 t^2
+            return make_interior_plot(x0, Jet1([x0, 1, x2]))
+
+        def square(x0, x2):  # (x0 + t + x2 t^2)^2
+            return make_interior_plot(
+                x0 ** 2, Jet1([x0 ** 2, 2 * x0, 1 + 2 * x0 * x2, 2 * x2, x2 ** 2]))
+
+        tensor = QuadrantTensor(a, b, c)
+        s = pullback_sq2(tensor)
+        pulled = QuadrantTensor(s.du2, s.dv2, s.dudv * F(1, 2))
+        along_squares = PairGerm(square(u0, ua), square(v0, va))
+        along_roots = PairGerm(root(u0, ua), root(v0, va))
+        for order in (2, 8):
+            assert pullback_quadrant_path(tensor, along_squares, order) == (
+                pullback_quadrant_path(pulled, along_roots, order))
 
     def test_exact_cancellation_along_diagonal(self):
         # a = 1, b = -1 along (t^2, t^2): px'^2 and py'^2 cancel exactly

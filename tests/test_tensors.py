@@ -4,7 +4,7 @@ import pytest
 
 from cornerjet import LaurentJet, make_halfline_tensor, tau_sing
 from cornerjet.jets import LaurentJet2
-from cornerjet.tensors import make_quadrant_tensor
+from cornerjet.tensors import QUADRANT_BASIS, basis_name, make_quadrant_tensor
 
 
 class TestTauSing:
@@ -67,3 +67,16 @@ class TestMakeQuadrantTensor:
             make_quadrant_tensor({(-5, 0): 1}, 0, 0)
         with pytest.raises(ValueError, match="below the configured minimum"):
             make_quadrant_tensor(0, {(0, -6): 1}, 0)
+        with pytest.raises(ValueError, match=r"^dx\*dy coefficient valuation"):
+            make_quadrant_tensor(0, 0, {(0, -5): 1})
+
+
+class TestQuadrantBasis:
+    def test_components_follow_the_fields(self):
+        t = make_quadrant_tensor({(-1, 2): 1}, {(0, -1): 1}, {(1, 1): 1})
+        assert list(t.components()) == [((2, 0), t.a), ((0, 2), t.b), ((1, 1), t.c)]
+        assert [basis for basis, _ in t.components()] == list(QUADRANT_BASIS)
+
+    def test_basis_names(self):
+        assert [basis_name(b, ("dx", "dy")) for b in QUADRANT_BASIS] == ["dx^2", "dy^2", "dx*dy"]
+        assert [basis_name(b, ("du", "dv")) for b in QUADRANT_BASIS] == ["du^2", "dv^2", "du*dv"]
