@@ -33,9 +33,9 @@ def main() -> None:
 
     pulled = pullback_sq2(tensor)
     print("\nsquare-map pullback (x,y) -> (u^2,v^2):")
-    print("  du^2  coefficient:", pulled.du2.to_str(("u", "v")))
-    print("  dv^2  coefficient:", pulled.dv2.to_str(("u", "v")))
-    print("  du*dv coefficient:", pulled.dudv.to_str(("u", "v")))
+    print("  du^2  coefficient:", pulled.a.to_str(("u", "v")))
+    print("  dv^2  coefficient:", pulled.b.to_str(("u", "v")))
+    print("  du*dv coefficient:", pulled.c.to_str(("u", "v")))
     show_parity(tensor)
 
     d = decompose_quadrant(tensor)

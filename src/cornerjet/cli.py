@@ -47,7 +47,7 @@ from .pullback import (
     Status,
     pullback_halfline,
 )
-from .tensors import QUADRANT_BASIS, basis_name
+from .tensors import QUADRANT_BASIS_NAMES
 
 ORDER_ENV_VAR = "CORNERJET_ORDER"
 
@@ -186,10 +186,6 @@ def _resolve_order(ns) -> int:
 # -- command handlers ---------------------------------------------------------
 
 
-# The JSON key of each quadrant component, its basis element dx^p dy^q.
-_BASIS_KEYS = tuple(basis_name(basis, ("dx", "dy")) for basis in QUADRANT_BASIS)
-
-
 def _cmd_decompose(ns) -> int:
     order = _resolve_order(ns)
     tensor = parse_tensor(ns.tensor, ns.space)
@@ -228,7 +224,7 @@ def _cmd_decompose(ns) -> int:
             "B": jet1_to_json(result.B),
             "regular": {
                 key: laurent2_to_json(jet)
-                for key, (_, jet) in zip(_BASIS_KEYS, result.regular.components())
+                for key, (_, jet) in zip(QUADRANT_BASIS_NAMES, result.regular.components())
             },
             "parity": parity_to_json(result.parity_report),
         },

@@ -25,8 +25,8 @@ from fractions import Fraction
 from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record
 from .jets import parity_masses, whitney_descend
 from .pullback import NotSmoothError, _capacity_exceeded, pullback_sq2
-from .tensors import QUADRANT_BASIS, Decomposition, DecompositionTrace, HalfLineTensor
-from .tensors import QuadrantTensor, basis_name
+from .tensors import QUADRANT_BASIS, QUADRANT_BASIS_NAMES, Decomposition, DecompositionTrace
+from .tensors import HalfLineTensor, QuadrantTensor, basis_name
 
 __all__ = [
     "ComponentParity",
@@ -116,10 +116,9 @@ _PARITY_RULES = tuple(
 def check_gamma_parity(tensor: QuadrantTensor) -> ParityReport:
     """Which parity sectors each pulled-back component occupies, and whether
     the corner selection rule (each in its basis element's sector, no poles) holds."""
-    pulled = pullback_sq2(tensor)
     return ParityReport(*[
         _component_parity(name, expected, jet)
-        for (name, expected), jet in zip(_PARITY_RULES, (pulled.du2, pulled.dv2, pulled.dudv))
+        for (name, expected), (_, jet) in zip(_PARITY_RULES, pullback_sq2(tensor).components())
     ])
 
 
@@ -135,10 +134,6 @@ class QuadrantDecomposition(Record):
         a = LaurentJet2({(-1, j): c for j, c in enumerate(self.A.coeffs)}) + self.regular.a
         b = LaurentJet2({(i, -1): c for i, c in enumerate(self.B.coeffs)}) + self.regular.b
         return QuadrantTensor(a, b, self.regular.c)
-
-
-# The names of the basis elements, dx^p dy^q, for rejection messages.
-_BASIS_NAMES = tuple(basis_name(basis, ("dx", "dy")) for basis in QUADRANT_BASIS)
 
 
 def decompose_quadrant(
@@ -158,7 +153,7 @@ def decompose_quadrant(
         raise NotSmoothError(
             "singular cross term: violates odd-odd parity", parity=report
         )
-    for name, component in zip(_BASIS_NAMES, report.components()):
+    for name, component in zip(QUADRANT_BASIS_NAMES, report.components()):
         if not component.ok:
             raise NotSmoothError(
                 "not a smooth tensor on the quadrant: %s coefficient pulls back"

@@ -292,10 +292,6 @@ def _parse_raw(text: str, symbols: dict[str, _Key]) -> _Value:
     return value
 
 
-def _parse_value(text: str, symbols: dict[str, _Key]) -> _Value:
-    return _clean(_parse_raw(text, symbols))
-
-
 def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | QuadrantTensor:
     """Parse a tensor expression for the given space ("halfline" or "quadrant").
 
@@ -319,7 +315,7 @@ def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | Quadran
             coeff[xe] = c
         return make_halfline_tensor(k, LaurentJet.from_terms(coeff))
     if space == "quadrant":
-        value = _parse_value(text, _QUADRANT_SYMBOLS)
+        value = _clean(_parse_raw(text, _QUADRANT_SYMBOLS))
         components: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {
             basis: {} for basis in QUADRANT_BASIS
         }
@@ -340,8 +336,9 @@ def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | Quadran
 
 
 def _value_to_jet1(value: _Value) -> Jet1:
+    """The polynomial in t that ``value`` is, cancelled monomials dropped."""
     coeffs: dict[int, Fraction] = {}
-    for (xe, _, _, _), c in value.items():  # the curve symbols give only powers of t
+    for (xe, _, _, _), c in _clean(value).items():  # the curve symbols give only powers of t
         if xe < 0:
             raise ParseError("negative powers of t are not allowed")
         coeffs[xe] = c
@@ -351,7 +348,7 @@ def _value_to_jet1(value: _Value) -> Jet1:
 
 def parse_polynomial(text: str) -> Jet1:
     """A polynomial in the curve parameter t, e.g. '1 + t/2 - 3*t^4'."""
-    return _value_to_jet1(_parse_value(text, _CURVE_SYMBOLS))
+    return _value_to_jet1(_parse_raw(text, _CURVE_SYMBOLS))
 
 
 _RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
@@ -428,7 +425,7 @@ def _parse_interior(text: str, tokens: list[tuple[str, str, int]]) -> InteriorGe
         raise ParseError("interior base point must be positive")
     parser = _ExprParser(tokens, _CURVE_SYMBOLS)
     parser.pos = semi + 1
-    jet = _value_to_jet1(_clean(parser.expr()))
+    jet = _value_to_jet1(parser.expr())
     parser.expect_op(")")
     parser.expect_end()
     if jet.constant_term != x0:

@@ -6,7 +6,8 @@ purely by the valuation of the resulting Laurent jet in t, never by magnitude
 thresholds.  On the quadrant every rule is read off the basis element (p, q)
 of a component (``tensors.QUADRANT_BASIS``): along a curve its coefficient
 counts once per slot order, comb(p+q, p) times, and the square map sends its
-term x^i y^j to u^(2i+p) v^(2j+q) times 2^(p+q) comb(p+q, p).
+term c x^i y^j to 2^(p+q) c u^(2i+p) v^(2j+q), the coefficient of the same
+basis element du^p dv^q in the same convention.
 
 Clearing denominators: every curve germ is a polynomial in t and every
 coefficient a Laurent polynomial, so a sum of terms c x^i y^j dx^p dy^q pulls
@@ -46,7 +47,6 @@ __all__ = [
     "Status",
     "SmoothnessVerdict",
     "NotSmoothError",
-    "SquarePullback",
     "pullback_halfline",
     "pullback_sq2",
     "pullback_quadrant_path",
@@ -315,34 +315,22 @@ def pullback_halfline(
     return _verdict(witness, isinstance(plot, BoundaryGerm))
 
 
-class SquarePullback(Record):
-    """Coefficients of du^2, dv^2 and du dv after substituting (x,y) = (u^2,v^2)."""
-
-    du2: LaurentJet2
-    dv2: LaurentJet2
-    dudv: LaurentJet2
-
-
 # Per element of QUADRANT_BASIS: the weight of its coefficient along a curve
 # and its scale under the square map (see the module docstring).
 _SLOT_ORDERS = tuple(comb(p + q, p) for p, q in QUADRANT_BASIS)
-_SQUARE_SCALES = tuple(2 ** (p + q) * comb(p + q, p) for p, q in QUADRANT_BASIS)
+_SQUARE_SCALES = tuple(2 ** (p + q) for p, q in QUADRANT_BASIS)
 
 
-def _square(jet: LaurentJet2, di: int, dj: int, scale: int) -> LaurentJet2:
-    """scale * u^di * v^dj * jet(u^2, v^2), in one pass over the terms."""
-    return LaurentJet2({(2 * i + di, 2 * j + dj): scale * c for i, j, c in jet.terms()})
-
-
-def pullback_sq2(tensor: QuadrantTensor) -> SquarePullback:
+def pullback_sq2(tensor: QuadrantTensor) -> QuadrantTensor:
     """Pull a quadrant tensor back along (u, v) -> (u^2, v^2), exactly.
 
     With dx = 2u du and dy = 2v dv, each component is one exponent map with a
     fixed scale: du^2 gets 4 u^2 a(u^2, v^2), dv^2 gets 4 v^2 b(u^2, v^2) and
-    du dv gets 8 u v c(u^2, v^2), counting both du (x) dv and dv (x) du.
+    du dv gets 4 u v c(u^2, v^2), the entry of each slot order as in the input.
+    The result is a tensor in u and v; its poles may pass ``MIN_VALUATION``.
     """
-    return SquarePullback(*[
-        _square(jet, p, q, scale)
+    return QuadrantTensor(*[
+        LaurentJet2({(2 * i + p, 2 * j + q): scale * c for i, j, c in jet.terms()})
         for ((p, q), jet), scale in zip(tensor.components(), _SQUARE_SCALES)
     ])
 

@@ -12,20 +12,10 @@ from fractions import Fraction
 
 from .jets import Jet1, LaurentJet, LaurentJet2, Rational, Record, as_fraction, format_terms
 
-# The deepest pole, in x and in y, that a tensor coefficient may have.
-MIN_VALUATION = -4
-
-# The quadrant's degree-2 basis dx^p dy^q as (p, q), in the order of the fields
-# a, b, c of QuadrantTensor.  A coefficient is the entry of each of the
-# comb(p + q, p) slot orders of its element, so the tensor is
-# a dx (x) dx + b dy (x) dy + c (dx (x) dy + dy (x) dx): along a curve the
-# cross term counts twice, 2 c px' py', and its square-map pullback
-# 8 u v c(u^2, v^2) du dv holds both slot orders.
-QUADRANT_BASIS = ((2, 0), (0, 2), (1, 1))
-
 __all__ = [
     "MIN_VALUATION",
     "QUADRANT_BASIS",
+    "QUADRANT_BASIS_NAMES",
     "basis_name",
     "HalfLineTensor",
     "QuadrantTensor",
@@ -35,6 +25,27 @@ __all__ = [
     "make_halfline_tensor",
     "make_quadrant_tensor",
 ]
+
+# The deepest pole, in x and in y, that a tensor coefficient may have.
+MIN_VALUATION = -4
+
+# The quadrant's degree-2 basis dx^p dy^q as (p, q), in the order of the fields
+# a, b, c of QuadrantTensor.  A coefficient is the entry of each of the
+# comb(p + q, p) slot orders of its element, so the tensor is
+# a dx (x) dx + b dy (x) dy + c (dx (x) dy + dy (x) dx): along a curve the
+# cross term counts twice, 2 c px' py'.  The square-map pullback keeps the
+# convention: its du dv coefficient 4 u v c(u^2, v^2) is again one entry.
+QUADRANT_BASIS = ((2, 0), (0, 2), (1, 1))
+
+
+def basis_name(basis: tuple[int, int], symbols: tuple[str, str]) -> str:
+    """The basis element (p, q) written in two differentials: dx^2, or du*dv."""
+    return format_terms([(1, zip(symbols, basis))])
+
+
+# The basis elements by name, dx^2, dy^2 and dx*dy: the JSON keys of a
+# tensor's components and the subjects of its rejection messages.
+QUADRANT_BASIS_NAMES = tuple(basis_name(basis, ("dx", "dy")) for basis in QUADRANT_BASIS)
 
 
 class HalfLineTensor(Record):
@@ -83,11 +94,6 @@ def make_halfline_tensor(k: int, coeff: LaurentJet | Jet1 | Rational) -> HalfLin
     return HalfLineTensor(k, _as_laurent(coeff))
 
 
-def basis_name(basis: tuple[int, int], symbols: tuple[str, str]) -> str:
-    """The basis element (p, q) written in two differentials: dx^2, or du*dv."""
-    return format_terms([(1, zip(symbols, basis))])
-
-
 class QuadrantTensor(Record):
     """a dx^2 + b dy^2 + c dx dy with two-variable Laurent coefficients."""
 
@@ -111,11 +117,11 @@ def _as_laurent2(component) -> LaurentJet2:
 def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
     """Assemble a quadrant tensor; no pole may reach deeper than ``MIN_VALUATION``."""
     tensor = QuadrantTensor(_as_laurent2(a), _as_laurent2(b), _as_laurent2(c))
-    for basis, jet in tensor.components():
+    for name, (_, jet) in zip(QUADRANT_BASIS_NAMES, tensor.components()):
         if min(jet.valuations) < MIN_VALUATION:
             raise ValueError(
                 "%s coefficient valuation below the configured minimum %d"
-                % (basis_name(basis, ("dx", "dy")), MIN_VALUATION)
+                % (name, MIN_VALUATION)
             )
     return tensor
 

@@ -90,30 +90,28 @@ def compose(outer, inner, order: int) -> dict[int, Fraction]:
 def descend_square_pullback(pulled):
     """The quadrant split by the constructive route, from the square-map pullback.
 
-    Each pulled-back component becomes {(i, j): coefficient} with its even
-    exponents halved: 4 u^2 a(u^2, v^2) descends to K = 4 x a(x, y), which
-    splits at x = 0 into A(y) = K|x^0 / 4 and the regular dx^2 part (K - 4A)
-    / 4x; likewise in y for dv^2.  The cross component sheds its factor u v
-    first and is divided by 8.  Returns (A as {j: c}, B as {i: c}, regular
-    dx^2, regular dy^2, regular cross).
+    The component of basis element du^p dv^q is 2^(p+q) u^(p%2) v^(q%2)
+    K(u^2, v^2): it sheds its odd factor, has its even exponents halved and is
+    divided by 2^(p+q), all in one loop.  So 4 u^2 a(u^2, v^2) descends to
+    K = x a(x, y), which splits at x = 0 into A(y) = K|x^0 and the regular dx^2
+    part (K - A) / x; likewise in y for dv^2, and 4 u v c(u^2, v^2) descends
+    to c.  Returns (A as {j: c}, B as {i: c}, regular dx^2, regular dy^2,
+    regular cross).
     """
-
-    def halve(terms) -> dict[tuple[int, int], Fraction]:
+    descended = []
+    for (p, q), jet in pulled.components():
         out = {}
-        for i, j, c in terms:
+        for i, j, c in jet.terms():
+            i, j = i - p % 2, j - q % 2
             if i % 2 or j % 2:
                 raise ValueError("not even-even: term u^%d v^%d" % (i, j))
-            out[(i // 2, j // 2)] = Fraction(c)
-        return out
-
-    k_a = halve(pulled.du2.terms())
-    k_b = halve(pulled.dv2.terms())
-    A = {j: c / 4 for (i, j), c in k_a.items() if i == 0}
-    B = {i: c / 4 for (i, j), c in k_b.items() if j == 0}
-    regular_dx2 = {(i - 1, j): c / 4 for (i, j), c in k_a.items() if i >= 1}
-    regular_dy2 = {(i, j - 1): c / 4 for (i, j), c in k_b.items() if j >= 1}
-    k_c = halve((i - 1, j - 1, c) for i, j, c in pulled.dudv.terms())
-    regular_cross = {k: c / 8 for k, c in k_c.items()}
+            out[(i // 2, j // 2)] = Fraction(c) / 2 ** (p + q)
+        descended.append(out)
+    k_a, k_b, regular_cross = descended
+    A = {j: c for (i, j), c in k_a.items() if i == 0}
+    B = {i: c for (i, j), c in k_b.items() if j == 0}
+    regular_dx2 = {(i - 1, j): c for (i, j), c in k_a.items() if i >= 1}
+    regular_dy2 = {(i, j - 1): c for (i, j), c in k_b.items() if j >= 1}
     return A, B, regular_dx2, regular_dy2, regular_cross
 
 

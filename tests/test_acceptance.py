@@ -151,10 +151,10 @@ def test_criterion_4_parity_selection_rule():
                 _random_regular(rng), _random_regular(rng), _random_regular(rng)
             )
             pulled = pullback_sq2(tensor)
-            for component in (pulled.du2, pulled.dv2):
+            for component in (pulled.a, pulled.b):
                 masses = parity_masses(component)
                 assert masses["even-odd"] == masses["odd-even"] == masses["odd-odd"] == 0
-            cross = parity_masses(pulled.dudv)
+            cross = parity_masses(pulled.c)
             assert cross["even-even"] == cross["even-odd"] == cross["odd-even"] == 0
 
 

@@ -179,6 +179,12 @@ class TestParsePlot:
         with pytest.raises(ParseError, match="not certified nonnegative"):
             parse_plot("t^2*(0 + t)")
 
+    def test_cancelled_unit_terms_are_dropped(self):
+        assert parse_plot("t^2*(1 + t - t)") == parse_plot("t^2")
+        assert format_plot(parse_plot("t^2*(1 + t - t)")) == "t^2"
+        assert parse_plot("t^2*(1 + 0*t^3)").unit == Jet1([1])
+        assert parse_plot("t^4*(2 + t^2 - t^2 + t)").unit == Jet1([2, 1])
+
     def test_rational_literori(self):
         assert parse_rational("-7/3") == F(-7, 3)
         with pytest.raises(ParseError, match="decimal point"):

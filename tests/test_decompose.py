@@ -154,7 +154,7 @@ class TestDecomposeQuadrant:
         with pytest.raises(NotSmoothError, match="singular cross term") as err:
             decompose_quadrant(tensor)
         parity = err.value.parity
-        # the pullback witness: 8 v u^-1 sits odd-odd at negative degree
+        # the pullback witness: 4 v u^-1 sits odd-odd at negative degree
         assert parity.dudv.min_degrees == (-1, 1)
         assert not parity.dudv.smooth
         assert parity.dudv.masses["odd-odd"] == 1
@@ -249,7 +249,7 @@ class TestCheckGammaParity:
 
     def test_smooth_cross(self):
         report = check_gamma_parity(make_quadrant_tensor(0, 0, {(1, 1): 1}))
-        # oracle: 8uv * u^2 v^2 = 8 u^3 v^3
+        # oracle: 4uv * u^2 v^2 = 4 u^3 v^3
         assert report.dudv.masses == {
             "even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 1,
         }
@@ -267,6 +267,6 @@ class TestCheckGammaParity:
         tensor = make_quadrant_tensor({(-1, 2): 1}, {(0, -1): 1}, {(1, 1): 1})
         report = check_gamma_parity(tensor)
         pulled = pullback_sq2(tensor)
-        assert report.du2.min_degrees == pulled.du2.valuations
-        assert report.dv2.min_degrees == pulled.dv2.valuations
-        assert report.dudv.min_degrees == pulled.dudv.valuations
+        assert report.du2.min_degrees == pulled.a.valuations
+        assert report.dv2.min_degrees == pulled.b.valuations
+        assert report.dudv.min_degrees == pulled.c.valuations

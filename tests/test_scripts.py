@@ -42,7 +42,7 @@ input tensor: x^-1*y^2*dx^2 + y^-1*dy^2 + x*y*dx*dy
 square-map pullback (x,y) -> (u^2,v^2):
   du^2  coefficient: 4*v^4
   dv^2  coefficient: 4
-  du*dv coefficient: 8*u^3*v^3
+  du*dv coefficient: 4*u^3*v^3
   du^2   expected even-even occupied: even-even(1)             ok
   dv^2   expected even-even occupied: even-even(1)             ok
   du*dv  expected odd-odd   occupied: odd-odd(1)               ok
