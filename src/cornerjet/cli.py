@@ -5,11 +5,19 @@ metric, admissible capacity, inequality holds), 2 when it rejects/fails
 (pole, rejected metric, capacity exceeded, parity violation, inequality
 failure), 1 on usage or parse errors and on a failed internal cross-check.
 
-JSON mode serializes every exact rational as a "num/den" string; jets are
+The global ``--order`` (default 16, or $CORNERJET_ORDER) is checked for every
+command, also those that do not read it.
+
+A JSON payload is ``command`` plus the fields of the command's result record
+(``SmoothnessVerdict``, ``Decomposition``, ``CapacityReport``,
+``MetricVerdict``, ``GlaeserLandauReport``), all encoded by one function,
+``_json``: every exact rational is a "num/den" string; jets are
 {"order", "coeffs"} (power series), {"valuation", "coeffs"} (Laurent), or
-{"terms": [{"x", "y", "c"}, ...]} (two-variable Laurent).  The only floats,
-the gl-check report's, are JSON numbers when finite and otherwise the strings
-"inf", "-inf" or "nan" that text mode prints, so the output is strict JSON.
+{"terms": [{"x", "y", "c"}, ...]} (two-variable Laurent); a plot germ is its
+text form.  The only floats, the gl-check report's, are JSON numbers when
+finite and otherwise the strings "inf", "-inf" or "nan" that text mode prints,
+so the output is strict JSON.  Two forms are keyed by name, not by field: the
+parity report's components, and the quadrant decomposition's regular part.
 """
 
 from __future__ import annotations
@@ -22,13 +30,8 @@ import sys
 from fractions import Fraction
 
 from .capacity import capacity, verify_capacity
-from .decompose import (
-    ParityReport,
-    check_gamma_parity,
-    decompose_halfline,
-    decompose_quadrant,
-)
-from .jets import DEFAULT_ORDER, Jet1, LaurentJet, LaurentJet2
+from .decompose import ParityReport, check_gamma_parity, decompose_halfline, decompose_quadrant
+from .jets import DEFAULT_ORDER, Jet1, LaurentJet, LaurentJet2, Record
 from .metric import check_metric
 from .numeric import SampledFunction, check_tolerance, glaeser_landau_check
 from .parser import (
@@ -41,12 +44,8 @@ from .parser import (
     parse_rational,
     parse_tensor,
 )
-from .pullback import (
-    NotSmoothError,
-    SmoothnessVerdict,
-    Status,
-    pullback_halfline,
-)
+from .plots import PlotGerm
+from .pullback import NotSmoothError, SmoothnessVerdict, Status, pullback_halfline
 from .tensors import QUADRANT_BASIS_NAMES
 
 ORDER_ENV_VAR = "CORNERJET_ORDER"
@@ -58,39 +57,47 @@ MAX_ORDER = 256
 MAX_M_MAX = 1000
 MAX_GRID = 8192
 
-__all__ = [
-    "run",
-    "main",
-    "fraction_str",
-    "jet1_to_json",
-    "laurent_to_json",
-    "laurent2_to_json",
-    "verdict_to_json",
-    "parity_to_json",
-]
+__all__ = ["run", "main", "fraction_str"]
 
 
-# -- JSON encoding of the exact types ------------------------------------------
+# -- JSON encoding ------------------------------------------------------------
 
 
 def fraction_str(f: Fraction) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def jet1_to_json(j: Jet1) -> dict:
-    return {"order": j.order, "coeffs": [fraction_str(c) for c in j.coeffs]}
+def _json(value):
+    """The documented JSON form of a value: a record is the object of its fields."""
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, Jet1):
+        return {"order": value.order, "coeffs": [fraction_str(c) for c in value.coeffs]}
+    if isinstance(value, LaurentJet):
+        return {"valuation": value.valuation, "coeffs": [fraction_str(c) for c in value.coeffs]}
+    if isinstance(value, LaurentJet2):
+        return {"terms": [{"x": i, "y": j, "c": fraction_str(c)} for i, j, c in value.terms()]}
+    if isinstance(value, PlotGerm):
+        return format_plot(value)
+    if isinstance(value, Status):
+        return value.value
+    if isinstance(value, Record):
+        return {name: _json(getattr(value, name)) for name in value._fields}
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    return value
 
 
-def laurent_to_json(j: LaurentJet) -> dict:
-    return {"valuation": j.valuation, "coeffs": [fraction_str(c) for c in j.coeffs]}
-
-
-def laurent2_to_json(j: LaurentJet2) -> dict:
-    return {
-        "terms": [
-            {"x": i, "y": jj, "c": fraction_str(c)} for i, jj, c in j.terms()
-        ]
-    }
+def _parity_json(report: ParityReport) -> dict:
+    """The components keyed by their names, each with its ``ok``."""
+    components = {}
+    for comp in report.components():
+        fields = _json(comp)
+        name = fields.pop("component")
+        components[name] = {**fields, "ok": comp.ok}
+    return {"components": components, "rule_holds": report.rule_holds}
 
 
 _STATUS_TEXT = {
@@ -101,32 +108,6 @@ _STATUS_TEXT = {
 }
 
 
-def verdict_to_json(v: SmoothnessVerdict) -> dict:
-    return {
-        "status": v.status.value,
-        "pole_order": v.pole_order,
-        "witness": None if v.witness is None else laurent_to_json(v.witness),
-        "vanishing_order": v.vanishing_order,
-    }
-
-
-def parity_to_json(report: ParityReport) -> dict:
-    return {
-        "components": {
-            comp.component: {
-                "expected": comp.expected,
-                "masses": comp.masses,
-                "min_degrees": list(comp.min_degrees) if comp.min_degrees else None,
-                "sector_ok": comp.sector_ok,
-                "smooth": comp.smooth,
-                "ok": comp.ok,
-            }
-            for comp in report.components()
-        },
-        "rule_holds": report.rule_holds,
-    }
-
-
 # -- output helpers -----------------------------------------------------------
 
 
@@ -135,11 +116,6 @@ def _emit(ns, lines: list[str], payload: dict) -> None:
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         print("\n".join(lines))
-
-
-def _float_to_json(x: float):
-    """A finite float as a JSON number; inf, -inf and nan as the strings text mode prints."""
-    return x if math.isfinite(x) else repr(x)
 
 
 def _status_text(v: SmoothnessVerdict) -> str:
@@ -187,27 +163,16 @@ def _resolve_order(ns) -> int:
 
 
 def _cmd_decompose(ns) -> int:
-    order = _resolve_order(ns)
     tensor = parse_tensor(ns.tensor, ns.space)
     if ns.space == "halfline":
-        result = decompose_halfline(tensor, order=order)
+        result = decompose_halfline(tensor, order=ns.order)
         _emit(
             ns,
             ["c = %s" % result.c, "regular = %s" % result.regular.to_str("x")],
-            {
-                "command": "decompose",
-                "space": "halfline",
-                "accepted": True,
-                "c": fraction_str(result.c),
-                "regular": jet1_to_json(result.regular),
-                "trace": {
-                    "g": jet1_to_json(result.trace.g),
-                    "h": jet1_to_json(result.trace.h),
-                },
-            },
+            {"command": "decompose", "space": "halfline", "accepted": True, **_json(result)},
         )
         return 0
-    result = decompose_quadrant(tensor, order=order)
+    result = decompose_quadrant(tensor, order=ns.order)
     _emit(
         ns,
         [
@@ -220,28 +185,24 @@ def _cmd_decompose(ns) -> int:
             "command": "decompose",
             "space": "quadrant",
             "accepted": True,
-            "A": jet1_to_json(result.A),
-            "B": jet1_to_json(result.B),
+            "A": _json(result.A),
+            "B": _json(result.B),
             "regular": {
-                key: laurent2_to_json(jet)
+                key: _json(jet)
                 for key, (_, jet) in zip(QUADRANT_BASIS_NAMES, result.regular.components())
             },
-            "parity": parity_to_json(result.parity_report),
+            "parity": _parity_json(result.parity_report),
         },
     )
     return 0
 
 
 def _cmd_pullback(ns) -> int:
-    order = _resolve_order(ns)
     tensor = parse_tensor(ns.tensor, "halfline")
     plot = parse_plot(ns.plot)
-    verdict = pullback_halfline(tensor, plot, order)
-    _emit(ns, _verdict_lines(verdict), {
-        "command": "pullback",
-        "plot": format_plot(plot),
-        **verdict_to_json(verdict),
-    })
+    verdict = pullback_halfline(tensor, plot, ns.order)
+    _emit(ns, _verdict_lines(verdict),
+          {"command": "pullback", "plot": format_plot(plot), **_json(verdict)})
     return 0 if verdict.is_smooth else 2
 
 
@@ -252,12 +213,11 @@ def _cmd_capacity(ns) -> int:
 
 
 def _cmd_verify_capacity(ns) -> int:
-    order = _resolve_order(ns)
     # k and p are the exponents of x^-p dx^k, capped like written exponents.
     _check_cap("k", ns.k, MAX_EXPONENT)
     _check_cap("p", ns.p, MAX_EXPONENT)
     _check_cap("m_max", ns.m_max, MAX_M_MAX)
-    report = verify_capacity(ns.k, ns.p, ns.m_max, order=order)
+    report = verify_capacity(ns.k, ns.p, ns.m_max, order=ns.order)
     _emit(
         ns,
         [
@@ -266,49 +226,22 @@ def _cmd_verify_capacity(ns) -> int:
             "binding_m = %d" % report.binding_m,
             "admissible" if report.admissible else "inadmissible",
         ],
-        {
-            "command": "verify-capacity",
-            "k": report.k,
-            "p": report.p,
-            "m_max": ns.m_max,
-            "margins": list(report.margins),
-            "binding_m": report.binding_m,
-            "admissible": report.admissible,
-        },
+        {"command": "verify-capacity", "m_max": ns.m_max, **_json(report)},
     )
     return 0 if report.admissible else 2
 
 
 def _cmd_check_metric(ns) -> int:
-    order = _resolve_order(ns)
-    tensor = parse_tensor(ns.tensor, "halfline")
-    verdict = check_metric(tensor, order=order)
-    if verdict.accepted:
-        _emit(ns, ["accepted"], {
-            "command": "check-metric", "accepted": True, "witness": None,
-        })
-        return 0
+    verdict = check_metric(parse_tensor(ns.tensor, "halfline"), order=ns.order)
     w = verdict.witness
-    _emit(
-        ns,
-        [
-            "rejected",
-            "plot = %s" % format_plot(w.plot),
-            "value = %s" % w.value,
-            "clause = %s" % w.clause,
-        ],
-        {
-            "command": "check-metric",
-            "accepted": False,
-            "witness": {
-                "plot": format_plot(w.plot),
-                "value": fraction_str(w.value),
-                "leading": None if w.leading is None else fraction_str(w.leading),
-                "clause": w.clause,
-            },
-        },
-    )
-    return 2
+    lines = ["accepted"] if verdict.accepted else [
+        "rejected",
+        "plot = %s" % format_plot(w.plot),
+        "value = %s" % w.value,
+        "clause = %s" % w.clause,
+    ]
+    _emit(ns, lines, {"command": "check-metric", **_json(verdict)})
+    return 0 if verdict.accepted else 2
 
 
 def _cmd_gl_check(ns) -> int:
@@ -332,13 +265,7 @@ def _cmd_gl_check(ns) -> int:
             "max_violation = %r" % report.max_violation,
             "pass" if report.passed else "fail",
         ],
-        {
-            "command": "gl-check",
-            "C": _float_to_json(report.C),
-            "max_violation": _float_to_json(report.max_violation),
-            "tol": report.tol,
-            "passed": report.passed,
-        },
+        {"command": "gl-check", **_json(report)},
     )
     return 0 if report.passed else 2
 
@@ -354,7 +281,7 @@ def _cmd_parity(ns) -> int:
             % (comp.component, ", ".join(occupied) or "empty", "ok" if comp.ok else "VIOLATED")
         )
     lines.append("rule holds" if report.rule_holds else "rule violated")
-    _emit(ns, lines, {"command": "parity", **parity_to_json(report)})
+    _emit(ns, lines, {"command": "parity", **_parity_json(report)})
     return 0 if report.rule_holds else 2
 
 
@@ -437,6 +364,7 @@ def run(argv=None) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
     try:
+        ns.order = _resolve_order(ns)
         return ns.handler(ns)
     except ParseError as err:
         print("error: %s" % err, file=sys.stderr)
@@ -448,10 +376,10 @@ def run(argv=None) -> int:
             payload["space"] = ns.space
         if err.verdict is not None:
             lines = _verdict_lines(err.verdict)
-            payload["witness"] = verdict_to_json(err.verdict)
+            payload["witness"] = _json(err.verdict)
         else:
             lines = [_parity_line(err.parity)]
-            payload["parity"] = parity_to_json(err.parity)
+            payload["parity"] = _parity_json(err.parity)
         _emit(ns, ["rejected: %s" % err] + lines, payload)
         return 2
     except (ValueError, ZeroDivisionError, RuntimeError, TypeError) as err:

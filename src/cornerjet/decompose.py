@@ -162,9 +162,12 @@ def decompose_quadrant(
             )
     a_profile = tensor.a.slice_x(-1)
     b_profile = tensor.b.slice_y(-1)
+    # No pole in an accepted profile: y^-1 in A would pull back to a pole in du^2.
+    n_a = _report_order(a_profile, order, "axial profile")
+    n_b = _report_order(b_profile, order, "axial profile")
     return QuadrantDecomposition(
-        A=a_profile.to_jet1(_report_order(a_profile, order, "axial profile")),
-        B=b_profile.to_jet1(_report_order(b_profile, order, "axial profile")),
+        A=Jet1([a_profile.coefficient(d) for d in range(n_a + 1)]),
+        B=Jet1([b_profile.coefficient(d) for d in range(n_b + 1)]),
         regular=QuadrantTensor(*[
             jet.restrict(lambda i, j: i >= 0 and j >= 0) for _, jet in tensor.components()
         ]),

@@ -274,15 +274,6 @@ class LaurentJet(Record):
             return LaurentJet()
         return LaurentJet(self.valuation, self.coeffs[:keep])
 
-    def to_jet1(self, order: int) -> Jet1:
-        if self.pole_order > 0:
-            raise ValueError("cannot convert a jet with a pole to a power-series jet")
-        if not self.is_zero and self.degree > order:
-            raise ValueError(
-                "stored degree %d exceeds requested order %d" % (self.degree, order)
-            )
-        return Jet1(tuple(self.coefficient(d) for d in range(order + 1)))
-
     def __add__(self, other):
         if not isinstance(other, LaurentJet):
             return NotImplemented

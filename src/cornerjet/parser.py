@@ -51,7 +51,6 @@ from .tensors import (
     HalfLineTensor,
     QuadrantTensor,
     make_halfline_tensor,
-    make_quadrant_tensor,
 )
 
 __all__ = [
@@ -331,7 +330,8 @@ def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | Quadran
                     "exponent below minimum %d in x^%d*y^%d" % (MIN_VALUATION, xe, ye)
                 )
             slot[(xe, ye)] = c
-        return make_quadrant_tensor(*[LaurentJet2(terms) for terms in components.values()])
+        # every basis and exponent is checked above: no second pass over the terms
+        return QuadrantTensor(*[LaurentJet2(terms) for terms in components.values()])
     raise ValueError("space must be 'halfline' or 'quadrant'")
 
 

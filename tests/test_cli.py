@@ -377,6 +377,25 @@ class TestCaps:
         assert run(["decompose", "(1/x)*dx^2"]) == 1
         assert "order 257 exceeds the maximum 256" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "4"], ["gl-check", "--f", "t^2"], ["parity", "x*y*dx*dy"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("source, value, message", [
+        ("flag", str(MAX_ORDER + 1), "order 257 exceeds the maximum 256"),
+        ("env", str(MAX_ORDER + 1), "order 257 exceeds the maximum 256"),
+        ("env", "abc", "CORNERJET_ORDER must be an integer, got 'abc'"),
+    ], ids=["flag", "env", "env-not-an-integer"])
+    def test_order_is_checked_by_commands_that_ignore_it(
+            self, capsys, monkeypatch, argv, source, value, message):
+        # --order is global: every subcommand refuses a bad one, read or not
+        if source == "flag":
+            argv = argv[:1] + ["--order", value] + argv[1:]
+        else:
+            monkeypatch.setenv("CORNERJET_ORDER", value)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: %s\n" % message
+
     def test_values_at_the_caps_are_accepted(self, capsys):
         assert run(["pullback", "--order", str(MAX_ORDER), "--plot", "t^2", "(1/x)*dx^2"]) == 0
         assert run(["verify-capacity", "--m-max", str(MAX_M_MAX), "2", "1"]) == 0
@@ -775,6 +794,53 @@ class TestJsonRoundTrip:
         assert payload["parity"]["rule_holds"] is True
         assert set(payload["regular"]) == {"dx^2", "dy^2", "dx*dy"}
         assert set(payload["parity"]["components"]) == {"du^2", "dv^2", "du*dv"}
+
+    @pytest.mark.parametrize("argv, code, keys", [
+        (["pullback", "--plot", "t^2", "(1/x^2)*dx^2"], 2, {
+            (): {"command", "plot", "status", "pole_order", "witness", "vanishing_order"},
+            ("witness",): {"valuation", "coeffs"},
+        }),
+        (["decompose", "(1/x + 3 + x)*dx^2"], 0, {
+            (): {"command", "space", "accepted", "c", "regular", "trace"},
+            ("regular",): {"order", "coeffs"},
+            ("trace",): {"g", "h"},
+            ("trace", "g"): {"order", "coeffs"},
+            ("trace", "h"): {"order", "coeffs"},
+        }),
+        (["verify-capacity", "2", "1"], 0, {
+            (): {"command", "k", "p", "m_max", "margins", "binding_m", "admissible"},
+        }),
+        (["check-metric", "(x^2 + 1)*dx^2"], 0, {
+            (): {"command", "accepted", "witness"},
+        }),
+        (["check-metric", "(x - 1)*dx^2"], 2, {
+            (): {"command", "accepted", "witness"},
+            ("witness",): {"plot", "value", "leading", "clause"},
+        }),
+        (["gl-check", "--f", "t^2"], 0, {
+            (): {"command", "C", "max_violation", "tol", "passed"},
+        }),
+        (["capacity", "4"], 0, {
+            (): {"command", "k", "capacity"},
+        }),
+        (["parity", "x*y*dx*dy"], 0, {
+            (): {"command", "components", "rule_holds"},
+            ("components",): {"du^2", "dv^2", "du*dv"},
+            ("components", "du*dv"): {
+                "expected", "masses", "min_degrees", "sector_ok", "smooth", "ok"},
+        }),
+    ], ids=["pullback", "decompose", "verify-capacity", "check-metric-accepted",
+            "check-metric-rejected", "gl-check", "capacity", "parity"])
+    def test_success_payload_keys(self, capsys, argv, code, keys):
+        # The key set of every payload and of the objects nested in it: a new
+        # result-record field fails a row here, not a silent schema change.
+        assert run(argv[:1] + ["--format", "json"] + argv[1:]) == code
+        payload = json.loads(capsys.readouterr().out)
+        for path, expected in keys.items():
+            node = payload
+            for key in path:
+                node = node[key]
+            assert set(node) == expected, path
 
     @pytest.mark.parametrize("argv, keys", [
         (["decompose", "(1/x^2)*dx^2"], {"command", "accepted", "error", "space", "witness"}),
