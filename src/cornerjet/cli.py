@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .capacity import capacity, verify_capacity
 from .decompose import ParityReport, check_gamma_parity, decompose_halfline, decompose_quadrant
-from .jets import DEFAULT_ORDER, Jet1, LaurentJet, LaurentJet2, Record
+from .jets import DEFAULT_ORDER, Jet1, LaurentJet2, Record
 from .metric import check_metric
 from .numeric import SampledFunction, check_tolerance, glaeser_landau_check
 from .parser import (
@@ -75,8 +75,6 @@ def _json(value):
         return value if math.isfinite(value) else repr(value)
     if isinstance(value, Jet1):
         return {"order": value.order, "coeffs": [fraction_str(c) for c in value.coeffs]}
-    if isinstance(value, LaurentJet):
-        return {"valuation": value.valuation, "coeffs": [fraction_str(c) for c in value.coeffs]}
     if isinstance(value, LaurentJet2):
         return {"terms": [{"x": i, "y": j, "c": fraction_str(c)} for i, j, c in value.terms()]}
     if isinstance(value, PlotGerm):
@@ -366,9 +364,6 @@ def run(argv=None) -> int:
     try:
         ns.order = _resolve_order(ns)
         return ns.handler(ns)
-    except ParseError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
     except NotSmoothError as err:
         # A rejected tensor, with its witness: a pullback verdict or a parity report.
         payload = {"command": ns.command, "accepted": False, "error": str(err)}

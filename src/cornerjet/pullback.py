@@ -19,9 +19,10 @@ deepest poles in x and y, and
 a polynomial.  The valuation of each term of W is known exactly from the
 curve valuations; W is computed through degree lo + order, lo the smallest
 term valuation, from powers that keep ``top - lo`` coefficients above their
-valuation.  Only when cancellation hides val(W) does the bound grow, and never
-past deg W, so every verdict is exact.  The witness is the one series division
-W / D, reported through the requested order above its valuation.
+valuation, each built on its own by one recurrence (``_powers``).  Only when
+cancellation hides val(W) does the bound grow, and never past deg W, so every
+verdict is exact.  The witness is the one series division W / D, reported
+through the requested order above its valuation.
 
 The stage computes on integers from the curves to the witness: each curve is
 scaled once by the lcm of its denominators, it and its derivative carry their
@@ -165,25 +166,24 @@ def _combine(parts: list[tuple[int, _Series]]) -> _Series:
 def _powers(base: _Series, exponents: set[int], keep: int) -> dict[int, _Series]:
     """base^e for each e in ``exponents``, each through ``keep`` degrees above its valuation.
 
-    ``base`` has a nonzero leading coefficient, so val(base^e) = e val(base)
+    ``base`` has a nonzero leading coefficient a_0, so val(base^e) = e val(base)
     exactly, and coefficients of base above val(base) + keep never reach the
-    kept degrees.
+    kept degrees.  Each power is J.C.P. Miller's recurrence (Knuth, TAOCP
+    vol. 2, 4.7) on the coefficients a_j of base and g_k of base^e:
+
+        k a_0 g_k = sum over j >= 1 of ((e + 1) j - k) a_j g_(k-j),
+
+    an exact division, since e >= 0 and base^e has integer coefficients.
+    Exponent 0 gives (0, [1]) without reading a_0, so the zero series has it.
     """
-    base = (base[0], base[1][: keep + 1])
-    out = {}
-    power, reached = (0, [1]), 0
-    for e in sorted(exponents):
-        # From base^reached to base^e: one product for a gap of 1, repeated
-        # squaring of the base for a larger gap.
-        gap, square = e - reached, base
-        while gap:
-            if gap & 1:
-                power = _times(power, square, power[0] + square[0] + keep)
-            gap >>= 1
-            if gap:
-                square = _times(square, square, 2 * square[0] + keep)
-        out[e] = power
-        reached = e
+    val, a = base[0], base[1][: keep + 1]
+    n, out = len(a) - 1, {}
+    for e in exponents:
+        g = [a[0] ** e if e else 1]
+        for k in range(1, min(keep, e * n) + 1):
+            acc = sum(((e + 1) * j - k) * a[j] * g[k - j] for j in range(1, min(k, n) + 1))
+            g.append(acc // (k * a[0]))
+        out[e] = (e * val, g)
     return out
 
 

@@ -140,6 +140,13 @@ class TestParseTensor:
         t = parse_tensor("x*dx - x*dx + x*dx^2", "halfline")
         assert (t.degree, t.coeff) == (2, LaurentJet(1, [1]))
 
+    def test_a_power_of_the_literal_zero_is_zero(self):
+        # 0^3 keeps the unit key: its term is zero and carries the degree of its dx.
+        t = parse_tensor("0^3*dx^2", "halfline")
+        assert (t.degree, t.coeff) == (2, LaurentJet())
+        t = parse_tensor("0^3*x*dx + x*dx", "halfline")
+        assert (t.degree, t.coeff) == (1, LaurentJet(1, [1]))
+
     @pytest.mark.parametrize("text", ["1/0*dx", "x/(x-x)*dx"])
     def test_division_by_zero_names_the_slash(self, text):
         with pytest.raises(ParseError, match="at 1:2: division by zero"):

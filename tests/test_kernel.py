@@ -7,7 +7,7 @@ and from that layout, so every oracle still works on exact rationals.
 """
 
 from fractions import Fraction as F
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -161,9 +161,9 @@ def test_powers_keep_their_window(base, exponents, keep):
 
 @settings(max_examples=60, deadline=None)
 @given(laurents(max_len=3), st.sets(st.integers(0, 70), min_size=1, max_size=3), st.integers(0, 5))
-def test_powers_by_squaring_match_repeated_products(base, exponents, keep):
-    # Gaps up to 70 between exponents: reached by squaring, checked against
-    # one schoolbook product per unit of the exponent, each cut to the window.
+def test_powers_match_repeated_products(base, exponents, keep):
+    # Exponents up to 70, each checked against one schoolbook product per unit
+    # of the exponent, cut to the window.
     if base.is_zero:
         base = LaurentJet(base.valuation, [1])
     powers = _power_table(base, exponents, keep)
@@ -173,6 +173,25 @@ def test_powers_by_squaring_match_repeated_products(base, exponents, keep):
             assert _terms(powers[e]) == chain
         top = (e + 1) * base.valuation + keep
         chain = {d: c for d, c in schoolbook_product(chain, _terms(base)).items() if d <= top}
+
+
+@pytest.mark.parametrize("keep", [0, 5, 256])
+@pytest.mark.parametrize("e", [0, 1, 2, 7, 2048])
+@pytest.mark.parametrize("v, a0, a1", [(0, 3, 2), (1, -2, 5), (-1, 7, -1)])
+def test_powers_of_a_binomial_follow_the_binomial_theorem(v, a0, a1, e, keep):
+    want = [comb(e, k) * a0 ** (e - k) * a1 ** k for k in range(min(keep, e) + 1)]
+    assert _powers((v, [a0, a1]), {e}, keep) == {e: (e * v, want)}
+
+
+@pytest.mark.parametrize("keep", [0, 16])
+def test_the_zero_series_has_only_its_zeroth_power(keep):
+    # The derivative of a constant curve: only exponent 0 is ever asked of it.
+    assert _powers((0, []), {0}, keep) == {0: (0, [1])}
+
+
+def test_powers_keep_the_trailing_zeros_of_their_window():
+    # A table runs through degree min(keep, e (len(base) - 1)), zeros included.
+    assert _powers((0, [2, 3, 0]), {3}, 10) == {3: (0, [8, 36, 54, 27, 0, 0, 0])}
 
 
 def test_kernel_stops_at_the_requested_degree():
