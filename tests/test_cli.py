@@ -769,10 +769,75 @@ class TestCliScenarios:
         assert captured.err == "error: unsupported operand type(s) for +: 'int' and 'NoneType'\n"
 
 
+# The quadrant JSON, byte for byte: the parity report and the decomposition
+# are encoded field by field, so a change of encoder shows here first.
+JSON_SCENARIOS = [
+    (["decompose", "--space", "quadrant", "--format", "json",
+      "(y^2/x)*dx^2 + (1/y)*dy^2 + x*y*dx*dy"], 0, (
+        '{"A": {"coeffs": ["0/1", "0/1", "1/1", "0/1", "0/1", "0/1", "0/1", "0/1", '
+        '"0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1"], "order": 16}, '
+        '"B": {"coeffs": ["1/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", '
+        '"0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1"], "order": 16}, '
+        '"accepted": true, "command": "decompose", '
+        '"parity": {"components": {"du*dv": {"expected": "odd-odd", '
+        '"masses": {"even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 1}, '
+        '"min_degrees": [3, 3], "ok": true, "sector_ok": true, "smooth": true}, '
+        '"du^2": {"expected": "even-even", "masses": {"even-even": 1, "even-odd": 0, '
+        '"odd-even": 0, "odd-odd": 0}, "min_degrees": [0, 4], "ok": true, '
+        '"sector_ok": true, "smooth": true}, "dv^2": {"expected": "even-even", '
+        '"masses": {"even-even": 1, "even-odd": 0, "odd-even": 0, "odd-odd": 0}, '
+        '"min_degrees": [0, 0], "ok": true, "sector_ok": true, "smooth": true}}, '
+        '"rule_holds": true}, "regular": {"dx*dy": {"terms": [{"c": "1/1", "x": 1, '
+        '"y": 1}]}, "dx^2": {"terms": []}, "dy^2": {"terms": []}}, '
+        '"space": "quadrant"}'
+    )),
+    (["parity", "--format", "json", "x*y*dx*dy"], 0, (
+        '{"command": "parity", "components": {"du*dv": {"expected": "odd-odd", '
+        '"masses": {"even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 1}, '
+        '"min_degrees": [3, 3], "ok": true, "sector_ok": true, "smooth": true}, '
+        '"du^2": {"expected": "even-even", "masses": {"even-even": 0, "even-odd": 0, '
+        '"odd-even": 0, "odd-odd": 0}, "min_degrees": null, "ok": true, '
+        '"sector_ok": true, "smooth": true}, "dv^2": {"expected": "even-even", '
+        '"masses": {"even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 0}, '
+        '"min_degrees": null, "ok": true, "sector_ok": true, "smooth": true}}, '
+        '"rule_holds": true}'
+    )),
+    (["parity", "--format", "json", "(1/x)*dx*dy"], 2, (
+        '{"command": "parity", "components": {"du*dv": {"expected": "odd-odd", '
+        '"masses": {"even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 1}, '
+        '"min_degrees": [-1, 1], "ok": false, "sector_ok": true, "smooth": false}, '
+        '"du^2": {"expected": "even-even", "masses": {"even-even": 0, "even-odd": 0, '
+        '"odd-even": 0, "odd-odd": 0}, "min_degrees": null, "ok": true, '
+        '"sector_ok": true, "smooth": true}, "dv^2": {"expected": "even-even", '
+        '"masses": {"even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 0}, '
+        '"min_degrees": null, "ok": true, "sector_ok": true, "smooth": true}}, '
+        '"rule_holds": false}'
+    )),
+    (["decompose", "--space", "quadrant", "--format", "json", "(1/x)*dx*dy"], 2, (
+        '{"accepted": false, "command": "decompose", '
+        '"error": "singular cross term: violates odd-odd parity", '
+        '"parity": {"components": {"du*dv": {"expected": "odd-odd", '
+        '"masses": {"even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 1}, '
+        '"min_degrees": [-1, 1], "ok": false, "sector_ok": true, "smooth": false}, '
+        '"du^2": {"expected": "even-even", "masses": {"even-even": 0, "even-odd": 0, '
+        '"odd-even": 0, "odd-odd": 0}, "min_degrees": null, "ok": true, '
+        '"sector_ok": true, "smooth": true}, "dv^2": {"expected": "even-even", '
+        '"masses": {"even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 0}, '
+        '"min_degrees": null, "ok": true, "sector_ok": true, "smooth": true}}, '
+        '"rule_holds": false}, "space": "quadrant"}'
+    )),
+]
+
+
 class TestJsonRoundTrip:
     def test_fraction_encoding(self):
         assert fraction_str(F(-7, 3)) == "-7/3"
         assert fraction_from_str(fraction_str(F(4))) == 4
+
+    @pytest.mark.parametrize("argv, code, expected", JSON_SCENARIOS)
+    def test_pinned_bytes(self, capsys, argv, code, expected):
+        assert run(argv) == code
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_decompose_payload_round_trips(self, capsys):
         argv = ["decompose", "--format", "json", "(1/x + 3 + x)*dx^2"]
@@ -836,8 +901,25 @@ class TestJsonRoundTrip:
             ("components", "du*dv"): {
                 "expected", "masses", "min_degrees", "sector_ok", "smooth", "ok"},
         }),
+        (["decompose", "--space", "quadrant", "(y^2/x)*dx^2 + x*y*dx*dy"], 0, {
+            (): {"command", "space", "accepted", "A", "B", "regular", "parity"},
+            ("A",): {"order", "coeffs"},
+            ("B",): {"order", "coeffs"},
+            ("regular",): {"dx^2", "dy^2", "dx*dy"},
+            ("regular", "dx^2"): {"terms"},
+            ("regular", "dy^2"): {"terms"},
+            ("regular", "dx*dy"): {"terms"},
+            ("parity",): {"components", "rule_holds"},
+            ("parity", "components"): {"du^2", "dv^2", "du*dv"},
+            ("parity", "components", "du^2"): {
+                "expected", "masses", "min_degrees", "sector_ok", "smooth", "ok"},
+            ("parity", "components", "dv^2"): {
+                "expected", "masses", "min_degrees", "sector_ok", "smooth", "ok"},
+            ("parity", "components", "du*dv"): {
+                "expected", "masses", "min_degrees", "sector_ok", "smooth", "ok"},
+        }),
     ], ids=["pullback", "decompose", "verify-capacity", "check-metric-accepted",
-            "check-metric-rejected", "gl-check", "capacity", "parity"])
+            "check-metric-rejected", "gl-check", "capacity", "parity", "decompose-quadrant"])
     def test_success_payload_keys(self, capsys, argv, code, keys):
         # The key set of every payload and of the objects nested in it: a new
         # result-record field fails a row here, not a silent schema change.
