@@ -18,11 +18,11 @@ from cornerjet import (
 
 def show_parity(tensor) -> None:
     report = check_gamma_parity(tensor)
-    for comp in report.components():
+    for name, comp in report.components.items():
         occupied = ", ".join("%s(%d)" % (s, n) for s, n in comp.masses.items() if n)
         print(
             "  %-6s expected %-9s occupied: %-24s %s"
-            % (comp.component, comp.expected, occupied or "-", "ok" if comp.ok else "VIOLATED")
+            % (name, comp.expected, occupied or "-", "ok" if comp.ok else "VIOLATED")
         )
 
 

@@ -5,19 +5,20 @@ metric, admissible capacity, inequality holds), 2 when it rejects/fails
 (pole, rejected metric, capacity exceeded, parity violation, inequality
 failure), 1 on usage or parse errors and on a failed internal cross-check.
 
-The global ``--order`` (default 16, or $CORNERJET_ORDER) is checked for every
-command, also those that do not read it.
+The global ``--order`` (default 16, or $CORNERJET_ORDER) must be 0 to
+``MAX_ORDER``, checked for every command, also those that do not read it.
 
 A JSON payload is ``command`` plus the fields of the command's result record
-(``SmoothnessVerdict``, ``Decomposition``, ``CapacityReport``,
-``MetricVerdict``, ``GlaeserLandauReport``), all encoded by one function,
-``_json``: every exact rational is a "num/den" string; jets are
-{"order", "coeffs"} (power series), {"valuation", "coeffs"} (Laurent), or
-{"terms": [{"x", "y", "c"}, ...]} (two-variable Laurent); a plot germ is its
-text form.  The only floats, the gl-check report's, are JSON numbers when
-finite and otherwise the strings "inf", "-inf" or "nan" that text mode prints,
-so the output is strict JSON.  Two forms are keyed by name, not by field: the
-parity report's components, and the quadrant decomposition's regular part.
+(``SmoothnessVerdict``, ``Decomposition``, ``QuadrantDecomposition``,
+``ParityReport``, ``CapacityReport``, ``MetricVerdict``,
+``GlaeserLandauReport``), all encoded by one function, ``_json``: every exact
+rational is a "num/den" string; jets are {"order", "coeffs"} (power series),
+{"valuation", "coeffs"} (Laurent), or {"terms": [{"x", "y", "c"}, ...]}
+(two-variable Laurent); a quadrant tensor is {basis name: two-variable jet},
+keyed dx^2, dy^2, dx*dy; a dict is the object of its encoded values; a plot
+germ is its text form.  The only floats, the gl-check report's, are JSON
+numbers when finite and otherwise the strings "inf", "-inf" or "nan" that text
+mode prints, so the output is strict JSON.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .parser import (
 )
 from .plots import PlotGerm
 from .pullback import NotSmoothError, SmoothnessVerdict, Status, pullback_halfline
-from .tensors import QUADRANT_BASIS_NAMES
+from .tensors import QUADRANT_BASIS_NAMES, QuadrantTensor
 
 ORDER_ENV_VAR = "CORNERJET_ORDER"
 
@@ -81,21 +82,16 @@ def _json(value):
         return format_plot(value)
     if isinstance(value, Status):
         return value.value
+    if isinstance(value, QuadrantTensor):
+        jets = (jet for _, jet in value.components())
+        return {name: _json(jet) for name, jet in zip(QUADRANT_BASIS_NAMES, jets)}
     if isinstance(value, Record):
         return {name: _json(getattr(value, name)) for name in value._fields}
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
     if isinstance(value, tuple):
         return [_json(item) for item in value]
     return value
-
-
-def _parity_json(report: ParityReport) -> dict:
-    """The components keyed by their names, each with its ``ok``."""
-    components = {}
-    for comp in report.components():
-        fields = _json(comp)
-        name = fields.pop("component")
-        components[name] = {**fields, "ok": comp.ok}
-    return {"components": components, "rule_holds": report.rule_holds}
 
 
 _STATUS_TEXT = {
@@ -132,8 +128,8 @@ def _verdict_lines(v: SmoothnessVerdict) -> list[str]:
 
 def _parity_line(report: ParityReport) -> str:
     bits = [
-        "%s %s %s" % (c.component, c.expected, "ok" if c.ok else "VIOLATED")
-        for c in report.components()
+        "%s %s %s" % (name, c.expected, "ok" if c.ok else "VIOLATED")
+        for name, c in report.components.items()
     ]
     return "parity: " + "; ".join(bits)
 
@@ -154,6 +150,8 @@ def _resolve_order(ns) -> int:
         except ValueError:
             raise ParseError("%s must be an integer, got %r" % (ORDER_ENV_VAR, env))
     _check_cap("order", order, MAX_ORDER)
+    if order < 0:
+        raise ParseError("order %d is below the minimum 0" % order)
     return order
 
 
@@ -164,34 +162,17 @@ def _cmd_decompose(ns) -> int:
     tensor = parse_tensor(ns.tensor, ns.space)
     if ns.space == "halfline":
         result = decompose_halfline(tensor, order=ns.order)
-        _emit(
-            ns,
-            ["c = %s" % result.c, "regular = %s" % result.regular.to_str("x")],
-            {"command": "decompose", "space": "halfline", "accepted": True, **_json(result)},
-        )
-        return 0
-    result = decompose_quadrant(tensor, order=ns.order)
-    _emit(
-        ns,
-        [
+        lines = ["c = %s" % result.c, "regular = %s" % result.regular.to_str("x")]
+    else:
+        result = decompose_quadrant(tensor, order=ns.order)
+        lines = [
             "A = %s" % result.A.to_str("y"),
             "B = %s" % result.B.to_str("x"),
             "regular = %s" % format_quadrant_tensor(result.regular),
-            _parity_line(result.parity_report),
-        ],
-        {
-            "command": "decompose",
-            "space": "quadrant",
-            "accepted": True,
-            "A": _json(result.A),
-            "B": _json(result.B),
-            "regular": {
-                key: _json(jet)
-                for key, (_, jet) in zip(QUADRANT_BASIS_NAMES, result.regular.components())
-            },
-            "parity": _parity_json(result.parity_report),
-        },
-    )
+            _parity_line(result.parity),
+        ]
+    _emit(ns, lines,
+          {"command": "decompose", "space": ns.space, "accepted": True, **_json(result)})
     return 0
 
 
@@ -272,14 +253,13 @@ def _cmd_parity(ns) -> int:
     tensor = parse_tensor(ns.tensor, "quadrant")
     report = check_gamma_parity(tensor)
     lines = []
-    for comp in report.components():
+    for name, comp in report.components.items():
         occupied = ["%s:%d" % (s, n) for s, n in comp.masses.items() if n]
         lines.append(
-            "%s: %s; %s"
-            % (comp.component, ", ".join(occupied) or "empty", "ok" if comp.ok else "VIOLATED")
+            "%s: %s; %s" % (name, ", ".join(occupied) or "empty", "ok" if comp.ok else "VIOLATED")
         )
     lines.append("rule holds" if report.rule_holds else "rule violated")
-    _emit(ns, lines, {"command": "parity", **_parity_json(report)})
+    _emit(ns, lines, {"command": "parity", **_json(report)})
     return 0 if report.rule_holds else 2
 
 
@@ -374,7 +354,7 @@ def run(argv=None) -> int:
             payload["witness"] = _json(err.verdict)
         else:
             lines = [_parity_line(err.parity)]
-            payload["parity"] = _parity_json(err.parity)
+            payload["parity"] = _json(err.parity)
         _emit(ns, ["rejected: %s" % err] + lines, payload)
         return 2
     except (ValueError, ZeroDivisionError, RuntimeError, TypeError) as err:

@@ -64,44 +64,38 @@ def decompose_halfline(tensor: HalfLineTensor, order: int | None = None) -> Deco
 
 
 class ComponentParity(Record):
-    """Parity-sector occupancy of one pulled-back component."""
+    """Parity-sector occupancy of one pulled-back component; ``ok`` when it
+    fills only its expected sector and has no pole."""
 
-    component: str
     expected: str
     masses: dict[str, int]
     min_degrees: tuple[int, int] | None
     sector_ok: bool
     smooth: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.sector_ok and self.smooth
+    ok: bool
 
 
 class ParityReport(Record):
-    du2: ComponentParity
-    dv2: ComponentParity
-    dudv: ComponentParity
+    """Each pulled-back component by name (du^2, dv^2, du*dv, in basis order),
+    and whether all of them obey the selection rule."""
 
-    @property
-    def rule_holds(self) -> bool:
-        return self.du2.ok and self.dv2.ok and self.dudv.ok
-
-    def components(self) -> tuple[ComponentParity, ComponentParity, ComponentParity]:
-        return (self.du2, self.dv2, self.dudv)
+    components: dict[str, ComponentParity]
+    rule_holds: bool
 
 
-def _component_parity(name: str, expected: str, jet: LaurentJet2) -> ComponentParity:
+def _component_parity(expected: str, jet: LaurentJet2) -> ComponentParity:
     masses = parity_masses(jet)
     occupied = [sector for sector, count in masses.items() if count]
     vx, vy = jet.valuations
+    sector_ok = all(sector == expected for sector in occupied)
+    smooth = jet.is_zero or (vx >= 0 and vy >= 0)
     return ComponentParity(
-        component=name,
         expected=expected,
         masses=masses,
         min_degrees=None if jet.is_zero else (vx, vy),
-        sector_ok=all(sector == expected for sector in occupied),
-        smooth=jet.is_zero or (vx >= 0 and vy >= 0),
+        sector_ok=sector_ok,
+        smooth=smooth,
+        ok=sector_ok and smooth,
     )
 
 
@@ -116,19 +110,21 @@ _PARITY_RULES = tuple(
 def check_gamma_parity(tensor: QuadrantTensor) -> ParityReport:
     """Which parity sectors each pulled-back component occupies, and whether
     the corner selection rule (each in its basis element's sector, no poles) holds."""
-    return ParityReport(*[
-        _component_parity(name, expected, jet)
+    components = {
+        name: _component_parity(expected, jet)
         for (name, expected), (_, jet) in zip(_PARITY_RULES, pullback_sq2(tensor).components())
-    ])
+    }
+    return ParityReport(components, all(c.ok for c in components.values()))
 
 
 class QuadrantDecomposition(Record):
-    """A(y)/x dx^2 + B(x)/y dy^2 plus a pole-free regular tensor."""
+    """A(y)/x dx^2 + B(x)/y dy^2 plus a pole-free regular tensor, with the
+    parity report that accepted it."""
 
     A: Jet1
     B: Jet1
     regular: QuadrantTensor
-    parity_report: ParityReport
+    parity: ParityReport
 
     def reconstruct(self) -> QuadrantTensor:
         a = LaurentJet2({(-1, j): c for j, c in enumerate(self.A.coeffs)}) + self.regular.a
@@ -149,11 +145,11 @@ def decompose_quadrant(
     slice of a, B(x) the y^-1 slice of b, and the rest is regular.
     """
     report = check_gamma_parity(tensor)
-    if not report.dudv.ok:
+    if not report.components["du*dv"].ok:
         raise NotSmoothError(
             "singular cross term: violates odd-odd parity", parity=report
         )
-    for name, component in zip(QUADRANT_BASIS_NAMES, report.components()):
+    for name, component in zip(QUADRANT_BASIS_NAMES, report.components.values()):
         if not component.ok:
             raise NotSmoothError(
                 "not a smooth tensor on the quadrant: %s coefficient pulls back"
@@ -171,7 +167,7 @@ def decompose_quadrant(
         regular=QuadrantTensor(*[
             jet.restrict(lambda i, j: i >= 0 and j >= 0) for _, jet in tensor.components()
         ]),
-        parity_report=report,
+        parity=report,
     )
 
 

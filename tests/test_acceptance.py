@@ -137,7 +137,7 @@ def test_criterion_3_quadrant_decomposition():
             tensor = make_quadrant_tensor(_random_regular(rng, 2), _random_regular(rng, 2), cross)
             with pytest.raises(NotSmoothError, match="singular cross term") as err:
                 decompose_quadrant(tensor)
-            witness = err.value.parity.dudv
+            witness = err.value.parity.components["du*dv"]
             occupied = {s for s, n in witness.masses.items() if n}
             assert occupied == {"odd-odd"}
             assert min(witness.min_degrees) < 0

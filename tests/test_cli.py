@@ -13,13 +13,16 @@ import hypothesis.strategies as st
 import cornerjet
 from cornerjet import (
     LaurentJet,
+    check_gamma_parity,
     decompose_halfline,
+    decompose_quadrant,
     format_quadrant_tensor,
     make_halfline_tensor,
     parse_plot,
     parse_tensor,
 )
 from cornerjet.cli import MAX_GRID, MAX_M_MAX, MAX_ORDER, fraction_str, run
+from cornerjet.decompose import ComponentParity, ParityReport
 from cornerjet.jets import Jet1, LaurentJet2, format_terms
 from cornerjet.parser import (
     MAX_EXPONENT,
@@ -31,9 +34,15 @@ from cornerjet.parser import (
 )
 from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
 from cornerjet.pullback import SmoothnessVerdict
-from cornerjet.tensors import MIN_VALUATION, HalfLineTensor, make_quadrant_tensor
+from cornerjet.tensors import (
+    MIN_VALUATION,
+    QUADRANT_BASIS_NAMES,
+    HalfLineTensor,
+    QuadrantTensor,
+    make_quadrant_tensor,
+)
 
-from conftest import nonzero_laurent_jets, polynomial_laurent2s
+from conftest import laurent2s, nonzero_laurent_jets, polynomial_laurent2s
 from oracles import evaluate_expression, render_expression
 
 
@@ -64,6 +73,19 @@ def laurent2_from_json(data: dict) -> LaurentJet2:
     return LaurentJet2(
         {(t["x"], t["y"]): fraction_from_str(t["c"]) for t in data["terms"]}
     )
+
+
+def quadrant_from_json(data: dict) -> QuadrantTensor:
+    return QuadrantTensor(*[laurent2_from_json(data[name]) for name in QUADRANT_BASIS_NAMES])
+
+
+def parity_from_json(data: dict) -> ParityReport:
+    components = {}
+    for name, fields in data["components"].items():
+        degrees = fields["min_degrees"]
+        components[name] = ComponentParity(
+            **{**fields, "min_degrees": None if degrees is None else tuple(degrees)})
+    return ParityReport(components, data["rule_holds"])
 
 
 class TestParseTensor:
@@ -391,7 +413,9 @@ class TestCaps:
         ("flag", str(MAX_ORDER + 1), "order 257 exceeds the maximum 256"),
         ("env", str(MAX_ORDER + 1), "order 257 exceeds the maximum 256"),
         ("env", "abc", "CORNERJET_ORDER must be an integer, got 'abc'"),
-    ], ids=["flag", "env", "env-not-an-integer"])
+        ("flag", "-5", "order -5 is below the minimum 0"),
+        ("env", "-5", "order -5 is below the minimum 0"),
+    ], ids=["flag", "env", "env-not-an-integer", "flag-negative", "env-negative"])
     def test_order_is_checked_by_commands_that_ignore_it(
             self, capsys, monkeypatch, argv, source, value, message):
         # --order is global: every subcommand refuses a bad one, read or not
@@ -407,6 +431,8 @@ class TestCaps:
         assert run(["pullback", "--order", str(MAX_ORDER), "--plot", "t^2", "(1/x)*dx^2"]) == 0
         assert run(["verify-capacity", "--m-max", str(MAX_M_MAX), "2", "1"]) == 0
         assert run(["gl-check", "--f", "t^2", "--grid", str(MAX_GRID)]) == 0
+        assert run(["decompose", "--order", "0", "(1/x)*dx^2"]) == 0
+        assert run(["decompose", "--order", "1", "(1/x + x)*dx^2"]) == 0
         assert capsys.readouterr().err == ""
 
 
@@ -866,6 +892,36 @@ class TestJsonRoundTrip:
         assert payload["parity"]["rule_holds"] is True
         assert set(payload["regular"]) == {"dx^2", "dy^2", "dx*dy"}
         assert set(payload["parity"]["components"]) == {"du^2", "dv^2", "du*dv"}
+
+    @settings(max_examples=50, deadline=None)
+    @given(laurent2s(-1, 3, 4), laurent2s(-1, 3, 4), laurent2s(-1, 3, 4))
+    def test_quadrant_payloads_decode_to_the_records(self, a, b, c):
+        import contextlib
+        import io
+
+        tensor = make_quadrant_tensor(a, b, c)
+        text = format_quadrant_tensor(tensor)
+        payloads = {}
+        for argv in (["parity"], ["decompose", "--space", "quadrant"]):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                code = run(argv + ["--format", "json", "--", text])
+            payloads[argv[0]] = code, json.loads(buffer.getvalue())
+        report = check_gamma_parity(tensor)
+        code, payload = payloads["parity"]
+        assert code == (0 if report.rule_holds else 2)
+        assert parity_from_json(payload) == report
+        code, payload = payloads["decompose"]
+        assert parity_from_json(payload["parity"]) == report
+        assert payload["accepted"] is report.rule_holds
+        if report.rule_holds:
+            direct = decompose_quadrant(tensor, order=16)
+            assert code == 0
+            assert jet1_from_json(payload["A"]) == direct.A
+            assert jet1_from_json(payload["B"]) == direct.B
+            assert quadrant_from_json(payload["regular"]) == direct.regular
+        else:
+            assert code == 2
 
     @pytest.mark.parametrize("argv, code, keys", [
         (["pullback", "--plot", "t^2", "(1/x^2)*dx^2"], 2, {

@@ -132,7 +132,7 @@ class TestDecomposeQuadrant:
         assert d.B == Jet1([1])
         assert d.regular.a.is_zero and d.regular.b.is_zero
         assert d.regular.c == LaurentJet2({(1, 1): 1})
-        assert d.parity_report.rule_holds
+        assert d.parity.rule_holds
         assert d.reconstruct() == tensor
 
     def test_euclidean_restriction(self):
@@ -146,7 +146,7 @@ class TestDecomposeQuadrant:
         tensor = make_quadrant_tensor(0, 0, 0)
         d = decompose_quadrant(tensor)
         assert not any(d.A.coeffs + d.B.coeffs)
-        assert d.parity_report.rule_holds
+        assert d.parity.rule_holds
         assert d.reconstruct() == tensor
 
     def test_singular_cross_term_rejected(self):
@@ -155,9 +155,9 @@ class TestDecomposeQuadrant:
             decompose_quadrant(tensor)
         parity = err.value.parity
         # the pullback witness: 4 v u^-1 sits odd-odd at negative degree
-        assert parity.dudv.min_degrees == (-1, 1)
-        assert not parity.dudv.smooth
-        assert parity.dudv.masses["odd-odd"] == 1
+        assert parity.components["du*dv"].min_degrees == (-1, 1)
+        assert not parity.components["du*dv"].smooth
+        assert parity.components["du*dv"].masses["odd-odd"] == 1
 
     def test_deep_axial_pole_rejected(self):
         with pytest.raises(NotSmoothError, match="dx\\^2 coefficient pulls back"):
@@ -233,7 +233,7 @@ class TestDecomposeQuadrant:
         tensor = make_quadrant_tensor(0, 0, cross)
         with pytest.raises(NotSmoothError, match="singular cross term") as err:
             decompose_quadrant(tensor)
-        dudv = err.value.parity.dudv
+        dudv = err.value.parity.components["du*dv"]
         assert not dudv.smooth
         occupied = {s for s, n in dudv.masses.items() if n}
         assert occupied == {"odd-odd"}
@@ -242,31 +242,31 @@ class TestDecomposeQuadrant:
 class TestCheckGammaParity:
     def test_euclidean(self):
         report = check_gamma_parity(make_quadrant_tensor(1, 1, 0))
-        assert report.du2.masses["even-even"] == 1
-        assert report.dv2.masses["even-even"] == 1
-        assert report.dudv.min_degrees is None
+        assert report.components["du^2"].masses["even-even"] == 1
+        assert report.components["dv^2"].masses["even-even"] == 1
+        assert report.components["du*dv"].min_degrees is None
         assert report.rule_holds
 
     def test_smooth_cross(self):
         report = check_gamma_parity(make_quadrant_tensor(0, 0, {(1, 1): 1}))
         # oracle: 4uv * u^2 v^2 = 4 u^3 v^3
-        assert report.dudv.masses == {
+        assert report.components["du*dv"].masses == {
             "even-even": 0, "even-odd": 0, "odd-even": 0, "odd-odd": 1,
         }
-        assert report.dudv.min_degrees == (3, 3)
+        assert report.components["du*dv"].min_degrees == (3, 3)
         assert report.rule_holds
 
     def test_cross_pole_violates_rule(self):
         report = check_gamma_parity(make_quadrant_tensor(0, 0, {(-1, 0): 1}))
-        assert report.dudv.masses["odd-odd"] == 1
-        assert report.dudv.min_degrees == (-1, 1)
-        assert not report.dudv.smooth
+        assert report.components["du*dv"].masses["odd-odd"] == 1
+        assert report.components["du*dv"].min_degrees == (-1, 1)
+        assert not report.components["du*dv"].smooth
         assert not report.rule_holds
 
     def test_report_matches_direct_pullback(self):
         tensor = make_quadrant_tensor({(-1, 2): 1}, {(0, -1): 1}, {(1, 1): 1})
         report = check_gamma_parity(tensor)
         pulled = pullback_sq2(tensor)
-        assert report.du2.min_degrees == pulled.a.valuations
-        assert report.dv2.min_degrees == pulled.b.valuations
-        assert report.dudv.min_degrees == pulled.c.valuations
+        assert report.components["du^2"].min_degrees == pulled.a.valuations
+        assert report.components["dv^2"].min_degrees == pulled.b.valuations
+        assert report.components["du*dv"].min_degrees == pulled.c.valuations

@@ -287,7 +287,7 @@ VALUES = [
     _METRIC,
     _CAPACITY,
     _VERDICT,
-    _PARITY.du2,
+    _PARITY.components["du^2"],
     _PARITY,
     decompose_quadrant(_QUADRANT),
     _SAMPLED,
