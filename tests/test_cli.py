@@ -611,11 +611,30 @@ SCENARIOS = [
 ]
 
 
+# Quadrant text, byte for byte, beyond the documented table: the order in
+# which terms print (by powers of x, then y, then in basis order) and the
+# rejection of an axial component by its name.
+QUADRANT_TEXT_SCENARIOS = [
+    (["decompose", "--space", "quadrant", "x*dx*dy + x*dy^2 + x*dx^2 + (y/x)*dx^2"], 0,
+     "A = y\nB = 0\nregular = x*dx^2 + x*dy^2 + x*dx*dy\n"
+     "parity: du^2 even-even ok; dv^2 even-even ok; du*dv odd-odd ok\n"),
+    (["decompose", "--space", "quadrant", "(1/y^2)*dy^2"], 2,
+     "rejected: not a smooth tensor on the quadrant: dy^2 coefficient pulls back with a pole\n"
+     "parity: du^2 even-even ok; dv^2 even-even VIOLATED; du*dv odd-odd ok\n"),
+]
+
+
 class TestCliScenarios:
     @pytest.mark.parametrize("argv, code, expected", SCENARIOS)
     def test_documented_output(self, capsys, argv, code, expected):
         assert run(argv) == code
         assert capsys.readouterr().out.rstrip("\n") == expected
+
+    @pytest.mark.parametrize("argv, code, expected", QUADRANT_TEXT_SCENARIOS)
+    def test_pinned_quadrant_text(self, capsys, argv, code, expected):
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
 
     def test_parse_error_exits_one(self, capsys):
         assert run(["decompose", "dz^2"]) == 1
