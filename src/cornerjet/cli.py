@@ -47,7 +47,7 @@ from .parser import (
 )
 from .plots import PlotGerm
 from .pullback import NotSmoothError, SmoothnessVerdict, Status, pullback_halfline
-from .tensors import QUADRANT_BASIS_NAMES, QuadrantTensor
+from .tensors import QuadrantTensor, basis_name
 
 ORDER_ENV_VAR = "CORNERJET_ORDER"
 
@@ -83,8 +83,7 @@ def _json(value):
     if isinstance(value, Status):
         return value.value
     if isinstance(value, QuadrantTensor):
-        jets = (jet for _, jet in value.components())
-        return {name: _json(jet) for name, jet in zip(QUADRANT_BASIS_NAMES, jets)}
+        return {basis_name(b, ("dx", "dy")): _json(jet) for b, jet in value.components.items()}
     if isinstance(value, Record):
         return {name: _json(getattr(value, name)) for name in value._fields}
     if isinstance(value, dict):

@@ -8,8 +8,8 @@ answer; the test suite keeps that shortcut as an independent oracle precisely
 so the two routes can be compared.
 
 On the quadrant the square map (u, v) -> (u^2, v^2) and its parity report
-decide.  A component's rules come from its basis element (p, q) of
-``tensors.QUADRANT_BASIS``: it must pull back into parity sector
+decide.  A component's rules are read from its key, the basis element (p, q)
+of ``tensors.QUADRANT_BASIS``: it must pull back into parity sector
 (p mod 2, q mod 2), so dx^2 and dy^2 land even-even and the cross term
 odd-odd, and without a pole, so the cross term has none and an axial pole is
 at most simple.  Once the report accepts, the split is read off the components
@@ -25,8 +25,8 @@ from fractions import Fraction
 from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record
 from .jets import parity_masses, whitney_descend
 from .pullback import NotSmoothError, _capacity_exceeded, pullback_sq2
-from .tensors import QUADRANT_BASIS, QUADRANT_BASIS_NAMES, Decomposition, DecompositionTrace
-from .tensors import HalfLineTensor, QuadrantTensor, basis_name
+from .tensors import Decomposition, DecompositionTrace, HalfLineTensor, QuadrantTensor
+from .tensors import basis_name
 
 __all__ = [
     "ComponentParity",
@@ -99,20 +99,13 @@ def _component_parity(expected: str, jet: LaurentJet2) -> ComponentParity:
     )
 
 
-# Per element (p, q) of QUADRANT_BASIS: the name of its pullback, du^p dv^q,
-# and the parity sector (p mod 2, q mod 2) that the pullback must fill.
-_PARITY_RULES = tuple(
-    (basis_name(basis, ("du", "dv")), SECTOR_NAMES[basis[0] % 2, basis[1] % 2])
-    for basis in QUADRANT_BASIS
-)
-
-
 def check_gamma_parity(tensor: QuadrantTensor) -> ParityReport:
     """Which parity sectors each pulled-back component occupies, and whether
-    the corner selection rule (each in its basis element's sector, no poles) holds."""
+    the corner selection rule holds: the du^p dv^q component fills only sector
+    (p mod 2, q mod 2) and has no pole."""
     components = {
-        name: _component_parity(expected, jet)
-        for (name, expected), (_, jet) in zip(_PARITY_RULES, pullback_sq2(tensor).components())
+        basis_name((p, q), ("du", "dv")): _component_parity(SECTOR_NAMES[p % 2, q % 2], jet)
+        for (p, q), jet in pullback_sq2(tensor).components.items()
     }
     return ParityReport(components, all(c.ok for c in components.values()))
 
@@ -127,9 +120,10 @@ class QuadrantDecomposition(Record):
     parity: ParityReport
 
     def reconstruct(self) -> QuadrantTensor:
-        a = LaurentJet2({(-1, j): c for j, c in enumerate(self.A.coeffs)}) + self.regular.a
-        b = LaurentJet2({(i, -1): c for i, c in enumerate(self.B.coeffs)}) + self.regular.b
-        return QuadrantTensor(a, b, self.regular.c)
+        components = dict(self.regular.components)
+        components[2, 0] += LaurentJet2({(-1, j): c for j, c in enumerate(self.A.coeffs)})
+        components[0, 2] += LaurentJet2({(i, -1): c for i, c in enumerate(self.B.coeffs)})
+        return QuadrantTensor(components)
 
 
 def decompose_quadrant(
@@ -149,13 +143,14 @@ def decompose_quadrant(
         raise NotSmoothError(
             "singular cross term: violates odd-odd parity", parity=report
         )
-    for name, component in zip(QUADRANT_BASIS_NAMES, report.components.values()):
-        if not component.ok:
-            raise NotSmoothError(
-                "not a smooth tensor on the quadrant: %s coefficient pulls back"
-                " with a pole" % name,
-                parity=report,
-            )
+    if not report.rule_holds:
+        basis = next(b for b in tensor.components
+                     if not report.components[basis_name(b, ("du", "dv"))].ok)
+        raise NotSmoothError(
+            "not a smooth tensor on the quadrant: %s coefficient pulls back"
+            " with a pole" % basis_name(basis, ("dx", "dy")),
+            parity=report,
+        )
     a_profile = tensor.a.slice_x(-1)
     b_profile = tensor.b.slice_y(-1)
     # No pole in an accepted profile: y^-1 in A would pull back to a pole in du^2.
@@ -164,9 +159,10 @@ def decompose_quadrant(
     return QuadrantDecomposition(
         A=Jet1([a_profile.coefficient(d) for d in range(n_a + 1)]),
         B=Jet1([b_profile.coefficient(d) for d in range(n_b + 1)]),
-        regular=QuadrantTensor(*[
-            jet.restrict(lambda i, j: i >= 0 and j >= 0) for _, jet in tensor.components()
-        ]),
+        regular=QuadrantTensor({
+            basis: jet.restrict(lambda i, j: i >= 0 and j >= 0)
+            for basis, jet in tensor.components.items()
+        }),
         parity=report,
     )
 

@@ -331,7 +331,7 @@ def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | Quadran
                 )
             slot[(xe, ye)] = c
         # every basis and exponent is checked above: no second pass over the terms
-        return QuadrantTensor(*[LaurentJet2(terms) for terms in components.values()])
+        return QuadrantTensor({basis: LaurentJet2(terms) for basis, terms in components.items()})
     raise ValueError("space must be 'halfline' or 'quadrant'")
 
 
@@ -440,7 +440,7 @@ def format_quadrant_tensor(t: QuadrantTensor) -> str:
     """The terms by powers of x, then y, then in basis order."""
     rows = sorted(
         (i, j, rank, basis, c)
-        for rank, (basis, jet) in enumerate(t.components())
+        for rank, (basis, jet) in enumerate(t.components.items())
         for i, j, c in jet.terms()
     )
     return format_terms(

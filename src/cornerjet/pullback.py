@@ -3,11 +3,11 @@
 A tensor coeff(x) dx^k pulled back along a curve P(t) has coefficient
 coeff(P(t)) * P'(t)^k; whether that is smooth at the contact point is decided
 purely by the valuation of the resulting Laurent jet in t, never by magnitude
-thresholds.  On the quadrant every rule is read off the basis element (p, q)
-of a component (``tensors.QUADRANT_BASIS``): along a curve its coefficient
-counts once per slot order, comb(p+q, p) times, and the square map sends its
-term c x^i y^j to 2^(p+q) c u^(2i+p) v^(2j+q), the coefficient of the same
-basis element du^p dv^q in the same convention.
+thresholds.  On the quadrant every rule is read from a component's key, its
+basis element (p, q) (``tensors.QUADRANT_BASIS``): along a curve its
+coefficient counts once per slot order, comb(p+q, p) times, and the square map
+sends its term c x^i y^j to 2^(p+q) c u^(2i+p) v^(2j+q), the coefficient of the
+same basis element du^p dv^q in the same convention.
 
 Clearing denominators: every curve germ is a polynomial in t and every
 coefficient a Laurent polynomial, so a sum of terms c x^i y^j dx^p dy^q pulls
@@ -42,7 +42,7 @@ from operator import add, mul
 
 from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, Record
 from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, make_boundary_plot
-from .tensors import QUADRANT_BASIS, HalfLineTensor, QuadrantTensor
+from .tensors import HalfLineTensor, QuadrantTensor
 
 __all__ = [
     "Status",
@@ -315,24 +315,19 @@ def pullback_halfline(
     return _verdict(witness, isinstance(plot, BoundaryGerm))
 
 
-# Per element of QUADRANT_BASIS: the weight of its coefficient along a curve
-# and its scale under the square map (see the module docstring).
-_SLOT_ORDERS = tuple(comb(p + q, p) for p, q in QUADRANT_BASIS)
-_SQUARE_SCALES = tuple(2 ** (p + q) for p, q in QUADRANT_BASIS)
-
-
 def pullback_sq2(tensor: QuadrantTensor) -> QuadrantTensor:
     """Pull a quadrant tensor back along (u, v) -> (u^2, v^2), exactly.
 
-    With dx = 2u du and dy = 2v dv, each component is one exponent map with a
-    fixed scale: du^2 gets 4 u^2 a(u^2, v^2), dv^2 gets 4 v^2 b(u^2, v^2) and
-    du dv gets 4 u v c(u^2, v^2), the entry of each slot order as in the input.
+    With dx = 2u du and dy = 2v dv, the component keyed (p, q) is one exponent
+    map with the scale 2^(p+q) read from its key: du^2 gets 4 u^2 a(u^2, v^2),
+    dv^2 gets 4 v^2 b(u^2, v^2) and du dv gets 4 u v c(u^2, v^2), the entry of
+    each slot order as in the input.
     The result is a tensor in u and v; its poles may pass ``MIN_VALUATION``.
     """
-    return QuadrantTensor(*[
-        LaurentJet2({(2 * i + p, 2 * j + q): scale * c for i, j, c in jet.terms()})
-        for ((p, q), jet), scale in zip(tensor.components(), _SQUARE_SCALES)
-    ])
+    return QuadrantTensor({
+        (p, q): LaurentJet2({(2 * i + p, 2 * j + q): 2 ** (p + q) * c for i, j, c in jet.terms()})
+        for (p, q), jet in tensor.components.items()
+    })
 
 
 def pullback_quadrant_path(
@@ -348,11 +343,10 @@ def pullback_quadrant_path(
     for component in (germ.px, germ.py):
         if isinstance(component, FlatGerm):
             raise ValueError("flat components are not supported in path pullback")
-    terms = [
-        (i, j, p, q, c if n == 1 else n * c)
-        for ((p, q), jet), n in zip(tensor.components(), _SLOT_ORDERS)
-        for i, j, c in jet.terms()
-    ]
+    terms = []
+    for (p, q), jet in tensor.components.items():
+        n = comb(p + q, p)
+        terms += [(i, j, p, q, c if n == 1 else n * c) for i, j, c in jet.terms()]
     witness = _pull_back(terms, _curve(germ.px), _curve(germ.py), order)
     boundary = isinstance(germ.px, BoundaryGerm) or isinstance(germ.py, BoundaryGerm)
     return _verdict(witness, boundary)

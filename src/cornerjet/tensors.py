@@ -1,13 +1,14 @@
 """Covariant tensor fields on the half-line and the quadrant, with axial poles.
 
 A half-line tensor of degree k is coeff(x) * dx^k with a Laurent-jet
-coefficient; a quadrant tensor is a symmetric 2-tensor with one coefficient
-per element of ``QUADRANT_BASIS``.
+coefficient; a quadrant tensor is a symmetric 2-tensor, one map from each
+basis element (p, q) of ``QUADRANT_BASIS`` to its coefficient, and every
+per-component rule (name, scale, weight, sector) is read from that key.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .jets import Jet1, LaurentJet, LaurentJet2, Rational, Record, as_fraction, format_terms
@@ -15,7 +16,6 @@ from .jets import Jet1, LaurentJet, LaurentJet2, Rational, Record, as_fraction, 
 __all__ = [
     "MIN_VALUATION",
     "QUADRANT_BASIS",
-    "QUADRANT_BASIS_NAMES",
     "basis_name",
     "HalfLineTensor",
     "QuadrantTensor",
@@ -29,8 +29,8 @@ __all__ = [
 # The deepest pole, in x and in y, that a tensor coefficient may have.
 MIN_VALUATION = -4
 
-# The quadrant's degree-2 basis dx^p dy^q as (p, q), in the order of the fields
-# a, b, c of QuadrantTensor.  A coefficient is the entry of each of the
+# The quadrant's degree-2 basis dx^p dy^q as (p, q): the keys of a QuadrantTensor
+# in this order, that of its a, b, c.  A coefficient is the entry of each of the
 # comb(p + q, p) slot orders of its element, so the tensor is
 # a dx (x) dx + b dy (x) dy + c (dx (x) dy + dy (x) dx): along a curve the
 # cross term counts twice, 2 c px' py'.  The square-map pullback keeps the
@@ -41,11 +41,6 @@ QUADRANT_BASIS = ((2, 0), (0, 2), (1, 1))
 def basis_name(basis: tuple[int, int], symbols: tuple[str, str]) -> str:
     """The basis element (p, q) written in two differentials: dx^2, or du*dv."""
     return format_terms([(1, zip(symbols, basis))])
-
-
-# The basis elements by name, dx^2, dy^2 and dx*dy: the JSON keys of a
-# tensor's components and the subjects of its rejection messages.
-QUADRANT_BASIS_NAMES = tuple(basis_name(basis, ("dx", "dy")) for basis in QUADRANT_BASIS)
 
 
 class HalfLineTensor(Record):
@@ -95,15 +90,23 @@ def make_halfline_tensor(k: int, coeff: LaurentJet | Jet1 | Rational) -> HalfLin
 
 
 class QuadrantTensor(Record):
-    """a dx^2 + b dy^2 + c dx dy with two-variable Laurent coefficients."""
+    """The sum of components[(p, q)] dx^p dy^q, two-variable Laurent
+    coefficients keyed by ``QUADRANT_BASIS`` in its order."""
 
-    a: LaurentJet2
-    b: LaurentJet2
-    c: LaurentJet2
+    components: dict[tuple[int, int], LaurentJet2]
 
-    def components(self) -> Iterator[tuple[tuple[int, int], LaurentJet2]]:
-        """((p, q), coefficient) for each element of ``QUADRANT_BASIS``."""
-        return zip(QUADRANT_BASIS, (self.a, self.b, self.c))
+    def __post_init__(self):
+        if tuple(self.components) != QUADRANT_BASIS:
+            raise ValueError("quadrant tensor components must be keyed %s in that order, not %s"
+                             % (QUADRANT_BASIS, tuple(self.components)))
+
+    def __hash__(self):
+        return hash(tuple(self.components.items()))
+
+    # The degree-2 names: a dx^2 + b dy^2 + c dx dy.
+    a = property(lambda self: self.components[2, 0])
+    b = property(lambda self: self.components[0, 2])
+    c = property(lambda self: self.components[1, 1])
 
 
 def _as_laurent2(component) -> LaurentJet2:
@@ -115,13 +118,13 @@ def _as_laurent2(component) -> LaurentJet2:
 
 
 def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
-    """Assemble a quadrant tensor; no pole may reach deeper than ``MIN_VALUATION``."""
-    tensor = QuadrantTensor(_as_laurent2(a), _as_laurent2(b), _as_laurent2(c))
-    for name, (_, jet) in zip(QUADRANT_BASIS_NAMES, tensor.components()):
+    """Assemble a dx^2 + b dy^2 + c dx dy; no pole may reach deeper than ``MIN_VALUATION``."""
+    tensor = QuadrantTensor(dict(zip(QUADRANT_BASIS, map(_as_laurent2, (a, b, c)))))
+    for basis, jet in tensor.components.items():
         if min(jet.valuations) < MIN_VALUATION:
             raise ValueError(
                 "%s coefficient valuation below the configured minimum %d"
-                % (name, MIN_VALUATION)
+                % (basis_name(basis, ("dx", "dy")), MIN_VALUATION)
             )
     return tensor
 

@@ -99,7 +99,7 @@ def descend_square_pullback(pulled):
     regular cross).
     """
     descended = []
-    for (p, q), jet in pulled.components():
+    for (p, q), jet in pulled.components.items():
         out = {}
         for i, j, c in jet.terms():
             i, j = i - p % 2, j - q % 2

@@ -36,9 +36,10 @@ from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
 from cornerjet.pullback import SmoothnessVerdict
 from cornerjet.tensors import (
     MIN_VALUATION,
-    QUADRANT_BASIS_NAMES,
+    QUADRANT_BASIS,
     HalfLineTensor,
     QuadrantTensor,
+    basis_name,
     make_quadrant_tensor,
 )
 
@@ -76,7 +77,10 @@ def laurent2_from_json(data: dict) -> LaurentJet2:
 
 
 def quadrant_from_json(data: dict) -> QuadrantTensor:
-    return QuadrantTensor(*[laurent2_from_json(data[name]) for name in QUADRANT_BASIS_NAMES])
+    return QuadrantTensor({
+        basis: laurent2_from_json(data[basis_name(basis, ("dx", "dy"))])
+        for basis in QUADRANT_BASIS
+    })
 
 
 def parity_from_json(data: dict) -> ParityReport:

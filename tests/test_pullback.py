@@ -19,7 +19,7 @@ from cornerjet import (
 from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.plots import FlatGerm, make_interior_plot
 from cornerjet.pullback import Status
-from cornerjet.tensors import QuadrantTensor, make_quadrant_tensor
+from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor, make_quadrant_tensor
 
 from conftest import laurent2s, laurent_jets, polynomial_laurent2s, rationals, unit_jet1s
 from oracles import long_divide, realize_jet, schoolbook_product
@@ -370,7 +370,7 @@ class TestPullbackQuadrantPath:
         # S is a tensor in the same convention, its exponents past MIN_VALUATION.
         # Boundary germs t^2 w and their squares t^4 w^2 meet the axes, where
         # the poles of T and S show, so pole verdicts are compared too.
-        tensor = QuadrantTensor(a, b, c)
+        tensor = QuadrantTensor(dict(zip(QUADRANT_BASIS, (a, b, c))))
         root_u, square_u = germ_and_square(u_kind, u0, ua, uw)
         root_v, square_v = germ_and_square(v_kind, v0, va, vw)
         for order in (2, 8):

@@ -2,9 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from cornerjet import LaurentJet, make_halfline_tensor, tau_sing
+from cornerjet import (
+    LaurentJet,
+    decompose_quadrant,
+    make_halfline_tensor,
+    parse_tensor,
+    pullback_sq2,
+    tau_sing,
+)
 from cornerjet.jets import LaurentJet2
-from cornerjet.tensors import QUADRANT_BASIS, basis_name, make_quadrant_tensor
+from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor, basis_name, make_quadrant_tensor
 
 
 class TestTauSing:
@@ -71,11 +78,45 @@ class TestMakeQuadrantTensor:
             make_quadrant_tensor(0, 0, {(0, -5): 1})
 
 
+_A, _B, _C = LaurentJet2({(-1, 2): 1}), LaurentJet2({(0, -1): 1}), LaurentJet2({(1, 1): 1})
+
+
 class TestQuadrantBasis:
-    def test_components_follow_the_fields(self):
-        t = make_quadrant_tensor({(-1, 2): 1}, {(0, -1): 1}, {(1, 1): 1})
-        assert list(t.components()) == [((2, 0), t.a), ((0, 2), t.b), ((1, 1), t.c)]
-        assert [basis for basis, _ in t.components()] == list(QUADRANT_BASIS)
+    @pytest.mark.parametrize("build", [
+        lambda: parse_tensor("(y^2/x)*dx^2 + (1/y)*dy^2 + x*y*dx*dy", "quadrant"),
+        lambda: parse_tensor("0*dx^2", "quadrant"),
+        lambda: make_quadrant_tensor(_A, _B, _C),
+        lambda: pullback_sq2(make_quadrant_tensor(_A, _B, _C)),
+        lambda: decompose_quadrant(make_quadrant_tensor(_A, _B, _C)).regular,
+        lambda: decompose_quadrant(make_quadrant_tensor(_A, _B, _C)).reconstruct(),
+    ], ids=["parse", "parse-zero", "make", "pullback-sq2", "regular", "reconstruct"])
+    def test_every_tensor_is_keyed_by_the_basis(self, build):
+        t = build()
+        assert tuple(t.components) == QUADRANT_BASIS
+        assert (t.a, t.b, t.c) == (t.components[2, 0], t.components[0, 2], t.components[1, 1])
+
+    def test_the_degree_two_names_read_the_map(self):
+        t = make_quadrant_tensor(_A, _B, _C)
+        assert t.components == {(2, 0): _A, (0, 2): _B, (1, 1): _C}
+        assert (t.a, t.b, t.c) == (_A, _B, _C)
+        assert decompose_quadrant(t).reconstruct() == t
+
+    @pytest.mark.parametrize("components", [
+        {(2, 0): _A, (0, 2): _B},
+        {(2, 0): _A, (0, 2): _B, (1, 1): _C, (3, 0): _A},
+        {(0, 2): _B, (2, 0): _A, (1, 1): _C},
+        {(2, 0): _A, (0, 2): _B, (0, 0): _C},
+        {},
+    ], ids=["missing", "extra", "reordered", "foreign", "empty"])
+    def test_any_other_key_set_is_refused(self, components):
+        message = r"keyed \(\(2, 0\), \(0, 2\), \(1, 1\)\) in that order"
+        with pytest.raises(ValueError, match=message):
+            QuadrantTensor(components)
+
+    def test_equal_tensors_hash_alike(self):
+        t = make_quadrant_tensor(_A, _B, _C)
+        assert hash(t) == hash(QuadrantTensor(dict(zip(QUADRANT_BASIS, (_A, _B, _C)))))
+        assert t in {parse_tensor("(y^2/x)*dx^2 + (1/y)*dy^2 + x*y*dx*dy", "quadrant")}
 
     def test_basis_names(self):
         assert [basis_name(b, ("dx", "dy")) for b in QUADRANT_BASIS] == ["dx^2", "dy^2", "dx*dy"]
