@@ -10,6 +10,8 @@ rather than assumed.
 
 from __future__ import annotations
 
+from operator import index
+
 from .jets import DEFAULT_ORDER, LaurentJet, Record
 from .plots import make_boundary_plot
 from .pullback import pullback_halfline
@@ -20,7 +22,7 @@ __all__ = ["CapacityReport", "capacity", "verify_capacity", "capacity_table"]
 
 def capacity(k: int) -> int:
     """Maximal admissible pole order for a covariant k-tensor: floor(k/2)."""
-    if k < 0:
+    if index(k) < 0:
         raise ValueError("tensor degree must be nonnegative")
     return k // 2
 

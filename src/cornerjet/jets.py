@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
+from operator import index
 
 Rational = int | str | Fraction
 
@@ -228,7 +229,7 @@ class LaurentJet(Record):
             tail = len(cs)
             while cs[tail - 1] == 0:
                 tail -= 1
-            object.__setattr__(self, "valuation", int(valuation) + lead)
+            object.__setattr__(self, "valuation", index(valuation) + lead)
             object.__setattr__(self, "coeffs", tuple(cs[lead:tail]))
 
     @classmethod
@@ -342,7 +343,7 @@ class LaurentJet2(Record):
             for (i, j), c in terms.items():
                 f = as_fraction(c)
                 if f != 0:
-                    cleaned[(int(i), int(j))] = f
+                    cleaned[(index(i), index(j))] = f
         object.__setattr__(self, "_terms", cleaned)
 
     @property

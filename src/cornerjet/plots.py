@@ -9,6 +9,7 @@ contact point carry no usable jet and are a separate variant.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .jets import Jet1, Rational, Record, as_fraction
 
@@ -43,7 +44,7 @@ class BoundaryGerm(Record):
     unit: Jet1
 
     def __post_init__(self):
-        if self.m < 1 or self.unit.constant_term <= 0:
+        if index(self.m) < 1 or self.unit.constant_term <= 0:
             raise ValueError("not certified nonnegative")
 
     @property

@@ -24,6 +24,11 @@ class TestCapacity:
         with pytest.raises(ValueError):
             capacity(-1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0])
+    def test_non_integer_degree_rejected(self, k):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            capacity(k)
+
 
 class TestVerifyCapacity:
     def test_simple_pole_two_tensor(self):

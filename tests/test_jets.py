@@ -223,6 +223,17 @@ class TestCanonicalForms:
         with pytest.raises(TypeError, match="floating-point"):
             LaurentJet(0, [1.0])
 
+    @pytest.mark.parametrize("build", [
+        lambda: LaurentJet(1.7, [1]),
+        lambda: LaurentJet(F(1), [1]),
+        lambda: LaurentJet2({(1.5, 0): 1}),
+        lambda: LaurentJet2({(0, F(-1)): 1}),
+    ], ids=["laurent-float", "laurent-fraction", "laurent2-float", "laurent2-fraction"])
+    def test_exponents_are_integers_not_truncated(self, build):
+        # int() would cut 1.7 down to 1; an exponent must be an integer already
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()
+
     def test_coefficient_lookup(self):
         jet = LaurentJet(-1, [1, 0, 3])
         assert jet.coefficient(-1) == 1

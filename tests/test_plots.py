@@ -34,6 +34,12 @@ class TestMakeBoundaryPlot:
         with pytest.raises(ValueError, match="not certified nonnegative"):
             make_boundary_plot(1, Jet1([-1, 2]))
 
+    @pytest.mark.parametrize("m", [1.5, F(3, 2), F(1)])
+    def test_contact_half_order_is_an_integer(self, m):
+        # t^(2m) with m = 1.5 is t^3, a curve that leaves the half-line
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make_boundary_plot(m, 1)
+
 
 class TestRealizeJet:
     def test_interior(self):
