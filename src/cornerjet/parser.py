@@ -26,9 +26,11 @@ monomial, in place, to the expression's dict.
 Parentheses nest at most ``MAX_NESTING`` deep; deeper input is a parse error,
 not a recursion failure.  An integer literal has at most ``MAX_LITERAL_DIGITS``
 digits, on every Python version.  Exponents, written or reached by raising a
-power to a power, are at most ``MAX_EXPONENT`` in absolute value, and a power
-c^n of a coefficient is refused when |n| times the bit length of c exceeds
-``MAX_POWER_BITS``, so that a short input cannot ask for unbounded work.
+power to a power, are at most ``MAX_EXPONENT`` in absolute value, a power c^n
+of a coefficient is refused when |n| times the bit length of c exceeds
+``MAX_POWER_BITS``, and one parse multiplies out sums into at most
+``MAX_PRODUCTS`` monomial products, so that a short input cannot ask for
+unbounded work.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ MAX_LITERAL_DIGITS = 4300
 # The most bits in the numerator or denominator of c^n, as |n| times the bits
 # of c: (3/2*x)^2048 counts 4,096.
 MAX_POWER_BITS = 1 << 13
+# Monomial products per parse, each counted as 1 + bits(c1) * bits(c2) / 2^17.
+MAX_PRODUCTS = 1 << 14
 
 
 class ParseError(ValueError):
@@ -128,6 +132,10 @@ def _vmul(a: _Value, b: _Value) -> _Value:
     return out
 
 
+def _bits(value: _Value) -> int:
+    return sum(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in value.values())
+
+
 def _single_term(value: _Value, what: str, column: int) -> tuple:
     """The one nonzero monomial of ``value`` as (key, num, den); (None, 0, 1) if none."""
     value = _clean(value)
@@ -172,6 +180,7 @@ class _ExprParser:
         self.pos = 0
         self.symbols = symbols
         self.depth = 0
+        self.products = 0
 
     def expect_op(self, text: str) -> None:
         kind, _, column = self.tokens[self.pos]
@@ -209,6 +218,11 @@ class _ExprParser:
                     raise ParseError("cannot divide by a differential symbol", column)
                 x, y, num, den = x - key[0], y - key[1], num * fden, den * fnum
             elif key is None:
+                if sums is not None:
+                    self.products += len(sums) * len(fnum) + _bits(sums) * _bits(fnum) // (1 << 17)
+                    if self.products > MAX_PRODUCTS:
+                        raise ParseError("product too large: multiplying out exceeds %d"
+                                         " monomial products" % MAX_PRODUCTS, column)
                 sums = fnum if sums is None else _vmul(sums, fnum)
             else:
                 x, y, p, q = x + key[0], y + key[1], p + key[2], q + key[3]

@@ -27,6 +27,7 @@ from cornerjet.jets import Jet1, LaurentJet2, format_terms
 from cornerjet.parser import (
     MAX_EXPONENT,
     MAX_POWER_BITS,
+    MAX_PRODUCTS,
     ParseError,
     format_plot,
     parse_polynomial,
@@ -387,6 +388,27 @@ class TestCaps:
         with pytest.raises(ParseError, match="power too large: .* %d bits" % MAX_POWER_BITS):
             parse_tensor("(3^2048)^3*dx", "halfline")
 
+    def test_product_budget(self):
+        # n factors (1+x+y) form sum over k < n of 3 (k+1)(k+2)/2 monomial products
+        assert parse_tensor("*".join(["(1+x+y)"] * 31) + "*dx^2", "quadrant").a.valuations == (0, 0)
+        text = "*".join(["(1+x+y)"] * 32) + "*dx^2"
+        with pytest.raises(ParseError, match="at 1:248: product too large: .* %d monomial products"
+                           % MAX_PRODUCTS):
+            parse_tensor(text, "quadrant")
+        # 128 by 128 terms is exactly the budget; one more term is over it
+        row = "+".join("x^%d" % k for k in range(128))
+        assert len(parse_tensor("(%s)*(%s)*dx" % (row, row), "halfline").coeff.coeffs) == 255
+        with pytest.raises(ParseError, match="product too large"):
+            parse_tensor("(%s+x^200)*(%s)*dx" % (row, row), "halfline")
+
+    def test_product_budget_weighs_coefficient_bits(self):
+        # two sums of three 14,282-bit coefficients count 9 + (3 * 14282)^2 // 2^17
+        # = 14,015; a small third factor adds 14 more, a third such sum 56,025
+        big = "(%s+%s*x+%s*y)" % (("9" * 4299,) * 3)
+        assert parse_tensor(big + "*" + big + "*(1+x)*dx^2", "quadrant").a.valuations == (0, 0)
+        with pytest.raises(ParseError, match="product too large"):
+            parse_tensor(big + "*" + big + "*" + big + "*dx^2", "quadrant")
+
     @pytest.mark.parametrize("argv, message", [
         (["pullback", "--order", str(MAX_ORDER + 1), "--plot", "t^2", "(1/x)*dx^2"],
          "order 257 exceeds the maximum 256"),
@@ -398,6 +420,8 @@ class TestCaps:
          "grid 8193 exceeds the maximum 8192"),
         (["pullback", "--plot", "t^2*(1+t)", "x^100000*dx"], "exponent 100000 exceeds"),
         (["pullback", "--plot", "t^2*(3/2+t)", "x^20000*dx"], "exponent 20000 exceeds"),
+        (["parity", "*".join(["(1+x+y)"] * 400) + "*dx^2"],
+         "product too large: multiplying out exceeds %d monomial products" % MAX_PRODUCTS),
     ])
     def test_cli_caps_exit_one(self, capsys, argv, message):
         assert run(argv) == 1
