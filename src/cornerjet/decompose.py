@@ -25,8 +25,7 @@ from fractions import Fraction
 from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record
 from .jets import parity_masses, whitney_descend
 from .pullback import NotSmoothError, _capacity_exceeded, pullback_sq2
-from .tensors import Decomposition, DecompositionTrace, HalfLineTensor, QuadrantTensor
-from .tensors import basis_name
+from .tensors import Decomposition, DecompositionTrace, HalfLineTensor, QuadrantTensor, basis_name
 
 __all__ = [
     "ComponentParity",
@@ -140,9 +139,7 @@ def decompose_quadrant(
     """
     report = check_gamma_parity(tensor)
     if not report.components["du*dv"].ok:
-        raise NotSmoothError(
-            "singular cross term: violates odd-odd parity", parity=report
-        )
+        raise NotSmoothError("singular cross term: violates odd-odd parity", parity=report)
     if not report.rule_holds:
         basis = next(b for b in tensor.components
                      if not report.components[basis_name(b, ("du", "dv"))].ok)

@@ -340,9 +340,8 @@ def pullback_quadrant_path(
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    for component in (germ.px, germ.py):
-        if isinstance(component, FlatGerm):
-            raise ValueError("flat components are not supported in path pullback")
+    if isinstance(germ.px, FlatGerm) or isinstance(germ.py, FlatGerm):
+        raise ValueError("flat components are not supported in path pullback")
     terms = []
     for (p, q), jet in tensor.components.items():
         n = comb(p + q, p)

@@ -1,9 +1,8 @@
 """Covariant tensor fields on the half-line and the quadrant, with axial poles.
 
 A half-line tensor of degree k is coeff(x) * dx^k with a Laurent-jet
-coefficient; a quadrant tensor is a symmetric 2-tensor, one map from each
-basis element (p, q) of ``QUADRANT_BASIS`` to its coefficient, and every
-per-component rule (name, scale, weight, sector) is read from that key.
+coefficient; a quadrant tensor maps each basis element (p, q) of
+``QUADRANT_BASIS`` to its coefficient, and every per-component rule reads that key.
 """
 
 from __future__ import annotations
@@ -90,8 +89,7 @@ def make_halfline_tensor(k: int, coeff: LaurentJet | Jet1 | Rational) -> HalfLin
 
 
 class QuadrantTensor(Record):
-    """The sum of components[(p, q)] dx^p dy^q, two-variable Laurent
-    coefficients keyed by ``QUADRANT_BASIS`` in its order."""
+    """The sum of components[(p, q)] dx^p dy^q, keyed by ``QUADRANT_BASIS`` in its order."""
 
     components: dict[tuple[int, int], LaurentJet2]
 
@@ -122,10 +120,8 @@ def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
     tensor = QuadrantTensor(dict(zip(QUADRANT_BASIS, map(_as_laurent2, (a, b, c)))))
     for basis, jet in tensor.components.items():
         if min(jet.valuations) < MIN_VALUATION:
-            raise ValueError(
-                "%s coefficient valuation below the configured minimum %d"
-                % (basis_name(basis, ("dx", "dy")), MIN_VALUATION)
-            )
+            raise ValueError("%s coefficient valuation below the configured minimum %d"
+                             % (basis_name(basis, ("dx", "dy")), MIN_VALUATION))
     return tensor
 
 
