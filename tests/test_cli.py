@@ -793,6 +793,19 @@ class TestCliScenarios:
         assert run(["decompose", "--order", "1", tensor]) == 1
         assert capsys.readouterr().err == "error: order must be at least 2\n"
 
+    @pytest.mark.parametrize("command", ["decompose", "check-metric"])
+    @pytest.mark.parametrize("order, code, out, err", [
+        ("0", 1, "", "error: order must be at least 2\n"),
+        ("1", 1, "", "error: order must be at least 2\n"),
+        ("2", 2, "rejected: not a smooth tensor on the half-line: capacity exceeded\n"
+                 "status = Pole(2)\nwitness = 4*t^-2\n", ""),
+    ])
+    def test_capacity_witness_at_the_smallest_orders(self, capsys, command, order, code, out, err):
+        # --order 0 is a valid global order, but no witness window is shorter than 2
+        assert run([command, "--order", order, "(1/x^2)*dx^2"]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
     def test_capacity_cross_check_failure_exits_one(self, capsys, monkeypatch):
         # A margin that disagrees with the pullback valuation is an internal
         # inconsistency: it ends in a message and exit 1, not a traceback.

@@ -194,6 +194,17 @@ class TestRingLaws:
         assert times(a, b + c) == times(a, b) + times(a, c)
 
     @given(laurent_jets(), laurent_jets())
+    def test_laurent_sum(self, a, b):
+        total = a + b
+        degrees = [jet.valuation for jet in (a, b)] + [jet.degree or 0 for jet in (a, b)]
+        for d in range(min(degrees) - 1, max(degrees) + 2):
+            assert total.coefficient(d) == a.coefficient(d) + b.coefficient(d)
+        assert total == b + a
+        assert a + LaurentJet() == a == LaurentJet() + a
+        zero = a + (-1) * a
+        assert (zero.valuation, zero.coeffs) == (0, ()) and zero == LaurentJet()
+
+    @given(laurent_jets(), laurent_jets())
     def test_leibniz(self, a, b):
         assert derivative(times(a, b)) == times(derivative(a), b) + times(a, derivative(b))
 
