@@ -10,21 +10,12 @@ rather than assumed.
 
 from __future__ import annotations
 
-from operator import index
-
 from .jets import DEFAULT_ORDER, LaurentJet, Record
 from .plots import make_boundary_plot
 from .pullback import pullback_halfline
-from .tensors import make_halfline_tensor
+from .tensors import capacity, make_halfline_tensor
 
 __all__ = ["CapacityReport", "capacity", "verify_capacity", "capacity_table"]
-
-
-def capacity(k: int) -> int:
-    """Maximal admissible pole order for a covariant k-tensor: floor(k/2)."""
-    if index(k) < 0:
-        raise ValueError("tensor degree must be nonnegative")
-    return k // 2
 
 
 class CapacityReport(Record):
@@ -65,7 +56,7 @@ def verify_capacity(
     )
 
 
-def capacity_table(k_max: int, m_max: int = 6) -> list[tuple[int, int]]:
+def capacity_table(k_max: int) -> list[tuple[int, int]]:
     """(k, largest admissible pole order) for k = 0..k_max, found by search."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -73,7 +64,7 @@ def capacity_table(k_max: int, m_max: int = 6) -> list[tuple[int, int]]:
     for k in range(k_max + 1):
         frontier = 0
         p = 1
-        while verify_capacity(k, p, m_max).admissible:
+        while verify_capacity(k, p).admissible:
             frontier = p
             p += 1
         table.append((k, frontier))

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .capacity import capacity, verify_capacity
@@ -86,19 +87,11 @@ def _json(value):
         return {basis_name(b, ("dx", "dy")): _json(jet) for b, jet in value.components.items()}
     if isinstance(value, Record):
         return {name: _json(getattr(value, name)) for name in value._fields}
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {key: _json(item) for key, item in value.items()}
     if isinstance(value, tuple):
         return [_json(item) for item in value]
     return value
-
-
-_STATUS_TEXT = {
-    Status.SMOOTH: "Smooth",
-    Status.POLE: "Pole",
-    Status.FLAT_SMOOTH: "FlatSmooth",
-    Status.FLAT_INDETERMINATE: "FlatIndeterminate",
-}
 
 
 # -- output helpers -----------------------------------------------------------
@@ -112,7 +105,7 @@ def _emit(ns, lines: list[str], payload: dict) -> None:
 
 
 def _status_text(v: SmoothnessVerdict) -> str:
-    name = _STATUS_TEXT[v.status]
+    name = v.status.name.title().replace("_", "")  # FLAT_SMOOTH prints as FlatSmooth
     return "Pole(%d)" % v.pole_order if v.status is Status.POLE else name
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record
 from .jets import parity_masses, whitney_descend
-from .pullback import NotSmoothError, _capacity_exceeded, pullback_sq2
+from .pullback import NotSmoothError, _check_capacity, pullback_sq2
 from .tensors import Decomposition, DecompositionTrace, HalfLineTensor, QuadrantTensor, basis_name
 
 __all__ = [
@@ -47,13 +47,11 @@ def decompose_halfline(tensor: HalfLineTensor, order: int | None = None) -> Deco
     """
     if tensor.degree != 2:
         raise ValueError("decomposition requires a symmetric 2-tensor")
-    coeff = tensor.coeff
-    if coeff.pole_order >= 2:
-        raise _capacity_exceeded(tensor, order)
-    order = _report_order(coeff, order, "input")
+    _check_capacity(tensor, order)
+    order = _report_order(tensor.coeff, order, "input")
     # g(t) = 4 t^2 f(t^2): the term c x^d lands at t^(2d + 2) as 4c.
     g_coeffs = [Fraction(0)] * (2 * order + 3)
-    for d, c in coeff.terms():
+    for d, c in tensor.coeff.terms():
         g_coeffs[2 * d + 2] = 4 * c
     g = Jet1(g_coeffs)
     h = whitney_descend(g)
@@ -138,14 +136,13 @@ def decompose_quadrant(
     slice of a, B(x) the y^-1 slice of b, and the rest is regular.
     """
     report = check_gamma_parity(tensor)
-    if not report.components["du*dv"].ok:
+    failing = [b for b, c in zip(tensor.components, report.components.values()) if not c.ok]
+    if (1, 1) in failing:
         raise NotSmoothError("singular cross term: violates odd-odd parity", parity=report)
-    if not report.rule_holds:
-        basis = next(b for b in tensor.components
-                     if not report.components[basis_name(b, ("du", "dv"))].ok)
+    if failing:
         raise NotSmoothError(
             "not a smooth tensor on the quadrant: %s coefficient pulls back"
-            " with a pole" % basis_name(basis, ("dx", "dy")),
+            " with a pole" % basis_name(failing[0], ("dx", "dy")),
             parity=report,
         )
     a_profile = tensor.a.slice_x(-1)

@@ -278,17 +278,10 @@ class LaurentJet(Record):
     def __add__(self, other):
         if not isinstance(other, LaurentJet):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        low, high = (self, other) if self.valuation <= other.valuation else (other, self)
-        out = list(low.coeffs)
-        offset = high.valuation - low.valuation
-        out.extend([Fraction(0)] * (offset + len(high.coeffs) - len(out)))
-        for i, c in enumerate(high.coeffs, offset):
-            out[i] += c
-        return LaurentJet(low.valuation, out)
+        out = dict(self.terms())
+        for d, c in other.terms():
+            out[d] = out.get(d, Fraction(0)) + c
+        return LaurentJet.from_terms(out)
 
     def __mul__(self, other):
         if not isinstance(other, (int, Fraction)):

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .jets import DEFAULT_ORDER, Record
 from .plots import BoundaryGerm, InteriorGerm, PlotGerm, make_boundary_plot, make_interior_plot
-from .pullback import _capacity_exceeded, pullback_halfline
+from .pullback import _check_capacity, pullback_halfline
 from .tensors import HalfLineTensor
 
 __all__ = ["DEFAULT_FAMILY", "MetricWitness", "MetricVerdict", "check_metric"]
@@ -64,8 +64,7 @@ def check_metric(g: HalfLineTensor, order: int = DEFAULT_ORDER) -> MetricVerdict
     """Decide admissibility of g over ``DEFAULT_FAMILY``; any witness is a genuine failure."""
     if g.degree != 2:
         raise ValueError("a metric candidate must be a symmetric 2-tensor")
-    if g.pole_order >= 2:
-        raise _capacity_exceeded(g, order)
+    _check_capacity(g, order)
     for germ in DEFAULT_FAMILY:
         witness = pullback_halfline(g, germ, _WINDOW).witness
         value = witness.coefficient(0)

@@ -42,7 +42,7 @@ from operator import add, mul
 
 from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, Record
 from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, make_boundary_plot
-from .tensors import HalfLineTensor, QuadrantTensor
+from .tensors import HalfLineTensor, QuadrantTensor, capacity
 
 __all__ = [
     "Status",
@@ -94,11 +94,12 @@ class NotSmoothError(ValueError):
         self.parity = parity
 
 
-def _capacity_exceeded(tensor: HalfLineTensor, order: int | None) -> NotSmoothError:
-    """Rejection of a too-deep pole, witnessed along t^2 at ``order`` (None: the default)."""
-    order = DEFAULT_ORDER if order is None else order
-    verdict = pullback_halfline(tensor, make_boundary_plot(1, 1), order)
-    return NotSmoothError("not a smooth tensor on the half-line: capacity exceeded", verdict)
+def _check_capacity(tensor: HalfLineTensor, order: int | None) -> None:
+    """Refuse a pole beyond ``capacity(degree)``, witnessed along t^2 at ``order`` (or default)."""
+    if tensor.pole_order > capacity(tensor.degree):
+        order = DEFAULT_ORDER if order is None else order
+        verdict = pullback_halfline(tensor, make_boundary_plot(1, 1), order)
+        raise NotSmoothError("not a smooth tensor on the half-line: capacity exceeded", verdict)
 
 
 # -- the one evaluation routine ------------------------------------------------
@@ -303,14 +304,15 @@ def pullback_halfline(
     """Pull coeff(x) dx^k back along a plot germ and judge smoothness at t = 0."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    k = tensor.degree
     if isinstance(plot, FlatGerm):
-        # Flat curves tame any pole up to floor(k/2); beyond that the jet
-        # calculus cannot decide, so no verdict is fabricated.
-        if tensor.pole_order <= k // 2:
-            return SmoothnessVerdict(Status.FLAT_SMOOTH)
-        return SmoothnessVerdict(Status.FLAT_INDETERMINATE)
-    terms = [(d, 0, k, 0, c) for d, c in tensor.coeff.terms()]
+        # Flat curves tame any pole up to the capacity; beyond it the jet calculus
+        # cannot decide, so no verdict is fabricated: the gate's witness goes unread.
+        try:
+            _check_capacity(tensor, 2)
+        except NotSmoothError:
+            return SmoothnessVerdict(Status.FLAT_INDETERMINATE)
+        return SmoothnessVerdict(Status.FLAT_SMOOTH)
+    terms = [(d, 0, tensor.degree, 0, c) for d, c in tensor.coeff.terms()]
     witness = _pull_back(terms, _curve(plot), LaurentJet(0, (1,)), order)
     return _verdict(witness, isinstance(plot, BoundaryGerm))
 

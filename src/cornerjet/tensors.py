@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import index
 
 from .jets import Jet1, LaurentJet, LaurentJet2, Rational, Record, as_fraction, format_terms
 
@@ -16,6 +17,7 @@ __all__ = [
     "MIN_VALUATION",
     "QUADRANT_BASIS",
     "basis_name",
+    "capacity",
     "HalfLineTensor",
     "QuadrantTensor",
     "Decomposition",
@@ -42,6 +44,13 @@ def basis_name(basis: tuple[int, int], symbols: tuple[str, str]) -> str:
     return format_terms([(1, zip(symbols, basis))])
 
 
+def capacity(k: int) -> int:
+    """Singular capacity: the deepest pole a covariant k-tensor supports, floor(k/2)."""
+    if index(k) < 0:
+        raise ValueError("tensor degree must be nonnegative")
+    return k // 2
+
+
 class HalfLineTensor(Record):
     """coeff(x) * dx^degree on [0, inf)."""
 
@@ -49,7 +58,7 @@ class HalfLineTensor(Record):
     coeff: LaurentJet
 
     def __post_init__(self):
-        if self.degree < 0:
+        if index(self.degree) < 0:
             raise ValueError("tensor degree must be nonnegative")
 
     @property
