@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from operator import index
+from types import MappingProxyType
 
 Rational = int | str | Fraction
 
@@ -86,7 +87,8 @@ class Record:
     """An immutable value whose fields are its class's own annotations, in order.
 
     A class attribute named like a field is that field's default.  ``__init__``
-    binds positional and keyword values, then calls ``__post_init__``.  A
+    binds positional and keyword values, each field annotated ``dict`` as a
+    read-only copy (a ``MappingProxyType``), then calls ``__post_init__``.  A
     record equals only a record of the same type with equal fields, hashes by
     its fields and prints as ``Name(field=value, ...)``.
     """
@@ -97,6 +99,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
+        cls._mappings = tuple(n for n, t in cls.__annotations__.items() if str(t)[:4] == "dict")
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self._fields
@@ -119,6 +122,8 @@ class Record:
                     if value is _MISSING:
                         raise TypeError("%s is missing a value for %r" % (cls.__name__, name))
                     bind(self, name, value)
+        for name in self._mappings:
+            bind(self, name, MappingProxyType(dict(getattr(self, name))))
         self.__post_init__()
 
     def __post_init__(self):
@@ -218,6 +223,7 @@ class LaurentJet(Record):
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, valuation: int = 0, coeffs: Iterable[Rational] = ()):
+        valuation = index(valuation)  # read also for the zero jet, which drops it
         cs = [as_fraction(c) for c in coeffs]
         lead = 0
         while lead < len(cs) and cs[lead] == 0:
@@ -229,7 +235,7 @@ class LaurentJet(Record):
             tail = len(cs)
             while cs[tail - 1] == 0:
                 tail -= 1
-            object.__setattr__(self, "valuation", index(valuation) + lead)
+            object.__setattr__(self, "valuation", valuation + lead)
             object.__setattr__(self, "coeffs", tuple(cs[lead:tail]))
 
     @classmethod
@@ -334,9 +340,9 @@ class LaurentJet2(Record):
         cleaned: dict[tuple[int, int], Fraction] = {}
         if terms:
             for (i, j), c in terms.items():
-                f = as_fraction(c)
+                key, f = (index(i), index(j)), as_fraction(c)
                 if f != 0:
-                    cleaned[(index(i), index(j))] = f
+                    cleaned[key] = f
         object.__setattr__(self, "_terms", cleaned)
 
     @property

@@ -28,9 +28,9 @@ not a recursion failure.  An integer literal has at most ``MAX_LITERAL_DIGITS``
 digits, on every Python version.  Exponents, written or reached by raising a
 power to a power, are at most ``MAX_EXPONENT`` in absolute value, a power c^n
 of a coefficient is refused when |n| times the bit length of c exceeds
-``MAX_POWER_BITS``, and one parse multiplies out sums into at most
-``MAX_PRODUCTS`` monomial products, so that a short input cannot ask for
-unbounded work.
+``MAX_POWER_BITS``, one parse multiplies out sums into at most ``MAX_PRODUCTS``
+monomial products, and a term's monomial factors multiply into a numerator and a
+denominator of at most ``MAX_TERM_BITS`` bits, so that no term asks for unbounded work.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ MAX_LITERAL_DIGITS = 4300
 MAX_POWER_BITS = 1 << 13
 # Monomial products per parse, each counted as 1 + bits(c1) * bits(c2) / 2^17.
 MAX_PRODUCTS = 1 << 14
+# The most bits of a term's numerator or denominator, as the operands' bit lengths
+# summed before each multiply of its monomial factors: B*C of 4,300 digits counts 28,568.
+MAX_TERM_BITS = 1 << 15
 
 
 class ParseError(ValueError):
@@ -206,7 +209,7 @@ class _ExprParser:
         x = y = p = q = 0
         num, den = sign, 1
         sums = None  # the product of the term's parenthesized factors
-        divide = False
+        divide, column = False, self.tokens[self.pos][2]
         while True:
             key, fnum, fden = self.factor()
             if divide:
@@ -216,8 +219,8 @@ class _ExprParser:
                     raise ParseError("division by zero", column)
                 if key[2] or key[3]:
                     raise ParseError("cannot divide by a differential symbol", column)
-                x, y, num, den = x - key[0], y - key[1], num * fden, den * fnum
-            elif key is None:
+                key, fnum, fden = (-key[0], -key[1], 0, 0), fden, fnum
+            if key is None:
                 if sums is not None:
                     self.products += len(sums) * len(fnum) + _bits(sums) * _bits(fnum) // (1 << 17)
                     if self.products > MAX_PRODUCTS:
@@ -226,6 +229,10 @@ class _ExprParser:
                 sums = fnum if sums is None else _vmul(sums, fnum)
             else:
                 x, y, p, q = x + key[0], y + key[1], p + key[2], q + key[3]
+                if max(num.bit_length() + fnum.bit_length(),
+                       den.bit_length() + fden.bit_length()) > MAX_TERM_BITS:
+                    raise ParseError("term too large: its coefficient exceeds %d bits"
+                                     % MAX_TERM_BITS, column)
                 num, den = num * fnum, den * fden
             kind, _, column = self.tokens[self.pos]
             if kind != "*" and kind != "/":

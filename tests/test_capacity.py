@@ -55,6 +55,12 @@ class TestVerifyCapacity:
         with pytest.raises(ValueError):
             verify_capacity(2, 1, m_max=0)
 
+    @pytest.mark.parametrize("k, p", [(2.5, 1), (2, 1.5)])
+    def test_non_integer_exponents_rejected(self, k, p):
+        # refused when the tensor x^-p dx^k is built, before any pullback
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            verify_capacity(k, p)
+
 
 class TestCapacityTable:
     def test_reproduces_floor_table(self):

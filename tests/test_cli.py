@@ -28,6 +28,7 @@ from cornerjet.parser import (
     MAX_EXPONENT,
     MAX_POWER_BITS,
     MAX_PRODUCTS,
+    MAX_TERM_BITS,
     ParseError,
     format_plot,
     parse_polynomial,
@@ -299,6 +300,8 @@ PARSE_ERRORS = [
     ("plot", "interior(1; 2+t)", "interior jet constant term must equal the base point"),
     ("plot", "interior(1; 1+t", "syntax error at 1:16: expected ')'"),
     ("plot", "interior(1; 1+t) x", "syntax error at 1:18: unexpected 'x' after expression"),
+    ("halfline", "*".join(["2^2048"] * 16) + "*dx",
+     "syntax error at 1:105: term too large: its coefficient exceeds 32768 bits"),
 ]
 
 _PARSERS = {
@@ -408,6 +411,27 @@ class TestCaps:
         assert parse_tensor(big + "*" + big + "*(1+x)*dx^2", "quadrant").a.valuations == (0, 0)
         with pytest.raises(ParseError, match="product too large"):
             parse_tensor(big + "*" + big + "*" + big + "*dx^2", "quadrant")
+
+    def test_term_bit_cap(self):
+        # a term's monomial factors multiply into one numerator and one denominator,
+        # refused when two operands' bit lengths sum past the cap: 2^32766 counts it
+        at_cap = "*".join(["2^2048"] * 15) + "*2^2046"
+        assert parse_tensor(at_cap + "*dx").coeff == LaurentJet(0, [2 ** 32766])
+        assert parse_tensor("1/" + at_cap.replace("*", "/") + "*dx").coeff == LaurentJet(
+            0, [F(1, 2 ** 32766)])
+        for text in (at_cap + "*2*dx", "1/" + at_cap.replace("*", "/") + "/2*dx"):
+            with pytest.raises(ParseError, match="at 1:%d: term too large: .* %d bits"
+                               % (len(text) - 4, MAX_TERM_BITS)):
+                parse_tensor(text)
+
+    @pytest.mark.parametrize("n", [3, 10, 20, 40, 80])
+    def test_term_bit_cap_bounds_long_terms(self, n):
+        # 4,000-digit factors B/C: two pass, and a third is refused at its '*' at
+        # once, however many follow (80 of them took seconds before the cap)
+        factor = "%s/%s" % ("9" * 3999 + "7", "8" * 3999 + "9")
+        assert parse_tensor(factor + "*" + factor + "*x*dx").coeff.valuation == 1
+        with pytest.raises(ParseError, match="at 1:%d: term too large" % (2 * len(factor) + 2)):
+            parse_tensor("*".join([factor] * n) + "*x*dx")
 
     @pytest.mark.parametrize("argv, message", [
         (["pullback", "--order", str(MAX_ORDER + 1), "--plot", "t^2", "(1/x)*dx^2"],

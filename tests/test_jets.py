@@ -23,7 +23,13 @@ from cornerjet.metric import MetricVerdict, MetricWitness
 from cornerjet.numeric import SampledFunction
 from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, make_interior_plot
 from cornerjet.pullback import SmoothnessVerdict, Status, _derivative, _divide
-from cornerjet.tensors import HalfLineTensor, make_quadrant_tensor
+from cornerjet.tensors import (
+    QUADRANT_BASIS,
+    HalfLineTensor,
+    QuadrantTensor,
+    make_halfline_tensor,
+    make_quadrant_tensor,
+)
 
 from conftest import jet1s, laurent_jets, laurent2s, nonzero_laurent_jets
 from oracles import compose, schoolbook_product
@@ -239,9 +245,17 @@ class TestCanonicalForms:
         lambda: LaurentJet(F(1), [1]),
         lambda: LaurentJet2({(1.5, 0): 1}),
         lambda: LaurentJet2({(0, F(-1)): 1}),
-    ], ids=["laurent-float", "laurent-fraction", "laurent2-float", "laurent2-fraction"])
+        lambda: LaurentJet(1.7, []),
+        lambda: LaurentJet(1.7, [0]),
+        lambda: LaurentJet2({(1.5, 0): 0}),
+        lambda: HalfLineTensor(2.5, LaurentJet(-1, [1])),
+        lambda: make_halfline_tensor(2.5, LaurentJet(-1, [1])),
+    ], ids=["laurent-float", "laurent-fraction", "laurent2-float", "laurent2-fraction",
+            "laurent-float-empty", "laurent-float-zero", "laurent2-float-zero",
+            "halfline-degree-float", "make-halfline-degree-float"])
     def test_exponents_are_integers_not_truncated(self, build):
-        # int() would cut 1.7 down to 1; an exponent must be an integer already
+        # int() would cut 1.7 down to 1; an exponent must be an integer already,
+        # also where a zero coefficient leaves it unused
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             build()
 
@@ -357,6 +371,31 @@ class TestValueTypes:
             assert hash(copy) == hash(value)
         assert value != tuple(_fields(value))
         assert value.__eq__(object()) is NotImplemented
+
+    @pytest.mark.parametrize("read", [
+        lambda: make_quadrant_tensor(1, 1, 0).components,
+        lambda: _PARITY.components,
+        lambda: _PARITY.components["du^2"].masses,
+    ], ids=["QuadrantTensor.components", "ParityReport.components", "ComponentParity.masses"])
+    def test_mapping_fields_are_read_only(self, read):
+        mapping = read()
+        key = next(iter(mapping))
+        with pytest.raises(AttributeError):
+            mapping.pop(key)
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        assert read() == mapping and len(mapping) == len(read())
+
+    def test_mapping_fields_do_not_alias_the_callers_dict(self):
+        components = dict(_QUADRANT.components)
+        tensor = QuadrantTensor(components)
+        before = hash(tensor)
+        components.pop((1, 1))
+        assert tuple(tensor.components) == QUADRANT_BASIS and hash(tensor) == before
+        masses = dict(_PARITY.components["du^2"].masses)
+        parity = ComponentParity("even-even", masses, None, True, True, True)
+        masses["odd-odd"] = 7
+        assert parity.masses["odd-odd"] == 0
 
     def test_equality_across_types(self):
         jet = Jet1([1, 1])
