@@ -29,8 +29,8 @@ digits, on every Python version.  Exponents, written or reached by raising a
 power to a power, are at most ``MAX_EXPONENT`` in absolute value, a power c^n
 of a coefficient is refused when |n| times the bit length of c exceeds
 ``MAX_POWER_BITS``, one parse multiplies out sums into at most ``MAX_PRODUCTS``
-monomial products, and a term's monomial factors multiply into a numerator and a
-denominator of at most ``MAX_TERM_BITS`` bits, so that no term asks for unbounded work.
+monomial products, and one term's numbers and coefficient powers have at most
+``MAX_TERM_BITS`` bits in all, so that no term asks for unbounded work.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ MAX_LITERAL_DIGITS = 4300
 MAX_POWER_BITS = 1 << 13
 # Monomial products per parse, each counted as 1 + bits(c1) * bits(c2) / 2^17.
 MAX_PRODUCTS = 1 << 14
-# The most bits of a term's numerator or denominator, as the operands' bit lengths
-# summed before each multiply of its monomial factors: B*C of 4,300 digits counts 28,568.
-MAX_TERM_BITS = 1 << 15
+# The most bits of the numbers and coefficient powers in one term, numerators and
+# denominators summed, so its coefficient too: B/C*B/C of 4,000 digits counts <= 53,156.
+MAX_TERM_BITS = 1 << 16
 
 
 class ParseError(ValueError):
@@ -206,7 +206,7 @@ class _ExprParser:
 
     def term(self, value: _Value, sign: int) -> None:
         """Add sign times the next term to ``value`` in place."""
-        x = y = p = q = 0
+        x = y = p = q = bits = 0
         num, den = sign, 1
         sums = None  # the product of the term's parenthesized factors
         divide, column = False, self.tokens[self.pos][2]
@@ -229,11 +229,12 @@ class _ExprParser:
                 sums = fnum if sums is None else _vmul(sums, fnum)
             else:
                 x, y, p, q = x + key[0], y + key[1], p + key[2], q + key[3]
-                if max(num.bit_length() + fnum.bit_length(),
-                       den.bit_length() + fden.bit_length()) > MAX_TERM_BITS:
-                    raise ParseError("term too large: its coefficient exceeds %d bits"
-                                     % MAX_TERM_BITS, column)
-                num, den = num * fnum, den * fden
+                if fnum != 1 or fden != 1:  # a number or a power of one, not a symbol
+                    bits += fnum.bit_length() + fden.bit_length()
+                    if bits > MAX_TERM_BITS:
+                        raise ParseError("term too large: its numbers exceed %d bits"
+                                         % MAX_TERM_BITS, column)
+                    num, den = num * fnum, den * fden
             kind, _, column = self.tokens[self.pos]
             if kind != "*" and kind != "/":
                 break

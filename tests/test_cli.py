@@ -300,8 +300,8 @@ PARSE_ERRORS = [
     ("plot", "interior(1; 2+t)", "interior jet constant term must equal the base point"),
     ("plot", "interior(1; 1+t", "syntax error at 1:16: expected ')'"),
     ("plot", "interior(1; 1+t) x", "syntax error at 1:18: unexpected 'x' after expression"),
-    ("halfline", "*".join(["2^2048"] * 16) + "*dx",
-     "syntax error at 1:105: term too large: its coefficient exceeds 32768 bits"),
+    ("halfline", "*".join(["2^2048"] * 32) + "*dx",
+     "syntax error at 1:217: term too large: its numbers exceed 65536 bits"),
 ]
 
 _PARSERS = {
@@ -413,21 +413,22 @@ class TestCaps:
             parse_tensor(big + "*" + big + "*" + big + "*dx^2", "quadrant")
 
     def test_term_bit_cap(self):
-        # a term's monomial factors multiply into one numerator and one denominator,
-        # refused when two operands' bit lengths sum past the cap: 2^32766 counts it
-        at_cap = "*".join(["2^2048"] * 15) + "*2^2046"
-        assert parse_tensor(at_cap + "*dx").coeff == LaurentJet(0, [2 ** 32766])
-        assert parse_tensor("1/" + at_cap.replace("*", "/") + "*dx").coeff == LaurentJet(
-            0, [F(1, 2 ** 32766)])
-        for text in (at_cap + "*2*dx", "1/" + at_cap.replace("*", "/") + "/2*dx"):
-            with pytest.raises(ParseError, match="at 1:%d: term too large: .* %d bits"
-                               % (len(text) - 4, MAX_TERM_BITS)):
-                parse_tensor(text)
+        # a term's numbers and coefficient powers count their numerators' and
+        # denominators' bit lengths: 2^2048 counts 2049 + 1, and these reach the cap
+        # exactly; symbols count nothing
+        at_cap = "*".join(["2^2048"] * 31) + "*2^1984"
+        over = "1/" + "/".join(["2^2048"] * 31) + "/2^1982"
+        assert parse_tensor(at_cap + "*x*dx").coeff == LaurentJet(1, [2 ** 65472])
+        assert parse_tensor(over + "*x*dx").coeff == LaurentJet(1, [F(1, 2 ** 65470)])
+        for head, tail in ((at_cap, "*2*dx"), (over, "/2*dx"), (at_cap, "*(-1)^3*dx")):
+            with pytest.raises(ParseError, match="at 1:%d: term too large: its numbers exceed"
+                               " %d bits" % (len(head) + 1, MAX_TERM_BITS)):
+                parse_tensor(head + tail)
 
     @pytest.mark.parametrize("n", [3, 10, 20, 40, 80])
     def test_term_bit_cap_bounds_long_terms(self, n):
         # 4,000-digit factors B/C: two pass, and a third is refused at its '*' at
-        # once, however many follow (80 of them took seconds before the cap)
+        # once, however many follow (80 of them took seconds without the cap)
         factor = "%s/%s" % ("9" * 3999 + "7", "8" * 3999 + "9")
         assert parse_tensor(factor + "*" + factor + "*x*dx").coeff.valuation == 1
         with pytest.raises(ParseError, match="at 1:%d: term too large" % (2 * len(factor) + 2)):
