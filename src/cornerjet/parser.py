@@ -209,7 +209,7 @@ class _ExprParser:
         x = y = p = q = bits = 0
         num, den = sign, 1
         sums = None  # the product of the term's parenthesized factors
-        divide, column = False, self.tokens[self.pos][2]
+        divide = False
         while True:
             key, fnum, fden = self.factor()
             if divide:

@@ -159,6 +159,13 @@ class TestDecomposeQuadrant:
         assert not parity.components["du*dv"].smooth
         assert parity.components["du*dv"].masses["odd-odd"] == 1
 
+    def test_cross_term_is_reported_before_axial_poles(self):
+        # dx^2 and dy^2 fail too, and precede dx*dy in the basis
+        tensor = make_quadrant_tensor({(-2, 0): 1}, {(0, -2): 1}, {(-1, 0): 1})
+        with pytest.raises(NotSmoothError, match="singular cross term") as err:
+            decompose_quadrant(tensor)
+        assert not any(c.ok for c in err.value.parity.components.values())
+
     def test_deep_axial_pole_rejected(self):
         with pytest.raises(NotSmoothError, match="dx\\^2 coefficient pulls back"):
             decompose_quadrant(make_quadrant_tensor({(-2, 0): 1}, 0, 0))
