@@ -164,10 +164,6 @@ class Jet1(Record):
             raise ValueError("a jet stores at least its constant term")
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def constant(cls, value: Rational) -> "Jet1":
-        return cls((as_fraction(value),))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

@@ -118,14 +118,12 @@ class SampledFunction(Record):
             squares=kept,
         )
 
-    def grid(self, n: int | None = None, enlargement: float = 0.0) -> list[float]:
+    def grid(self, enlargement: float = 0.0) -> list[float]:
         a, b = float(self.interval[0]), float(self.interval[1])
         if enlargement:
             pad = enlargement * (b - a)
             a, b = a - pad, b + pad
-        div = (n if n is not None else self.grid_n) - 1
-        if div < 1:  # no step: linspace's empty and one-point grids
-            return [a] * (div + 1)
+        div = self.grid_n - 1
         step = (b - a) / div
         # A step that underflows to zero: linspace scales i/div by b - a instead.
         points = [i * step + a if step else i / div * (b - a) + a for i in range(div + 1)]

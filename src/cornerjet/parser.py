@@ -25,12 +25,13 @@ monomial, in place, to the expression's dict.
 
 Parentheses nest at most ``MAX_NESTING`` deep; deeper input is a parse error,
 not a recursion failure.  An integer literal has at most ``MAX_LITERAL_DIGITS``
-digits, on every Python version.  Exponents, written or reached by raising a
-power to a power, are at most ``MAX_EXPONENT`` in absolute value, a power c^n
-of a coefficient is refused when |n| times the bit length of c exceeds
+digits, on every Python version.  Exponents, written or reached by powers and
+products, are at most ``MAX_EXPONENT`` in absolute value, a power c^n of a
+coefficient is refused when |n| times the bit length of c exceeds
 ``MAX_POWER_BITS``, one parse multiplies out sums into at most ``MAX_PRODUCTS``
-monomial products, and one term's numbers and coefficient powers have at most
-``MAX_TERM_BITS`` bits in all, so that no term asks for unbounded work.
+monomial products, and one term's numbers and coefficient powers, like the sum
+that one monomial collects, have at most ``MAX_TERM_BITS`` bits in all, so that
+no term asks for unbounded work.
 """
 
 from __future__ import annotations
@@ -139,6 +140,14 @@ def _bits(value: _Value) -> int:
     return sum(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in value.values())
 
 
+def _sum_bits(f: Fraction, g: Fraction) -> int:
+    """A bound on the numerator plus denominator bits of f + g, read before adding."""
+    fd, gd = f.denominator.bit_length(), g.denominator.bit_length()
+    if f.denominator == g.denominator:  # like terms: only the numerators add
+        return max(f.numerator.bit_length(), g.numerator.bit_length()) + 1 + fd
+    return max(f.numerator.bit_length() + gd, g.numerator.bit_length() + fd) + 1 + fd + gd
+
+
 def _single_term(value: _Value, what: str, column: int) -> tuple:
     """The one nonzero monomial of ``value`` as (key, num, den); (None, 0, 1) if none."""
     value = _clean(value)
@@ -242,10 +251,19 @@ class _ExprParser:
             divide = kind == "/"
         coeff = Fraction(num, den)
         terms = {_UNIT_KEY: coeff} if sums is None else {k: c * coeff for k, c in sums.items()}
+        square_cap = MAX_EXPONENT * MAX_EXPONENT
         for (a, b, c, d), v in terms.items():
-            key = (a + x, b + y, c + p, d + q)
+            a, b, c, d = key = (a + x, b + y, c + p, d + q)
             old = value.get(key)
-            value[key] = v if old is None else old + v
+            if old is None:  # a new monomial: its exponents, reached by products, are capped
+                if a * a + b * b + c * c + d * d > square_cap:  # else none exceeds the cap
+                    _check_exponent(max(key, key=abs), column)
+                value[key] = v
+            elif _sum_bits(old, v) > MAX_TERM_BITS:
+                raise ParseError("sum too large: the coefficients of one monomial exceed"
+                                 " %d bits" % MAX_TERM_BITS, column)
+            else:
+                value[key] = old + v
 
     def factor(self) -> tuple:
         """The next factor: a monomial (key, num, den), or (None, value, 0) for a
@@ -418,7 +436,7 @@ def _parse_boundary(tokens: list[tuple[str, str, int]]) -> BoundaryGerm:
         pos += 1
     if exponent < 2 or exponent % 2 != 0:
         raise ParseError("plot not certified nonnegative: leading term t^%d" % exponent)
-    unit = Jet1.constant(1)
+    unit = Jet1((1,))
     if tokens[pos][0] == "*":
         pos += 1
         if tokens[pos][0] != "(":
@@ -475,7 +493,7 @@ def format_plot(p: PlotGerm) -> str:
         return "flat"
     if isinstance(p, BoundaryGerm):
         head = "t^%d" % p.contact_degree
-        if p.unit == Jet1.constant(1):
+        if p.unit == Jet1((1,)):
             return head
         return "%s*(%s)" % (head, p.unit)
     if isinstance(p, InteriorGerm):

@@ -69,7 +69,7 @@ class PairGerm(Record):
 def make_boundary_plot(m: int, unit: Jet1 | Rational) -> BoundaryGerm:
     """Build the germ t^(2m) * unit(t); rejects data that cannot stay nonnegative."""
     if not isinstance(unit, Jet1):
-        unit = Jet1.constant(as_fraction(unit))
+        unit = Jet1((unit,))
     return BoundaryGerm(m, unit)
 
 

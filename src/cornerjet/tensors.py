@@ -7,7 +7,6 @@ coefficient; a quadrant tensor maps each basis element (p, q) of
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from operator import index
 
@@ -24,10 +23,10 @@ __all__ = [
     "DecompositionTrace",
     "tau_sing",
     "make_halfline_tensor",
-    "make_quadrant_tensor",
 ]
 
-# The deepest pole, in x and in y, that a tensor coefficient may have.
+# The deepest pole, in x and in y, that a parsed tensor coefficient may have;
+# only the parser enforces it, and the value types take any valuation.
 MIN_VALUATION = -4
 
 # The quadrant's degree-2 basis dx^p dy^q as (p, q): the keys of a QuadrantTensor
@@ -65,20 +64,6 @@ class HalfLineTensor(Record):
     def pole_order(self) -> int:
         return self.coeff.pole_order
 
-    def __add__(self, other):
-        if not isinstance(other, HalfLineTensor):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("cannot add tensors of different degree")
-        return HalfLineTensor(self.degree, self.coeff + other.coeff)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return HalfLineTensor(self.degree, self.coeff * scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
 
 def tau_sing() -> HalfLineTensor:
     """The canonical singular symmetric 2-tensor dx (x) dx / x."""
@@ -114,24 +99,6 @@ class QuadrantTensor(Record):
     a = property(lambda self: self.components[2, 0])
     b = property(lambda self: self.components[0, 2])
     c = property(lambda self: self.components[1, 1])
-
-
-def _as_laurent2(component) -> LaurentJet2:
-    if isinstance(component, LaurentJet2):
-        return component
-    if isinstance(component, Mapping):
-        return LaurentJet2(component)
-    return LaurentJet2({(0, 0): as_fraction(component)})
-
-
-def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
-    """Assemble a dx^2 + b dy^2 + c dx dy; no pole may reach deeper than ``MIN_VALUATION``."""
-    tensor = QuadrantTensor(dict(zip(QUADRANT_BASIS, map(_as_laurent2, (a, b, c)))))
-    for basis, jet in tensor.components.items():
-        if min(jet.valuations) < MIN_VALUATION:
-            raise ValueError("%s coefficient valuation below the configured minimum %d"
-                             % (basis_name(basis, ("dx", "dy")), MIN_VALUATION))
-    return tensor
 
 
 class DecompositionTrace(Record):

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cornerjet import LaurentJet, SampledFunction
+from cornerjet.jets import LaurentJet2
 from cornerjet.numeric import _reduce, _sup_abs, check_tolerance
 from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
-from cornerjet.tensors import HalfLineTensor
+from cornerjet.tensors import QUADRANT_BASIS, HalfLineTensor, QuadrantTensor
 
 
 def schoolbook_product(a, b) -> dict[int, Fraction]:
@@ -187,6 +188,23 @@ def evaluate_expression(tree) -> dict[tuple[int, int, int, int], Fraction]:
     return {key: c for key, c in value.items() if c != 0}
 
 
+# Tensor builders for the tests; the program builds its tensors directly.
+
+
+def singular_plus_regular(c, regular) -> HalfLineTensor:
+    """c dx^2/x + regular(x) dx^2, for a rational c and a Jet1 ``regular``."""
+    return HalfLineTensor(2, LaurentJet(-1, (c,)) + regular.to_laurent())
+
+
+def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
+    """a dx^2 + b dy^2 + c dx dy; each a LaurentJet2, a {(i, j): c} map or a constant."""
+    def jet(value):
+        if isinstance(value, LaurentJet2):
+            return value
+        return LaurentJet2(value if isinstance(value, dict) else {(0, 0): value})
+    return QuadrantTensor(dict(zip(QUADRANT_BASIS, map(jet, (a, b, c)))))
+
+
 _SIMPLE_POLE = LaurentJet(-1, (1,))
 
 
@@ -230,7 +248,7 @@ def numeric_pullback_probe(
         raise ValueError("function not nonnegative on interval")
 
     def sup_on(n: int) -> float:
-        grid = f.grid(n)
+        grid = SampledFunction(f.coeffs, f.interval, n, f.squares).grid()
         pv = f.values(grid)
         kept = [i for i, p in enumerate(pv) if p != 0.0]
         if not kept:

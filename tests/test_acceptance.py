@@ -36,8 +36,8 @@ from cornerjet.cli import run
 from cornerjet.jets import Jet1, LaurentJet2, parity_masses
 from cornerjet.plots import BoundaryGerm
 from cornerjet.pullback import Status
-from cornerjet.tensors import make_quadrant_tensor
 
+from oracles import make_quadrant_tensor, singular_plus_regular
 from test_cli import (
     SCENARIOS,
     fraction_from_str,
@@ -90,7 +90,7 @@ def test_criterion_2_halfline_decomposition_round_trip():
         for _ in range(500):
             c = rational(rng, bound=100, max_den=20)
             regular = Jet1([rational(rng) for _ in range(17)])
-            tensor = c * tau_sing() + make_halfline_tensor(2, regular)
+            tensor = singular_plus_regular(c, regular)
             result = decompose_halfline(tensor, order=16)
             assert result.c == c
             assert result.regular == regular
@@ -182,7 +182,7 @@ def test_criterion_6_metric_exclusion_of_singular_parts():
             while c == 0:
                 c = rational(rng, bound=50, max_den=12)
             regular = Jet1([rational(rng) for _ in range(9)])
-            g = c * tau_sing() + make_halfline_tensor(2, regular)
+            g = singular_plus_regular(c, regular)
             verdict = check_metric(g)
             assert not verdict.accepted
             assert isinstance(verdict.witness.plot, BoundaryGerm)

@@ -69,6 +69,10 @@ class TestCapacityTable:
     def test_degenerate(self):
         assert capacity_table(0) == [(0, 0)]
 
+    def test_negative_k_max_rejected(self):
+        with pytest.raises(ValueError, match="k_max must be nonnegative"):
+            capacity_table(-1)
+
     def test_frontier_matches_floor_up_to_eight(self):
         for k, frontier in capacity_table(8):
             assert frontier == capacity(k)

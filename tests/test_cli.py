@@ -42,11 +42,10 @@ from cornerjet.tensors import (
     HalfLineTensor,
     QuadrantTensor,
     basis_name,
-    make_quadrant_tensor,
 )
 
 from conftest import laurent2s, nonzero_laurent_jets, polynomial_laurent2s
-from oracles import evaluate_expression, render_expression
+from oracles import evaluate_expression, make_quadrant_tensor, render_expression
 
 
 def format_halfline_tensor(t: HalfLineTensor) -> str:
@@ -108,6 +107,10 @@ class TestParseTensor:
         assert t.a == LaurentJet2({(-1, 2): 1})
         assert t.b == LaurentJet2({(0, -1): 1})
         assert t.c == LaurentJet2({(1, 1): 1})
+
+    def test_unknown_space_is_refused(self):
+        with pytest.raises(ValueError, match="space must be 'halfline' or 'quadrant'"):
+            parse_tensor("x*dx", "bogus")
 
     def test_unknown_symbol(self):
         with pytest.raises(ParseError, match="unknown symbol 'dz'"):
@@ -220,6 +223,10 @@ class TestParsePlot:
         assert parse_plot("t^2*(1 + 0*t^3)").unit == Jet1([1])
         assert parse_plot("t^4*(2 + t^2 - t^2 + t)").unit == Jet1([2, 1])
 
+    def test_format_refuses_a_non_germ(self):
+        with pytest.raises(TypeError, match="not a plot germ: 't\\^2'"):
+            format_plot("t^2")
+
     def test_rational_literori(self):
         assert parse_rational("-7/3") == F(-7, 3)
         with pytest.raises(ParseError, match="decimal point"):
@@ -302,6 +309,14 @@ PARSE_ERRORS = [
     ("plot", "interior(1; 1+t) x", "syntax error at 1:18: unexpected 'x' after expression"),
     ("halfline", "*".join(["2^2048"] * 32) + "*dx",
      "syntax error at 1:217: term too large: its numbers exceed 65536 bits"),
+    ("halfline", "x^2048*x^2048*dx", "syntax error at 1:17: exponent 4096 exceeds the maximum 2048"),
+    ("halfline", "(x^2000+1)*(x^2000+1)*dx",
+     "syntax error at 1:25: exponent 4000 exceeds the maximum 2048"),
+    ("plot", "t^2*(1+t^2048*t)", "syntax error at 1:16: exponent 2049 exceeds the maximum 2048"),
+    ("plot", "interior(1; 1+t^2048*t)", "syntax error at 1:23: exponent 2049 exceeds the maximum 2048"),
+    ("polynomial", "1 + t^1024*t^1025", "syntax error at 1:18: exponent 2049 exceeds the maximum 2048"),
+    ("halfline", "x/7^2048/7^2048*dx + x/11^2048/11^2048*dx + x/13^2048/13^2048*dx",
+     "syntax error at 1:65: sum too large: the coefficients of one monomial exceed 65536 bits"),
 ]
 
 _PARSERS = {
@@ -373,6 +388,9 @@ class TestCaps:
     @pytest.mark.parametrize("text", [
         "x^2049*dx", "x^-2049*dx", "x*dx^2049", "(x^64)^33*dx", "(2*x)^99999999*dx",
         "x^99999999999999999999*dx", "0^2049*dx",
+        # exponents reached by multiplying factors and sums
+        "x^2048*x^2048*dx", "x^-2048*x^-1*dx", "dx^2048*dx^2048*dx^2048*dx^2048",
+        "(x^2000+1)*(x^2000+1)*dx", "x*dx + (x^2048+1)*x*dx", "0*x^2048*x*dx",
     ])
     def test_exponent_cap(self, text):
         with pytest.raises(ParseError, match="exponent -?[0-9]+ exceeds the maximum %d" % MAX_EXPONENT):
@@ -382,6 +400,13 @@ class TestCaps:
         assert parse_tensor("(x^32)^64*dx", "halfline").coeff == LaurentJet(MAX_EXPONENT, [1])
         assert parse_tensor("x*dx^2048", "halfline").degree == MAX_EXPONENT
         assert parse_plot("t^2048").m == MAX_EXPONENT // 2
+        assert parse_tensor("x^1024*x^1024*dx").coeff == LaurentJet(MAX_EXPONENT, [1])
+        assert parse_tensor("(x^1000+1)*(x^1048+1)*dx").coeff.degree == MAX_EXPONENT
+        assert parse_tensor("dx^1024*dx^1024").degree == MAX_EXPONENT
+        assert parse_plot("t^2*(1+t^1024*t^1024)").unit.order == MAX_EXPONENT
+        # exponents that each stay within the cap, however large together
+        assert parse_tensor("x^2048*dx^2048").coeff == LaurentJet(MAX_EXPONENT, [1])
+        assert parse_tensor("x^1500*y^1500*dx^2", "quadrant").a == LaurentJet2({(1500, 1500): 1})
         with pytest.raises(ParseError, match="at 1:2: exponent 2050 exceeds"):
             parse_plot("t^2050")
 
@@ -434,6 +459,33 @@ class TestCaps:
         with pytest.raises(ParseError, match="at 1:%d: term too large" % (2 * len(factor) + 2)):
             parse_tensor("*".join([factor] * n) + "*x*dx")
 
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    def test_sum_bit_cap_bounds_long_sums(self, n):
+        # terms 1/(p^e q^e), distinct primes, each power just under MAX_POWER_BITS:
+        # without the cap their sum grows by each denominator, and 64 terms took
+        # seconds; two terms reach 44,388 bits, and a third would pass the cap, so it
+        # is refused as it ends
+        primes = [p for p in range(17, 1000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+        terms = ["1/%d^%d/%d^%d*x*dx" % (p, MAX_POWER_BITS // p.bit_length(),
+                                         q, MAX_POWER_BITS // q.bit_length())
+                 for p, q in zip(primes[0:2 * n:2], primes[1:2 * n:2])]
+        assert parse_tensor(" + ".join(terms[:2])).coeff.valuation == 1
+        # the refusal points at the token after the third term: the end, or a '+'
+        column = len(" + ".join(terms[:3])) + (1 if n == 3 else 2)
+        with pytest.raises(ParseError, match="at 1:%d: sum too large: the coefficients of one"
+                           " monomial exceed %d bits" % (column, MAX_TERM_BITS)):
+            parse_tensor(" + ".join(terms))
+
+    def test_sum_bit_cap_accepts_sums_that_stay_small(self):
+        # terms over one 23,000-bit denominator add only their numerators, and
+        # terms on distinct monomials add nothing up
+        big = "/".join(["7^2048"] * 4)
+        like_terms = parse_tensor("x/%s*dx + x/%s*dx" % (big, big))
+        assert like_terms.coeff == LaurentJet(1, [F(2, 7 ** 8192)])
+        text = " + ".join("1/%s*x^%d*dx" % (big, k) for k in range(8))
+        assert len(parse_tensor(text).coeff.coeffs) == 8
+        assert parse_tensor("x*dx + " * 1000 + "x*dx").coeff == LaurentJet(1, [1001])
+
     @pytest.mark.parametrize("argv, message", [
         (["pullback", "--order", str(MAX_ORDER + 1), "--plot", "t^2", "(1/x)*dx^2"],
          "order 257 exceeds the maximum 256"),
@@ -447,6 +499,10 @@ class TestCaps:
         (["pullback", "--plot", "t^2*(3/2+t)", "x^20000*dx"], "exponent 20000 exceeds"),
         (["parity", "*".join(["(1+x+y)"] * 400) + "*dx^2"],
          "product too large: multiplying out exceeds %d monomial products" % MAX_PRODUCTS),
+        # 32 factors x^2048 ran for seconds and then failed on CPython's
+        # int-to-str limit; now the term is refused as it ends
+        (["pullback", "--order", "256", "--plot", "t^2*(3/2+t)", "*".join(["x^2048"] * 32) + "*dx"],
+         "syntax error at 1:227: exponent 65536 exceeds the maximum 2048"),
     ])
     def test_cli_caps_exit_one(self, capsys, argv, message):
         assert run(argv) == 1

@@ -17,10 +17,9 @@ from cornerjet import (
 )
 from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.pullback import Status
-from cornerjet.tensors import make_quadrant_tensor
 
 from conftest import jet1s, nonzero_rationals, polynomial_laurent2s, rationals
-from oracles import descend_square_pullback
+from oracles import descend_square_pullback, make_quadrant_tensor, singular_plus_regular
 
 
 def valuation_split(coeff: LaurentJet, order: int):
@@ -90,7 +89,7 @@ class TestDecomposeHalfline:
     @settings(max_examples=150)
     @given(rationals, jet1s(max_order=10))
     def test_round_trip(self, c, regular):
-        tensor = c * tau_sing() + make_halfline_tensor(2, regular)
+        tensor = singular_plus_regular(c, regular)
         d = decompose_halfline(tensor, order=regular.order)
         assert d.c == c
         assert d.regular == regular
@@ -105,7 +104,7 @@ class TestDecomposeHalfline:
     @settings(max_examples=150)
     @given(rationals, jet1s(max_order=10))
     def test_proof_path_equals_valuation_split(self, c, regular):
-        tensor = c * tau_sing() + make_halfline_tensor(2, regular)
+        tensor = singular_plus_regular(c, regular)
         d = decompose_halfline(tensor, order=regular.order)
         oracle_c, oracle_regular = valuation_split(tensor.coeff, regular.order)
         assert d.c == oracle_c

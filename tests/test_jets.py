@@ -28,11 +28,10 @@ from cornerjet.tensors import (
     HalfLineTensor,
     QuadrantTensor,
     make_halfline_tensor,
-    make_quadrant_tensor,
 )
 
 from conftest import jet1s, laurent_jets, laurent2s, nonzero_laurent_jets
-from oracles import compose, schoolbook_product
+from oracles import compose, make_quadrant_tensor, schoolbook_product
 from test_kernel import divide, scaled, unscaled
 from test_kernel import times as times_through
 
@@ -258,6 +257,16 @@ class TestCanonicalForms:
         # also where a zero coefficient leaves it unused
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             build()
+
+    def test_jet1_stores_its_constant_term(self):
+        with pytest.raises(ValueError, match="at least its constant term"):
+            Jet1(())
+
+    def test_laurent_jets_print_as_sums(self):
+        assert str(LaurentJet(-1, [F(1, 2), 0, -3])) == "1/2*x^-1 - 3*x"
+        assert str(LaurentJet()) == "0"
+        assert str(LaurentJet2({(-1, 2): 1, (0, 0): F(1, 2)})) == "x^-1*y^2 + 1/2"
+        assert str(LaurentJet2()) == "0"
 
     def test_coefficient_lookup(self):
         jet = LaurentJet(-1, [1, 0, 3])

@@ -16,6 +16,7 @@ from cornerjet.metric import DEFAULT_FAMILY
 from cornerjet.plots import BoundaryGerm, InteriorGerm, make_boundary_plot
 
 from conftest import jet1s, nonzero_rationals, rationals
+from oracles import singular_plus_regular
 
 ORDERS = (2, 16, 64, 256)
 
@@ -91,7 +92,7 @@ class TestCheckMetric:
     @settings(max_examples=100)
     @given(nonzero_rationals, jet1s(max_order=8))
     def test_singular_exclusion(self, c, regular):
-        g = c * tau_sing() + make_halfline_tensor(2, regular)
+        g = singular_plus_regular(c, regular)
         verdict = check_metric(g)
         assert not verdict.accepted
         assert isinstance(verdict.witness.plot, BoundaryGerm)
@@ -103,7 +104,8 @@ class TestCheckMetric:
     )
     def test_positive_scaling_invariance(self, regular, scale):
         g = make_halfline_tensor(2, regular)
-        assert check_metric(g).accepted == check_metric(scale * g).accepted
+        scaled = make_halfline_tensor(2, regular * scale)
+        assert check_metric(g).accepted == check_metric(scaled).accepted
 
 
 @st.composite

@@ -19,10 +19,10 @@ from cornerjet import (
 from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.plots import FlatGerm, make_interior_plot
 from cornerjet.pullback import Status
-from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor, make_quadrant_tensor
+from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor
 
 from conftest import laurent2s, laurent_jets, polynomial_laurent2s, rationals, unit_jet1s
-from oracles import long_divide, realize_jet, schoolbook_product
+from oracles import long_divide, make_quadrant_tensor, realize_jet, schoolbook_product
 
 
 def power(base: dict, n: int) -> dict:
@@ -109,6 +109,10 @@ class TestPullbackHalfline:
     def test_order_precondition(self):
         with pytest.raises(ValueError, match="at least 2"):
             pullback_halfline(tau_sing(), make_boundary_plot(1, 1), order=1)
+
+    def test_non_germ_is_refused(self):
+        with pytest.raises(TypeError, match="cannot compose along 't\\^2'"):
+            pullback_halfline(tau_sing(), "t^2")
 
     def test_interior_germ_pullback(self):
         verdict = pullback_halfline(tau_sing(), make_interior_plot(1), order=4)
@@ -315,6 +319,15 @@ class TestPullbackQuadrantPath:
         # though the square-map pullback rejects the tensor
         assert verdict.status is Status.SMOOTH
         assert verdict.witness == LaurentJet(0, [8])
+
+    def test_preconditions(self):
+        t = make_quadrant_tensor(1, 1, 0)
+        germ = PairGerm(make_boundary_plot(1, 1), make_interior_plot(1))
+        with pytest.raises(ValueError, match="order must be at least 2"):
+            pullback_quadrant_path(t, germ, order=1)
+        for flat in (PairGerm(FlatGerm(), germ.py), PairGerm(germ.px, FlatGerm())):
+            with pytest.raises(ValueError, match="flat components are not supported"):
+                pullback_quadrant_path(t, flat)
 
     def test_axial_pole_along_mixed_path(self):
         t = make_quadrant_tensor({(-2, 0): 1}, 0, 0)
