@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
 from .jets import Record, as_fraction
 
@@ -76,7 +77,7 @@ class SampledFunction(Record):
     def __post_init__(self):
         if self.interval[0] >= self.interval[1]:
             raise ValueError("interval must satisfy a < b")
-        if self.grid_n < 16:
+        if index(self.grid_n) < 16:
             raise ValueError("grid_n must be at least 16")
         # Everything the oracle evaluates in floats must convert to a float.
         _check_float_range(self.interval, "interval endpoint")

@@ -408,7 +408,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_plot(text: str) -> PlotGerm:
-    """Parse a plot germ: t^2, t^4*(1+t), interior(1; 1+t), or flat."""
+    """Parse a plot germ: t^2, t^4*(1+t), interior(1; 1+t), or flat.  The germ
+    records check their own rules, and a refusal keeps the record's text."""
     tokens = _tokenize(text)
     head = tokens[0]
     if head[1] == "flat":
@@ -416,61 +417,50 @@ def parse_plot(text: str) -> PlotGerm:
             raise ParseError("unexpected input after 'flat'", tokens[1][2])
         return FlatGerm()
     if head[1] == "interior":
-        return _parse_interior(text, tokens)
-    if head[1] == "t":
-        return _parse_boundary(tokens)
-    raise ParseError("expected a plot germ (t^2, t^4*(1+t), interior(x0; jet), flat)",
-                     head[2])
+        build, data = make_interior_plot, _parse_interior(text, tokens)
+    elif head[1] == "t":
+        build, data = make_boundary_plot, _parse_boundary(tokens)
+    else:
+        raise ParseError("expected a plot germ (t^2, t^4*(1+t), interior(x0; jet), flat)",
+                         head[2])
+    try:
+        return build(*data)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
 
 
-def _parse_boundary(tokens: list[tuple[str, str, int]]) -> BoundaryGerm:
-    pos = 1
-    exponent = 1
-    if tokens[pos][0] == "^":
-        pos += 1
-        kind, text, column = tokens[pos]
-        if kind != "num":
-            raise ParseError("expected an integer exponent", column)
-        exponent = int(text)
-        _check_exponent(exponent, tokens[pos - 1][2])
-        pos += 1
+def _parse_boundary(tokens: list[tuple[str, str, int]]) -> tuple[int, Jet1]:
+    parser = _ExprParser(tokens, _CURVE_SYMBOLS)
+    exponent = parser.factor()[0][0]  # the first token is t: t or t^N, as in any expression
     if exponent < 2 or exponent % 2 != 0:
         raise ParseError("plot not certified nonnegative: leading term t^%d" % exponent)
     unit = Jet1((1,))
-    if tokens[pos][0] == "*":
-        pos += 1
-        if tokens[pos][0] != "(":
-            raise ParseError("expected a parenthesized unit factor", tokens[pos][2])
-        parser = _ExprParser(tokens, _CURVE_SYMBOLS)
-        parser.pos = pos + 1
+    if tokens[parser.pos][0] == "*":
+        parser.pos += 1
+        if tokens[parser.pos][0] != "(":
+            raise ParseError("expected a parenthesized unit factor", tokens[parser.pos][2])
+        parser.pos += 1
         unit = _value_to_jet1(parser.expr())
         parser.expect_op(")")
-        pos = parser.pos
-    kind, text, column = tokens[pos]
+    kind, text, column = tokens[parser.pos]
     if kind != "end":
         raise ParseError("unexpected %r after plot" % text, column)
-    if unit.constant_term <= 0:
-        raise ParseError("plot not certified nonnegative: unit constant term must be positive")
-    return make_boundary_plot(exponent // 2, unit)
+    return exponent // 2, unit
 
 
-def _parse_interior(text: str, tokens: list[tuple[str, str, int]]) -> InteriorGerm:
+def _parse_interior(text: str, tokens: list[tuple[str, str, int]]) -> tuple[Fraction, Jet1]:
     if tokens[1][0] != "(":
         raise ParseError("interior germ syntax is interior(x0; jet)", tokens[1][2])
     semi = next((i for i, tok in enumerate(tokens) if tok[0] == ";"), None)
     if semi is None:
         raise ParseError("interior germ needs a ';' between base point and jet")
     x0 = parse_rational(text[tokens[1][2] : tokens[semi][2] - 1])
-    if x0 <= 0:
-        raise ParseError("interior base point must be positive")
     parser = _ExprParser(tokens, _CURVE_SYMBOLS)
     parser.pos = semi + 1
     jet = _value_to_jet1(parser.expr())
     parser.expect_op(")")
     parser.expect_end()
-    if jet.constant_term != x0:
-        raise ParseError("interior jet constant term must equal the base point")
-    return make_interior_plot(x0, jet)
+    return x0, jet
 
 
 # -- printing ----------------------------------------------------------------

@@ -44,8 +44,10 @@ class BoundaryGerm(Record):
     unit: Jet1
 
     def __post_init__(self):
-        if index(self.m) < 1 or self.unit.constant_term <= 0:
-            raise ValueError("not certified nonnegative")
+        if index(self.m) < 1:
+            raise ValueError("plot not certified nonnegative: leading term t^%d" % (2 * self.m))
+        if self.unit.constant_term <= 0:
+            raise ValueError("plot not certified nonnegative: unit constant term must be positive")
 
     @property
     def contact_degree(self) -> int:

@@ -306,10 +306,8 @@ def pullback_halfline(
         raise ValueError("order must be at least 2")
     if isinstance(plot, FlatGerm):
         # Flat curves tame any pole up to the capacity; beyond it the jet calculus
-        # cannot decide, so no verdict is fabricated: the gate's witness goes unread.
-        try:
-            _check_capacity(tensor, 2)
-        except NotSmoothError:
+        # cannot decide, so no verdict is fabricated.
+        if tensor.pole_order > capacity(tensor.degree):
             return SmoothnessVerdict(Status.FLAT_INDETERMINATE)
         return SmoothnessVerdict(Status.FLAT_SMOOTH)
     terms = [(d, 0, tensor.degree, 0, c) for d, c in tensor.coeff.terms()]

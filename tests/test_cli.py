@@ -34,7 +34,7 @@ from cornerjet.parser import (
     parse_polynomial,
     parse_rational,
 )
-from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
+from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm, make_boundary_plot
 from cornerjet.pullback import SmoothnessVerdict
 from cornerjet.tensors import (
     MIN_VALUATION,
@@ -244,6 +244,28 @@ class TestParsePlot:
     def test_interior_base_point_is_a_plain_rational(self):
         with pytest.raises(ParseError, match="invalid rational literal"):
             parse_plot("interior(1e1; 10+t)")
+
+    @pytest.mark.parametrize("text, message", [
+        # the contact exponent is read as in any expression, so a negative one is
+        # refused by the germ rule, and beyond the cap by the exponent cap
+        ("t^-2", "plot not certified nonnegative: leading term t^-2"),
+        ("t^-2049", "syntax error at 1:2: exponent -2049 exceeds the maximum 2048"),
+        # the germ is built after its jet is read: the jet's error comes first
+        ("interior(0; 1+x)", "syntax error at 1:15: unknown symbol 'x'"),
+    ])
+    def test_refusal_order(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_plot(text)
+        assert str(info.value) == message
+
+    def test_builder_and_parser_refuse_with_one_text(self):
+        message = "plot not certified nonnegative: unit constant term must be positive"
+        with pytest.raises(ValueError) as info:
+            make_boundary_plot(1, Jet1([0, 1]))
+        assert str(info.value) == message
+        with pytest.raises(ParseError) as info:
+            parse_plot("t^2*(0+t)")
+        assert str(info.value) == message
 
 
 

@@ -114,6 +114,12 @@ class TestGlaeserLandau:
         with pytest.raises(ValueError, match="grid_n"):
             SampledFunction.polynomial([1], (0, 1), grid_n=2)
 
+    @pytest.mark.parametrize("grid_n", [16.5, "20"])
+    def test_grid_size_is_an_integer(self, grid_n):
+        # refused when built, not later by the grid's range()
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SampledFunction((F(1),), (F(0), F(1)), grid_n)
+
     def test_values_beyond_the_float_range_are_refused(self):
         huge = 10 ** 400
         with pytest.raises(ValueError, match="interval endpoint beyond the float range"):

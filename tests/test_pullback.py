@@ -264,6 +264,16 @@ class TestFlatGerms:
         assert verdict.status is expected
         assert verdict.witness is None
 
+    def test_capacity_rule_pulls_nothing_back(self, monkeypatch):
+        # the flat rule reads the pole order against the capacity: no witness is built
+        def refuse(*args):
+            raise AssertionError("a flat germ must not run a pullback")
+
+        monkeypatch.setattr("cornerjet.pullback._pull_back", refuse)
+        assert pullback_halfline(parse_tensor("(1/x)*dx^2"), FlatGerm()).status is Status.FLAT_SMOOTH
+        verdict = pullback_halfline(parse_tensor("(1/x^2)*dx^2"), FlatGerm())
+        assert verdict.status is Status.FLAT_INDETERMINATE
+
 
 class TestPullbackSq2:
     def test_singular_tensor_in_x_slot(self):
