@@ -13,7 +13,7 @@ from __future__ import annotations
 from .jets import DEFAULT_ORDER, LaurentJet, Record
 from .plots import make_boundary_plot
 from .pullback import pullback_halfline
-from .tensors import capacity, make_halfline_tensor
+from .tensors import HalfLineTensor, capacity
 
 __all__ = ["CapacityReport", "capacity", "verify_capacity", "capacity_table"]
 
@@ -34,7 +34,7 @@ def verify_capacity(
         raise ValueError("degree and pole order must be nonnegative")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    tensor = make_halfline_tensor(k, LaurentJet(-p, (1,)))
+    tensor = HalfLineTensor(k, LaurentJet(-p, (1,)))
     margins = []
     for m in range(1, m_max + 1):
         margin = k * (2 * m - 1) - 2 * m * p

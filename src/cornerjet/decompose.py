@@ -21,6 +21,7 @@ independent oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record
 from .jets import parity_masses, whitney_descend
@@ -166,7 +167,7 @@ def _report_order(jet: LaurentJet, order: int | None, noun: str) -> int:
     natural = max(jet.degree or 0, 0)
     if order is None:
         return natural
-    if order < natural:
+    if index(order) < natural:
         raise ValueError(
             "order %d cannot represent the %s (degree %d)" % (order, noun, natural)
         )

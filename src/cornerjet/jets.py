@@ -172,9 +172,6 @@ class Jet1(Record):
     def constant_term(self) -> Fraction:
         return self.coeffs[0]
 
-    def to_laurent(self) -> "LaurentJet":
-        return LaurentJet(0, self.coeffs)
-
     def __mul__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
@@ -289,8 +286,6 @@ class LaurentJet(Record):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         c = as_fraction(other)
-        if c == 0:
-            return LaurentJet()
         return LaurentJet(self.valuation, tuple(a * c for a in self.coeffs))
 
     __rmul__ = __mul__

@@ -23,6 +23,7 @@ points in listed order.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .jets import DEFAULT_ORDER, Record
 from .plots import BoundaryGerm, InteriorGerm, PlotGerm, make_boundary_plot, make_interior_plot
@@ -64,7 +65,7 @@ def check_metric(g: HalfLineTensor, order: int = DEFAULT_ORDER) -> MetricVerdict
     """Decide admissibility of g over ``DEFAULT_FAMILY``; any witness is a genuine failure."""
     if g.degree != 2:
         raise ValueError("a metric candidate must be a symmetric 2-tensor")
-    _check_capacity(g, order)
+    _check_capacity(g, index(order))
     for germ in DEFAULT_FAMILY:
         witness = pullback_halfline(g, germ, _WINDOW).witness
         value = witness.coefficient(0)

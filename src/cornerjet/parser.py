@@ -48,13 +48,7 @@ from .plots import (
     make_boundary_plot,
     make_interior_plot,
 )
-from .tensors import (
-    MIN_VALUATION,
-    QUADRANT_BASIS,
-    HalfLineTensor,
-    QuadrantTensor,
-    make_halfline_tensor,
-)
+from .tensors import MIN_VALUATION, QUADRANT_BASIS, HalfLineTensor, QuadrantTensor
 
 __all__ = [
     "ParseError",
@@ -352,7 +346,7 @@ def parse_tensor(text: str, space: str = "halfline") -> HalfLineTensor | Quadran
             if xe < MIN_VALUATION:
                 raise ParseError("exponent %d below minimum %d" % (xe, MIN_VALUATION))
             coeff[xe] = c
-        return make_halfline_tensor(k, LaurentJet.from_terms(coeff))
+        return HalfLineTensor(k, LaurentJet.from_terms(coeff))
     if space == "quadrant":
         value = _clean(_parse_raw(text, _QUADRANT_SYMBOLS))
         components: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {

@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import add, index, mul
 
 from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, Record
 from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, make_boundary_plot
@@ -210,7 +210,7 @@ def _curve(plot: PlotGerm) -> LaurentJet:
     if isinstance(plot, BoundaryGerm):
         return LaurentJet(2 * plot.m, plot.unit.coeffs)
     if isinstance(plot, InteriorGerm):
-        return plot.jet.to_laurent()
+        return LaurentJet(0, plot.jet.coeffs)
     raise TypeError("cannot compose along %r" % (plot,))
 
 
@@ -302,7 +302,7 @@ def pullback_halfline(
     tensor: HalfLineTensor, plot: PlotGerm, order: int = DEFAULT_ORDER
 ) -> SmoothnessVerdict:
     """Pull coeff(x) dx^k back along a plot germ and judge smoothness at t = 0."""
-    if order < 2:
+    if index(order) < 2:
         raise ValueError("order must be at least 2")
     if isinstance(plot, FlatGerm):
         # Flat curves tame any pole up to the capacity; beyond it the jet calculus
@@ -338,7 +338,7 @@ def pullback_quadrant_path(
     The dt^2 coefficient is a(px,py) px'^2 + b(px,py) py'^2 + 2 c(px,py) px'py',
     the cross term once per slot order.
     """
-    if order < 2:
+    if index(order) < 2:
         raise ValueError("order must be at least 2")
     if isinstance(germ.px, FlatGerm) or isinstance(germ.py, FlatGerm):
         raise ValueError("flat components are not supported in path pullback")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 
-from .jets import Jet1, LaurentJet, LaurentJet2, Rational, Record, as_fraction, format_terms
+from .jets import Jet1, LaurentJet, LaurentJet2, Record, format_terms
 
 __all__ = [
     "MIN_VALUATION",
@@ -22,7 +22,6 @@ __all__ = [
     "Decomposition",
     "DecompositionTrace",
     "tau_sing",
-    "make_halfline_tensor",
 ]
 
 # The deepest pole, in x and in y, that a parsed tensor coefficient may have;
@@ -59,6 +58,8 @@ class HalfLineTensor(Record):
     def __post_init__(self):
         if index(self.degree) < 0:
             raise ValueError("tensor degree must be nonnegative")
+        if not isinstance(self.coeff, LaurentJet):
+            raise TypeError("half-line coefficient must be a LaurentJet, not %r" % (self.coeff,))
 
     @property
     def pole_order(self) -> int:
@@ -70,18 +71,6 @@ def tau_sing() -> HalfLineTensor:
     return HalfLineTensor(2, LaurentJet(-1, (1,)))
 
 
-def _as_laurent(coeff: LaurentJet | Jet1 | Rational) -> LaurentJet:
-    if isinstance(coeff, LaurentJet):
-        return coeff
-    if isinstance(coeff, Jet1):
-        return coeff.to_laurent()
-    return LaurentJet(0, (as_fraction(coeff),))
-
-
-def make_halfline_tensor(k: int, coeff: LaurentJet | Jet1 | Rational) -> HalfLineTensor:
-    return HalfLineTensor(k, _as_laurent(coeff))
-
-
 class QuadrantTensor(Record):
     """The sum of components[(p, q)] dx^p dy^q, keyed by ``QUADRANT_BASIS`` in its order."""
 
@@ -91,6 +80,9 @@ class QuadrantTensor(Record):
         if tuple(self.components) != QUADRANT_BASIS:
             raise ValueError("quadrant tensor components must be keyed %s in that order, not %s"
                              % (QUADRANT_BASIS, tuple(self.components)))
+        for basis, jet in self.components.items():
+            if not isinstance(jet, LaurentJet2):
+                raise TypeError("component %s must be a LaurentJet2, not %r" % (basis, jet))
 
     def __hash__(self):
         return hash(tuple(self.components.items()))
@@ -116,4 +108,4 @@ class Decomposition(Record):
     trace: DecompositionTrace
 
     def reconstruct(self) -> HalfLineTensor:
-        return HalfLineTensor(2, LaurentJet(-1, (self.c,)) + self.regular.to_laurent())
+        return HalfLineTensor(2, LaurentJet(-1, (self.c, *self.regular.coeffs)))

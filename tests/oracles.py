@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cornerjet import LaurentJet, SampledFunction
-from cornerjet.jets import LaurentJet2
+from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.numeric import _reduce, _sup_abs, check_tolerance
 from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
 from cornerjet.tensors import QUADRANT_BASIS, HalfLineTensor, QuadrantTensor
@@ -191,9 +191,18 @@ def evaluate_expression(tree) -> dict[tuple[int, int, int, int], Fraction]:
 # Tensor builders for the tests; the program builds its tensors directly.
 
 
+def make_halfline_tensor(k, coeff) -> HalfLineTensor:
+    """coeff dx^k; ``coeff`` a LaurentJet, a Jet1 read from x^0, or a rational constant."""
+    if isinstance(coeff, Jet1):
+        coeff = LaurentJet(0, coeff.coeffs)
+    elif not isinstance(coeff, LaurentJet):
+        coeff = LaurentJet(0, (coeff,))
+    return HalfLineTensor(k, coeff)
+
+
 def singular_plus_regular(c, regular) -> HalfLineTensor:
     """c dx^2/x + regular(x) dx^2, for a rational c and a Jet1 ``regular``."""
-    return HalfLineTensor(2, LaurentJet(-1, (c,)) + regular.to_laurent())
+    return HalfLineTensor(2, LaurentJet(-1, (c,)) + LaurentJet(0, regular.coeffs))
 
 
 def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
@@ -203,6 +212,95 @@ def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
             return value
         return LaurentJet2(value if isinstance(value, dict) else {(0, 0): value})
     return QuadrantTensor(dict(zip(QUADRANT_BASIS, map(jet, (a, b, c)))))
+
+
+# Maps of the corner and of curves, for the symmetry laws.  Each returns the
+# pullback of its input, term by term.
+
+
+def laurent_product(a: LaurentJet, b: LaurentJet) -> LaurentJet:
+    """The full product a * b of two Laurent jets, by the schoolbook rule."""
+    return LaurentJet.from_terms(schoolbook_product(dict(a.terms()), dict(b.terms())))
+
+
+def swap_quadrant(tensor: QuadrantTensor) -> QuadrantTensor:
+    """The pullback along sigma(x, y) = (y, x): the (p, q) component is the
+    (q, p) component with its exponents transposed."""
+    return QuadrantTensor({
+        (p, q): LaurentJet2({(j, i): c for i, j, c in tensor.components[q, p].terms()})
+        for p, q in QUADRANT_BASIS
+    })
+
+
+def dilate_quadrant(tensor: QuadrantTensor, lam, mu) -> QuadrantTensor:
+    """The pullback along (x, y) -> (lam x, mu y): the term c x^i y^j dx^p dy^q
+    gains the factor lam^(i + p) mu^(j + q)."""
+    return QuadrantTensor({
+        (p, q): LaurentJet2({
+            (i, j): c * Fraction(lam) ** (i + p) * Fraction(mu) ** (j + q)
+            for i, j, c in jet.terms()
+        })
+        for (p, q), jet in tensor.components.items()
+    })
+
+
+def dilate_halfline(tensor: HalfLineTensor, lam) -> HalfLineTensor:
+    """The pullback along x -> lam x: the term c x^d dx^k gains lam^(d + k)."""
+    k = tensor.degree
+    return HalfLineTensor(k, LaurentJet.from_terms(
+        {d: c * Fraction(lam) ** (d + k) for d, c in tensor.coeff.terms()}))
+
+
+def dilate_jet(jet: Jet1, scale, lam) -> Jet1:
+    """scale * jet(lam t), at the order of ``jet``."""
+    return Jet1([scale * c * Fraction(lam) ** d for d, c in enumerate(jet.coeffs)])
+
+
+# s(t) = t + t^2, the reparametrization of the laws: s(0) = 0 and s'(0) = 1.
+_S = {1: 1, 2: 1}
+
+
+def _polynomial(series: dict) -> Jet1:
+    """The Jet1 of a nonzero polynomial given as {degree: coefficient}."""
+    return Jet1([series.get(d, 0) for d in range(max(series) + 1)])
+
+
+def reparametrize(germ):
+    """The germ P(s(t)), exactly: an interior jet is composed with s, and
+    t^(2m) u(t) becomes t^(2m) times the unit (1 + t)^(2m) u(s(t))."""
+    if isinstance(germ, InteriorGerm):
+        jet = dict(enumerate(germ.jet.coeffs))
+        return InteriorGerm(germ.x0, _polynomial(compose(jet, _S, 2 * max(jet))))
+    if isinstance(germ, BoundaryGerm):
+        unit = dict(enumerate(germ.unit.coeffs))
+        lift = {n: math.comb(2 * germ.m, n) for n in range(2 * germ.m + 1)}
+        return BoundaryGerm(germ.m, _polynomial(
+            schoolbook_product(lift, compose(unit, _S, 2 * max(unit)))))
+    raise TypeError("not a germ with a finite jet: %r" % (germ,))
+
+
+def _binomial(d: int, n: int) -> int:
+    """The coefficient of t^n in (1 + t)^d, for any integer d."""
+    return math.prod(range(d, d - n, -1)) // math.factorial(n)
+
+
+def reparametrized_witness(witness: LaurentJet, k: int, order: int) -> LaurentJet:
+    """(w o s) s'^k through ``order`` degrees above val(w), for s = t + t^2.
+
+    s(t)^d = t^d (1 + t)^d and s' = 1 + 2t, so the degrees of w above its
+    window reach only degrees above the window here: the result is exact
+    wherever ``witness`` is.
+    """
+    if witness.is_zero:
+        return witness
+    top = witness.valuation + order
+    composed: dict[int, Fraction] = {}
+    for d, c in witness.terms():
+        for n in range(top - d + 1):
+            composed[d + n] = composed.get(d + n, Fraction(0)) + c * _binomial(d, n)
+    velocity = {n: math.comb(k, n) * 2 ** n for n in range(k + 1)}
+    product = schoolbook_product(composed, velocity)
+    return LaurentJet.from_terms({e: c for e, c in product.items() if e <= top})
 
 
 _SIMPLE_POLE = LaurentJet(-1, (1,))

@@ -6,11 +6,12 @@ from cornerjet import (
     LaurentJet,
     capacity,
     make_boundary_plot,
-    make_halfline_tensor,
     pullback_halfline,
     verify_capacity,
 )
 from cornerjet.capacity import capacity_table
+
+from oracles import make_halfline_tensor
 
 
 class TestCapacity:
@@ -54,6 +55,12 @@ class TestVerifyCapacity:
             verify_capacity(2, -1)
         with pytest.raises(ValueError):
             verify_capacity(2, 1, m_max=0)
+
+    @pytest.mark.parametrize("order", [2.5, 16.0, "16"])
+    def test_order_is_an_integer(self, order):
+        # read by the pullbacks that check each margin
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            verify_capacity(2, 1, 2, order)
 
     @pytest.mark.parametrize("k, p", [(2.5, 1), (2, 1.5)])
     def test_non_integer_exponents_rejected(self, k, p):

@@ -17,7 +17,6 @@ from cornerjet import (
     decompose_halfline,
     decompose_quadrant,
     format_quadrant_tensor,
-    make_halfline_tensor,
     parse_plot,
     parse_tensor,
 )
@@ -45,7 +44,12 @@ from cornerjet.tensors import (
 )
 
 from conftest import laurent2s, nonzero_laurent_jets, polynomial_laurent2s
-from oracles import evaluate_expression, make_quadrant_tensor, render_expression
+from oracles import (
+    evaluate_expression,
+    make_halfline_tensor,
+    make_quadrant_tensor,
+    render_expression,
+)
 
 
 def format_halfline_tensor(t: HalfLineTensor) -> str:

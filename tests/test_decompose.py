@@ -10,7 +10,6 @@ from cornerjet import (
     check_gamma_parity,
     decompose_halfline,
     decompose_quadrant,
-    make_halfline_tensor,
     parse_tensor,
     pullback_sq2,
     tau_sing,
@@ -19,7 +18,12 @@ from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.pullback import Status
 
 from conftest import jet1s, nonzero_rationals, polynomial_laurent2s, rationals
-from oracles import descend_square_pullback, make_quadrant_tensor, singular_plus_regular
+from oracles import (
+    descend_square_pullback,
+    make_halfline_tensor,
+    make_quadrant_tensor,
+    singular_plus_regular,
+)
 
 
 def valuation_split(coeff: LaurentJet, order: int):
@@ -86,6 +90,13 @@ class TestDecomposeHalfline:
         with pytest.raises(ValueError, match="cannot represent"):
             decompose_halfline(tensor, order=2)
 
+    @pytest.mark.parametrize("order", [2.5, 16.0, "16"])
+    @pytest.mark.parametrize("text", ["(1/x + 3)*dx^2", "(1/x^2)*dx^2"])
+    def test_order_is_an_integer(self, text, order):
+        # the split reads it, and so does the witness of a rejection
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            decompose_halfline(parse_tensor(text), order=order)
+
     @settings(max_examples=150)
     @given(rationals, jet1s(max_order=10))
     def test_round_trip(self, c, regular):
@@ -122,6 +133,12 @@ def terms_dict(jet: LaurentJet2) -> dict:
 
 
 class TestDecomposeQuadrant:
+    @pytest.mark.parametrize("order", [2.5, "16"])
+    def test_order_is_an_integer(self, order):
+        tensor = parse_tensor("(y^2/x)*dx^2 + (1/y)*dy^2 + x*y*dx*dy", "quadrant")
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            decompose_quadrant(tensor, order=order)
+
     def test_demo_tensor(self):
         tensor = make_quadrant_tensor({(-1, 2): 1}, {(0, -1): 1}, {(1, 1): 1})
         d = decompose_quadrant(tensor)

@@ -27,11 +27,10 @@ from cornerjet.tensors import (
     QUADRANT_BASIS,
     HalfLineTensor,
     QuadrantTensor,
-    make_halfline_tensor,
 )
 
 from conftest import jet1s, laurent_jets, laurent2s, nonzero_laurent_jets
-from oracles import compose, make_quadrant_tensor, schoolbook_product
+from oracles import compose, make_halfline_tensor, make_quadrant_tensor, schoolbook_product
 from test_kernel import divide, scaled, unscaled
 from test_kernel import times as times_through
 
@@ -232,6 +231,10 @@ class TestCanonicalForms:
         jet = LaurentJet(5, [0, 0])
         assert jet.valuation == 0 and jet.coeffs == ()
         assert jet == LaurentJet()
+
+    def test_scaling_by_zero_is_the_zero_jet(self):
+        assert LaurentJet(-1, [1, 2]) * 0 == LaurentJet() == 0 * LaurentJet(3, [5])
+        assert LaurentJet(-1, [1]) * F(0) == LaurentJet()
 
     def test_no_float_coefficients(self):
         with pytest.raises(TypeError, match="floating-point"):

@@ -8,7 +8,6 @@ from cornerjet import (
     LaurentJet,
     NotSmoothError,
     check_metric,
-    make_halfline_tensor,
     pullback_halfline,
     tau_sing,
 )
@@ -16,7 +15,7 @@ from cornerjet.metric import DEFAULT_FAMILY
 from cornerjet.plots import BoundaryGerm, InteriorGerm, make_boundary_plot
 
 from conftest import jet1s, nonzero_rationals, rationals
-from oracles import singular_plus_regular
+from oracles import make_halfline_tensor, singular_plus_regular
 
 ORDERS = (2, 16, 64, 256)
 
@@ -121,6 +120,14 @@ def metric_candidates(draw):
 
 class TestMetricWindow:
     """The verdict reads two witness coefficients that every window holds."""
+
+    @pytest.mark.parametrize("order", [2.5, "16"])
+    @pytest.mark.parametrize("coeff", [LaurentJet(0, [1, 1]), LaurentJet(-2, [1])],
+                             ids=["metric", "double-pole"])
+    def test_order_is_an_integer(self, coeff, order):
+        # read also where the verdict needs no window beyond the shortest
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            check_metric(make_halfline_tensor(2, coeff), order=order)
 
     @settings(max_examples=80, deadline=None)
     @given(metric_candidates())

@@ -9,12 +9,11 @@ from cornerjet import (
     SampledFunction,
     glaeser_landau_check,
     make_boundary_plot,
-    make_halfline_tensor,
     pullback_halfline,
     tau_sing,
 )
 
-from oracles import numeric_pullback_probe
+from oracles import make_halfline_tensor, numeric_pullback_probe
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 

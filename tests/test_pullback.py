@@ -8,7 +8,6 @@ from cornerjet import (
     LaurentJet,
     PairGerm,
     make_boundary_plot,
-    make_halfline_tensor,
     parse_plot,
     parse_tensor,
     pullback_halfline,
@@ -22,7 +21,13 @@ from cornerjet.pullback import Status
 from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor
 
 from conftest import laurent2s, laurent_jets, polynomial_laurent2s, rationals, unit_jet1s
-from oracles import long_divide, make_quadrant_tensor, realize_jet, schoolbook_product
+from oracles import (
+    long_divide,
+    make_halfline_tensor,
+    make_quadrant_tensor,
+    realize_jet,
+    schoolbook_product,
+)
 
 
 def power(base: dict, n: int) -> dict:
@@ -109,6 +114,13 @@ class TestPullbackHalfline:
     def test_order_precondition(self):
         with pytest.raises(ValueError, match="at least 2"):
             pullback_halfline(tau_sing(), make_boundary_plot(1, 1), order=1)
+
+    @pytest.mark.parametrize("order", [2.5, 16.0, "16"])
+    @pytest.mark.parametrize("plot", ["t^2", "flat"])
+    def test_order_is_an_integer(self, plot, order):
+        # also where the flat rule reads no window
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            pullback_halfline(tau_sing(), parse_plot(plot), order)
 
     def test_non_germ_is_refused(self):
         with pytest.raises(TypeError, match="cannot compose along 't\\^2'"):
@@ -313,6 +325,12 @@ class TestPullbackSq2:
 
 
 class TestPullbackQuadrantPath:
+    @pytest.mark.parametrize("order", [2.5, "16"])
+    def test_order_is_an_integer(self, order):
+        germ = PairGerm(make_boundary_plot(1, 1), make_boundary_plot(1, 1))
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            pullback_quadrant_path(make_quadrant_tensor(1, 1, 0), germ, order)
+
     def test_demo_tensor_along_diagonal_square(self):
         t = make_quadrant_tensor({(-1, 2): 1}, {(0, -1): 1}, {(1, 1): 1})
         germ = PairGerm(make_boundary_plot(1, 1), make_boundary_plot(1, 1))

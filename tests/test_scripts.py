@@ -3,9 +3,11 @@
 Each script runs as its own process on the package in ``src/``; its stdout is
 compared byte for byte.  ``glaeser_landau_sweep.py`` is left out: it takes
 seconds and exercises only the float oracle, which ``test_numeric.py`` covers.
+README's library example runs too, and each value its comments show is checked.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +76,17 @@ def test_script_output_is_pinned(script, expected):
     )
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == expected.encode()
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    example = example.split("```", 1)[0]
+    namespace: dict = {}
+    exec(example, namespace)
+    # a line "expression   # value  (remark)" shows the repr of its value
+    shown = re.findall(r"^(\S.*?)\s+# ('[^']*'|Fraction\(\d+, \d+\))", example, re.M)
+    assert [value for _, value in shown] == [
+        "'4'", "Fraction(1, 1)", "'3 + x'", "'definiteness-zero-required'"]
+    for expression, value in shown:
+        assert repr(eval(expression, namespace)) == value, expression

@@ -1,18 +1,20 @@
 
+from fractions import Fraction as F
+
 import pytest
 
+import cornerjet
 from cornerjet import (
     LaurentJet,
     decompose_quadrant,
-    make_halfline_tensor,
     parse_tensor,
     pullback_sq2,
     tau_sing,
 )
-from cornerjet.jets import LaurentJet2
-from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor, basis_name
+from cornerjet.jets import Jet1, LaurentJet2
+from cornerjet.tensors import QUADRANT_BASIS, HalfLineTensor, QuadrantTensor, basis_name
 
-from oracles import make_quadrant_tensor
+from oracles import make_halfline_tensor, make_quadrant_tensor
 
 
 class TestTauSing:
@@ -42,6 +44,28 @@ class TestMakeHalfLineTensor:
         with pytest.raises(ValueError, match="nonnegative"):
             make_halfline_tensor(-1, 1)
 
+
+
+class TestTensorRecords:
+    @pytest.mark.parametrize("coeff", [1, F(1, 2), Jet1([1]), LaurentJet2({(0, 0): 1})],
+                             ids=["int", "fraction", "jet1", "laurent2"])
+    def test_halfline_coefficient_is_a_laurent_jet(self, coeff):
+        # refused when built, not at the first read of its terms
+        with pytest.raises(TypeError, match="coefficient must be a LaurentJet"):
+            HalfLineTensor(2, coeff)
+
+    @pytest.mark.parametrize("bad", [1, LaurentJet(0, [1])], ids=["int", "laurent"])
+    @pytest.mark.parametrize("basis", QUADRANT_BASIS, ids=["a", "b", "c"])
+    def test_quadrant_component_is_a_laurent_jet2(self, basis, bad):
+        components = dict.fromkeys(QUADRANT_BASIS, LaurentJet2())
+        components[basis] = bad
+        with pytest.raises(TypeError, match=r"component \(%d, %d\) must be a LaurentJet2" % basis):
+            QuadrantTensor(components)
+
+    def test_the_package_exports_the_record(self):
+        assert "HalfLineTensor" in cornerjet.__all__
+        assert "make_halfline_tensor" not in cornerjet.__all__
+        assert cornerjet.HalfLineTensor(2, LaurentJet(-1, [1])) == tau_sing()
 
 
 class TestMakeQuadrantTensor:
