@@ -46,6 +46,7 @@ def decompose_halfline(tensor: HalfLineTensor, order: int | None = None) -> Deco
     to be smooth are rejected, with the pullback along t^2 through ``order``
     (default ``DEFAULT_ORDER``) attached as the witness.
     """
+    order = _read_order(order)
     if tensor.degree != 2:
         raise ValueError("decomposition requires a symmetric 2-tensor")
     _check_capacity(tensor, order)
@@ -136,6 +137,7 @@ def decompose_quadrant(
     deeper than x^-1 in a, y^-1 in b and none in c, so A(y) is the x^-1
     slice of a, B(x) the y^-1 slice of b, and the rest is regular.
     """
+    order = _read_order(order)
     report = check_gamma_parity(tensor)
     failing = [b for b, c in zip(tensor.components, report.components.values()) if not c.ok]
     if (1, 1) in failing:
@@ -162,12 +164,19 @@ def decompose_quadrant(
     )
 
 
+def _read_order(order: int | None) -> int | None:
+    """A given ``order`` as an integer, refused below 0 before any work is done."""
+    if order is not None and index(order) < 0:
+        raise ValueError("order %d is below the minimum 0" % order)
+    return None if order is None else index(order)
+
+
 def _report_order(jet: LaurentJet, order: int | None, noun: str) -> int:
     """``order``, or by default the highest degree of ``jet`` (at least 0)."""
     natural = max(jet.degree or 0, 0)
     if order is None:
         return natural
-    if index(order) < natural:
+    if order < natural:
         raise ValueError(
             "order %d cannot represent the %s (degree %d)" % (order, noun, natural)
         )

@@ -144,7 +144,8 @@ class Record:
         return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple([frozenset(v.items()) if name in self._mappings else v
+                           for name, v in zip(self._fields, self._values())]))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
@@ -380,9 +381,6 @@ class LaurentJet2(Record):
         return LaurentJet2({k: a * c for k, a in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __str__(self):
         return self.to_str(("x", "y"))

@@ -28,10 +28,12 @@ __all__ = [
 ]
 
 
-def _poly_derivative(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    if len(coeffs) <= 1:
-        return (Fraction(0),)
-    return tuple(i * c for i, c in enumerate(coeffs) if i >= 1)
+def _with_derivatives(q: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]:
+    """The coefficients of q, q' and q''."""
+    out = [q]
+    for _ in range(2):
+        out.append(tuple(i * c for i, c in enumerate(out[-1]) if i) or (Fraction(0),))
+    return out
 
 
 def _check_float_range(values, what: str) -> None:
@@ -82,12 +84,7 @@ class SampledFunction(Record):
         # Everything the oracle evaluates in floats must convert to a float.
         _check_float_range(self.interval, "interval endpoint")
         for q in (self.coeffs,) if self.squares is None else self.squares:
-            dq = _poly_derivative(q)
-            _check_float_range(q + dq + _poly_derivative(dq), "coefficient")
-
-    @property
-    def sos_certified(self) -> bool:
-        return self.squares is not None
+            _check_float_range(sum(_with_derivatives(q), ()), "coefficient")
 
     @classmethod
     def polynomial(
@@ -131,36 +128,17 @@ class SampledFunction(Record):
         points[-1] = b
         return points
 
-    def values(self, grid: list[float]) -> list[float]:
+    def sample(self, grid: list[float]) -> tuple[list[float], list[float], list[float]]:
+        """f, f' and f'' on ``grid``."""
         if self.squares is None:
-            return _poly_values(self.coeffs, grid)
-        total = [0.0] * len(grid)
+            return tuple(_poly_values(c, grid) for c in _with_derivatives(self.coeffs))
+        f = df = ddf = [0.0] * len(grid)
         for q in self.squares:
-            total = [t + v * v for t, v in zip(total, _poly_values(q, grid))]
-        return total
-
-    def derivative_values(self, grid: list[float]) -> list[float]:
-        if self.squares is None:
-            return _poly_values(_poly_derivative(self.coeffs), grid)
-        total = [0.0] * len(grid)
-        for q in self.squares:
-            qv = _poly_values(q, grid)
-            dqv = _poly_values(_poly_derivative(q), grid)
-            total = [t + 2.0 * v * dv for t, v, dv in zip(total, qv, dqv)]
-        return total
-
-    def second_derivative_values(self, grid: list[float]) -> list[float]:
-        if self.squares is None:
-            return _poly_values(_poly_derivative(_poly_derivative(self.coeffs)), grid)
-        total = [0.0] * len(grid)
-        for q in self.squares:
-            qv = _poly_values(q, grid)
-            dqv = _poly_values(_poly_derivative(q), grid)
-            ddqv = _poly_values(_poly_derivative(_poly_derivative(q)), grid)
-            total = [
-                t + 2.0 * (dv * dv + v * ddv) for t, v, dv, ddv in zip(total, qv, dqv, ddqv)
-            ]
-        return total
+            qv, dqv, ddqv = (_poly_values(c, grid) for c in _with_derivatives(q))
+            f = [t + v * v for t, v in zip(f, qv)]
+            df = [t + 2.0 * v * dv for t, v, dv in zip(df, qv, dqv)]
+            ddf = [t + 2.0 * (dv * dv + v * ddv) for t, v, dv, ddv in zip(ddf, qv, dqv, ddqv)]
+        return f, df, ddf
 
 
 class GlaeserLandauReport(Record):
@@ -187,11 +165,11 @@ def glaeser_landau_check(
     f: SampledFunction, tol: float = 1e-9, enlargement: float = 0.0
 ) -> GlaeserLandauReport:
     check_tolerance(tol)
-    grid = f.grid()
-    fv = f.values(grid)
-    if not f.sos_certified and _reduce(min, fv) < -tol:
+    fv, dv, ddv = f.sample(f.grid())
+    if f.squares is None and _reduce(min, fv) < -tol:
         raise ValueError("function not nonnegative on interval")
-    c_sup = _sup_abs(f.second_derivative_values(f.grid(enlargement=enlargement)))
-    dv = f.derivative_values(grid)
+    if enlargement:
+        ddv = f.sample(f.grid(enlargement=enlargement))[2]
+    c_sup = _sup_abs(ddv)
     worst = _reduce(max, [d * d - 2.0 * c_sup * v for d, v in zip(dv, fv)])
     return GlaeserLandauReport(C=c_sup, max_violation=worst, passed=worst <= tol, tol=tol)

@@ -84,9 +84,6 @@ class QuadrantTensor(Record):
             if not isinstance(jet, LaurentJet2):
                 raise TypeError("component %s must be a LaurentJet2, not %r" % (basis, jet))
 
-    def __hash__(self):
-        return hash(tuple(self.components.items()))
-
     # The degree-2 names: a dx^2 + b dy^2 + c dx dy.
     a = property(lambda self: self.components[2, 0])
     b = property(lambda self: self.components[0, 2])

@@ -342,16 +342,16 @@ def numeric_pullback_probe(
     tensor: HalfLineTensor, f: SampledFunction, tol: float = 1e-9
 ) -> PullbackProbeReport:
     check_tolerance(tol)
-    if not f.sos_certified and _reduce(min, f.values(f.grid())) < -tol:
+    fv, _, ddv = f.sample(f.grid())
+    if f.squares is None and _reduce(min, fv) < -tol:
         raise ValueError("function not nonnegative on interval")
 
     def sup_on(n: int) -> float:
         grid = SampledFunction(f.coeffs, f.interval, n, f.squares).grid()
-        pv = f.values(grid)
+        pv, dv, _ = f.sample(grid)
         kept = [i for i, p in enumerate(pv) if p != 0.0]
         if not kept:
             return 0.0
-        dv = f.derivative_values(grid)
         terms = [(degree, float(c)) for degree, c in tensor.coeff.terms()]
         values = []
         for i in kept:
@@ -367,7 +367,7 @@ def numeric_pullback_probe(
     bounded = math.isfinite(refined) and growth <= 2.0
     bound = bound_ok = None
     if tensor.degree == 2 and tensor.coeff == _SIMPLE_POLE:
-        bound = 2.0 * _sup_abs(f.second_derivative_values(f.grid()))
+        bound = 2.0 * _sup_abs(ddv)
         bound_ok = refined <= bound + tol
     return PullbackProbeReport(
         sup=sup,

@@ -14,6 +14,7 @@ from cornerjet import (
     pullback_sq2,
     tau_sing,
 )
+from cornerjet import decompose as decompose_module
 from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.pullback import Status
 
@@ -120,6 +121,30 @@ class TestDecomposeHalfline:
         oracle_c, oracle_regular = valuation_split(tensor.coeff, regular.order)
         assert d.c == oracle_c
         assert d.regular == oracle_regular
+
+
+@pytest.mark.parametrize("order, error, message", [
+    (2.5, TypeError, "cannot be interpreted as an integer"),
+    ("16", TypeError, "cannot be interpreted as an integer"),
+    (-3, ValueError, "^order -3 is below the minimum 0$"),
+])
+@pytest.mark.parametrize("space, text", [
+    ("halfline", "(1/x + 3)*dx^2"),
+    ("halfline", "(1/x^2)*dx^2"),
+    ("quadrant", "(y^2/x)*dx^2 + (1/y)*dy^2 + x*y*dx*dy"),
+    ("quadrant", "(1/x^2)*dx^2"),
+], ids=["halfline-accepted", "halfline-rejected", "quadrant-accepted", "quadrant-rejected"])
+def test_order_is_read_before_any_work(monkeypatch, space, text, order, error, message):
+    tensor = parse_tensor(text, space)
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the order was read")
+
+    for name in ("_check_capacity", "whitney_descend", "check_gamma_parity"):
+        monkeypatch.setattr(decompose_module, name, work)
+    decompose = decompose_halfline if space == "halfline" else decompose_quadrant
+    with pytest.raises(error, match=message):
+        decompose(tensor, order=order)
 
 
 def build_quadrant(A, B, reg_a, reg_b, reg_c):

@@ -76,7 +76,7 @@ class TestGlaeserLandau:
         f = SampledFunction.sum_of_squares([[0, 1], [1, 1]], (-1, 1))
         # (t)^2 + (1 + t)^2 = 1 + 2t + 2t^2
         assert f.coeffs == (F(1), F(2), F(2))
-        assert f.sos_certified
+        assert f.squares is not None
 
     @settings(max_examples=200, deadline=None)
     @given(sos_functions())
@@ -146,6 +146,33 @@ PINNED_REPORTS = [
     ([4, 4, 1], (F(-7, 3), F(1, 9)), 33, "2.0", "1.3322676295501878e-15"),
     ([1, 0, 0, 0, 0, 0, 0, 0, 1], (-F(10) ** 80, F(10) ** 79), 255, "inf", "nan"),
 ]
+
+
+class TestSample:
+    SQUARES = [
+        [[0, 1], [1, 1]],
+        [[-1, 1, 1]],
+        [[F(-1, 3), 1, 1], [F(1, 2), F(-2, 3)]],
+        [poly_from_roots(F(3, 2), [F(1, 4), F(1, 4), F(-1, 2)]), [2], [0, F(-5, 4)]],
+    ]
+
+    @pytest.mark.parametrize("squares", SQUARES)
+    def test_squares_agree_with_the_expanded_polynomial(self, squares):
+        sos = SampledFunction.sum_of_squares(squares, (-1, F(3, 2)), grid_n=101)
+        plain = SampledFunction.polynomial(sos.coeffs, sos.interval, grid_n=101)
+        grid = sos.grid()
+        for by_squares, expanded in zip(sos.sample(grid), plain.sample(grid)):
+            assert by_squares == pytest.approx(expanded, rel=1e-9)
+
+    @pytest.mark.parametrize("f", [
+        SampledFunction.polynomial([1, -2, 3], (-1, 1), grid_n=17),
+        SampledFunction.sum_of_squares([[-1, 1, 1], [2]], (0, 1), grid_n=33),
+    ], ids=["polynomial", "sum_of_squares"])
+    def test_three_lists_of_the_grid_length(self, f):
+        grid = f.grid(enlargement=0.5)
+        sampled = f.sample(grid)
+        assert len(sampled) == 3
+        assert all(isinstance(values, list) and len(values) == len(grid) for values in sampled)
 
 
 class TestPinnedReports:
