@@ -17,7 +17,7 @@ from .jets import LaurentJet
 from .metric import check_metric
 from .numeric import SampledFunction, glaeser_landau_check
 from .parser import format_quadrant_tensor, parse_plot, parse_tensor
-from .plots import PairGerm, make_boundary_plot
+from .plots import BoundaryGerm, PairGerm
 from .pullback import NotSmoothError, pullback_halfline, pullback_quadrant_path, pullback_sq2
 from .tensors import HalfLineTensor, tau_sing
 
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "tau_sing", "HalfLineTensor", "make_boundary_plot", "LaurentJet",
+    "tau_sing", "HalfLineTensor", "BoundaryGerm", "LaurentJet",
     "pullback_halfline", "pullback_quadrant_path", "pullback_sq2", "PairGerm",
     "decompose_halfline", "decompose_quadrant", "check_gamma_parity",
     "check_metric", "capacity", "verify_capacity",

@@ -11,7 +11,7 @@ rather than assumed.
 from __future__ import annotations
 
 from .jets import DEFAULT_ORDER, LaurentJet, Record
-from .plots import make_boundary_plot
+from .plots import BoundaryGerm
 from .pullback import pullback_halfline
 from .tensors import HalfLineTensor, capacity
 
@@ -38,7 +38,7 @@ def verify_capacity(
     margins = []
     for m in range(1, m_max + 1):
         margin = k * (2 * m - 1) - 2 * m * p
-        verdict = pullback_halfline(tensor, make_boundary_plot(m, 1), order)
+        verdict = pullback_halfline(tensor, BoundaryGerm(m), order)
         observed = verdict.witness.valuation
         if observed != margin:
             raise RuntimeError(

@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
@@ -263,6 +264,12 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative fraction such as -3/4 is a value too, like argparse's -1 and -0.5
+        number = self._negative_number_matcher.pattern
+        self._negative_number_matcher = re.compile(r"^-\d+/\d+$|" + number)
+
     def error(self, message):
         raise _UsageError(message)
 

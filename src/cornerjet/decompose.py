@@ -21,11 +21,10 @@ independent oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
 
 from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record
 from .jets import parity_masses, whitney_descend
-from .pullback import NotSmoothError, _check_capacity, pullback_sq2
+from .pullback import NotSmoothError, _check_capacity, _read_order, pullback_sq2
 from .tensors import Decomposition, DecompositionTrace, HalfLineTensor, QuadrantTensor, basis_name
 
 __all__ = [
@@ -162,13 +161,6 @@ def decompose_quadrant(
         }),
         parity=report,
     )
-
-
-def _read_order(order: int | None) -> int | None:
-    """A given ``order`` as an integer, refused below 0 before any work is done."""
-    if order is not None and index(order) < 0:
-        raise ValueError("order %d is below the minimum 0" % order)
-    return None if order is None else index(order)
 
 
 def _report_order(jet: LaurentJet, order: int | None, noun: str) -> int:

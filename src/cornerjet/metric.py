@@ -23,11 +23,10 @@ points in listed order.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
 
-from .jets import DEFAULT_ORDER, Record
-from .plots import BoundaryGerm, InteriorGerm, PlotGerm, make_boundary_plot, make_interior_plot
-from .pullback import _check_capacity, pullback_halfline
+from .jets import DEFAULT_ORDER, Jet1, Record
+from .plots import BoundaryGerm, InteriorGerm, PlotGerm
+from .pullback import _check_capacity, _read_order, pullback_halfline
 from .tensors import HalfLineTensor
 
 __all__ = ["DEFAULT_FAMILY", "MetricWitness", "MetricVerdict", "check_metric"]
@@ -42,8 +41,8 @@ _WINDOW = 2
 # The germs a metric is tested against, in witness order: t^(2m) for
 # m = 1, 2, 3, then x0 + t for x0 = 1/2, 1, 2.
 DEFAULT_FAMILY: tuple[PlotGerm, ...] = (
-    *(make_boundary_plot(m, 1) for m in (1, 2, 3)),
-    *(make_interior_plot(x0) for x0 in (Fraction(1, 2), Fraction(1), Fraction(2))),
+    *(BoundaryGerm(m) for m in (1, 2, 3)),
+    *(InteriorGerm(Jet1((x0, 1))) for x0 in (Fraction(1, 2), Fraction(1), Fraction(2))),
 )
 
 
@@ -65,7 +64,7 @@ def check_metric(g: HalfLineTensor, order: int = DEFAULT_ORDER) -> MetricVerdict
     """Decide admissibility of g over ``DEFAULT_FAMILY``; any witness is a genuine failure."""
     if g.degree != 2:
         raise ValueError("a metric candidate must be a symmetric 2-tensor")
-    _check_capacity(g, index(order))
+    _check_capacity(g, _read_order(order))
     for germ in DEFAULT_FAMILY:
         witness = pullback_halfline(g, germ, _WINDOW).witness
         value = witness.coefficient(0)

@@ -40,14 +40,7 @@ import re
 from fractions import Fraction
 
 from .jets import Jet1, LaurentJet, LaurentJet2, format_terms
-from .plots import (
-    BoundaryGerm,
-    FlatGerm,
-    InteriorGerm,
-    PlotGerm,
-    make_boundary_plot,
-    make_interior_plot,
-)
+from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PlotGerm
 from .tensors import MIN_VALUATION, QUADRANT_BASIS, HalfLineTensor, QuadrantTensor
 
 __all__ = [
@@ -411,9 +404,9 @@ def parse_plot(text: str) -> PlotGerm:
             raise ParseError("unexpected input after 'flat'", tokens[1][2])
         return FlatGerm()
     if head[1] == "interior":
-        build, data = make_interior_plot, _parse_interior(text, tokens)
+        build, data = InteriorGerm, _parse_interior(text, tokens)
     elif head[1] == "t":
-        build, data = make_boundary_plot, _parse_boundary(tokens)
+        build, data = BoundaryGerm, _parse_boundary(tokens)
     else:
         raise ParseError("expected a plot germ (t^2, t^4*(1+t), interior(x0; jet), flat)",
                          head[2])
@@ -442,7 +435,7 @@ def _parse_boundary(tokens: list[tuple[str, str, int]]) -> tuple[int, Jet1]:
     return exponent // 2, unit
 
 
-def _parse_interior(text: str, tokens: list[tuple[str, str, int]]) -> tuple[Fraction, Jet1]:
+def _parse_interior(text: str, tokens: list[tuple[str, str, int]]) -> tuple[Jet1]:
     if tokens[1][0] != "(":
         raise ParseError("interior germ syntax is interior(x0; jet)", tokens[1][2])
     semi = next((i for i, tok in enumerate(tokens) if tok[0] == ";"), None)
@@ -454,7 +447,11 @@ def _parse_interior(text: str, tokens: list[tuple[str, str, int]]) -> tuple[Frac
     jet = _value_to_jet1(parser.expr())
     parser.expect_op(")")
     parser.expect_end()
-    return x0, jet
+    # The germ stores one base point, its jet's constant term.  A written
+    # base point that is not positive is refused first, by the record.
+    if x0 > 0 and jet.constant_term != x0:
+        raise ParseError("interior jet constant term must equal the base point")
+    return (Jet1((x0, *jet.coeffs[1:])),)
 
 
 # -- printing ----------------------------------------------------------------

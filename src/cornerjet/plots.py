@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 
-from .jets import Jet1, Rational, Record, as_fraction
+from .jets import Jet1, Record
 
 __all__ = [
     "InteriorGerm",
@@ -19,33 +19,36 @@ __all__ = [
     "FlatGerm",
     "PlotGerm",
     "PairGerm",
-    "make_boundary_plot",
-    "make_interior_plot",
 ]
 
 
 class InteriorGerm(Record):
-    """Germ based at x0 > 0; ``jet`` is the full curve jet (constant term x0)."""
+    """Germ based at x0 > 0; ``jet`` is the full curve jet, whose constant term is x0."""
 
-    x0: Fraction
     jet: Jet1
 
     def __post_init__(self):
+        if not isinstance(self.jet, Jet1):
+            raise TypeError("interior jet must be a Jet1, not %r" % (self.jet,))
         if self.x0 <= 0:
             raise ValueError("interior base point must be positive")
-        if self.jet.constant_term != self.x0:
-            raise ValueError("interior jet constant term must equal the base point")
+
+    @property
+    def x0(self) -> Fraction:
+        return self.jet.constant_term
 
 
 class BoundaryGerm(Record):
     """Germ touching 0 as t^(2m) * unit(t) with unit(0) > 0."""
 
     m: int
-    unit: Jet1
+    unit: Jet1 = Jet1((1,))
 
     def __post_init__(self):
         if index(self.m) < 1:
             raise ValueError("plot not certified nonnegative: leading term t^%d" % (2 * self.m))
+        if not isinstance(self.unit, Jet1):
+            raise TypeError("boundary unit must be a Jet1, not %r" % (self.unit,))
         if self.unit.constant_term <= 0:
             raise ValueError("plot not certified nonnegative: unit constant term must be positive")
 
@@ -67,17 +70,3 @@ class PairGerm(Record):
     px: PlotGerm
     py: PlotGerm
 
-
-def make_boundary_plot(m: int, unit: Jet1 | Rational) -> BoundaryGerm:
-    """Build the germ t^(2m) * unit(t); rejects data that cannot stay nonnegative."""
-    if not isinstance(unit, Jet1):
-        unit = Jet1((unit,))
-    return BoundaryGerm(m, unit)
-
-
-def make_interior_plot(x0: Rational, jet: Jet1 | None = None) -> InteriorGerm:
-    """Interior germ at x0 > 0; default curve jet is x0 + t."""
-    base = as_fraction(x0)
-    if jet is None:
-        jet = Jet1((base, Fraction(1)))
-    return InteriorGerm(base, jet)

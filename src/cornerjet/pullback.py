@@ -41,7 +41,7 @@ from math import comb, gcd, lcm
 from operator import add, index, mul
 
 from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, Record
-from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm, make_boundary_plot
+from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm
 from .tensors import HalfLineTensor, QuadrantTensor, capacity
 
 __all__ = [
@@ -98,8 +98,15 @@ def _check_capacity(tensor: HalfLineTensor, order: int | None) -> None:
     """Refuse a pole beyond ``capacity(degree)``, witnessed along t^2 at ``order`` (or default)."""
     if tensor.pole_order > capacity(tensor.degree):
         order = DEFAULT_ORDER if order is None else order
-        verdict = pullback_halfline(tensor, make_boundary_plot(1, 1), order)
+        verdict = pullback_halfline(tensor, BoundaryGerm(1), order)
         raise NotSmoothError("not a smooth tensor on the half-line: capacity exceeded", verdict)
+
+
+def _read_order(order: int | None) -> int | None:
+    """A given ``order`` as an integer, refused below 0 before any work is done."""
+    if order is not None and index(order) < 0:
+        raise ValueError("order %d is below the minimum 0" % order)
+    return None if order is None else index(order)
 
 
 # -- the one evaluation routine ------------------------------------------------

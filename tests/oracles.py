@@ -188,7 +188,8 @@ def evaluate_expression(tree) -> dict[tuple[int, int, int, int], Fraction]:
     return {key: c for key, c in value.items() if c != 0}
 
 
-# Tensor builders for the tests; the program builds its tensors directly.
+# Tensor and germ builders for the tests; the program builds its tensors and
+# germs directly.
 
 
 def make_halfline_tensor(k, coeff) -> HalfLineTensor:
@@ -212,6 +213,19 @@ def make_quadrant_tensor(a, b, c) -> QuadrantTensor:
             return value
         return LaurentJet2(value if isinstance(value, dict) else {(0, 0): value})
     return QuadrantTensor(dict(zip(QUADRANT_BASIS, map(jet, (a, b, c)))))
+
+
+def make_boundary_plot(m, unit) -> BoundaryGerm:
+    """The germ t^(2m) * unit(t); ``unit`` a Jet1 or a rational constant."""
+    return BoundaryGerm(m, unit if isinstance(unit, Jet1) else Jet1((unit,)))
+
+
+def make_interior_plot(x0, jet=None) -> InteriorGerm:
+    """The interior germ at x0 with curve jet ``jet``, by default x0 + t."""
+    germ = InteriorGerm(Jet1((x0, 1)) if jet is None else jet)
+    if germ.x0 != x0:
+        raise ValueError("interior jet constant term must equal the base point")
+    return germ
 
 
 # Maps of the corner and of curves, for the symmetry laws.  Each returns the
@@ -270,7 +284,7 @@ def reparametrize(germ):
     t^(2m) u(t) becomes t^(2m) times the unit (1 + t)^(2m) u(s(t))."""
     if isinstance(germ, InteriorGerm):
         jet = dict(enumerate(germ.jet.coeffs))
-        return InteriorGerm(germ.x0, _polynomial(compose(jet, _S, 2 * max(jet))))
+        return InteriorGerm(_polynomial(compose(jet, _S, 2 * max(jet))))
     if isinstance(germ, BoundaryGerm):
         unit = dict(enumerate(germ.unit.coeffs))
         lift = {n: math.comb(2 * germ.m, n) for n in range(2 * germ.m + 1)}

@@ -23,7 +23,6 @@ from cornerjet import (
     decompose_halfline,
     decompose_quadrant,
     glaeser_landau_check,
-    make_boundary_plot,
     parse_tensor,
     pullback_halfline,
     pullback_sq2,
@@ -36,7 +35,12 @@ from cornerjet.jets import Jet1, LaurentJet2, parity_masses
 from cornerjet.plots import BoundaryGerm
 from cornerjet.pullback import Status
 
-from oracles import make_halfline_tensor, make_quadrant_tensor, singular_plus_regular
+from oracles import (
+    make_boundary_plot,
+    make_halfline_tensor,
+    make_quadrant_tensor,
+    singular_plus_regular,
+)
 from test_cli import (
     SCENARIOS,
     fraction_from_str,

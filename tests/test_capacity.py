@@ -5,13 +5,12 @@ import hypothesis.strategies as st
 from cornerjet import (
     LaurentJet,
     capacity,
-    make_boundary_plot,
     pullback_halfline,
     verify_capacity,
 )
 from cornerjet.capacity import capacity_table
 
-from oracles import make_halfline_tensor
+from oracles import make_boundary_plot, make_halfline_tensor
 
 
 class TestCapacity:

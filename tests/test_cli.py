@@ -33,7 +33,7 @@ from cornerjet.parser import (
     parse_polynomial,
     parse_rational,
 )
-from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm, make_boundary_plot
+from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
 from cornerjet.pullback import SmoothnessVerdict
 from cornerjet.tensors import (
     MIN_VALUATION,
@@ -265,7 +265,7 @@ class TestParsePlot:
     def test_builder_and_parser_refuse_with_one_text(self):
         message = "plot not certified nonnegative: unit constant term must be positive"
         with pytest.raises(ValueError) as info:
-            make_boundary_plot(1, Jet1([0, 1]))
+            BoundaryGerm(1, Jet1([0, 1]))
         assert str(info.value) == message
         with pytest.raises(ParseError) as info:
             parse_plot("t^2*(0+t)")
@@ -589,7 +589,7 @@ class TestPrintParseRoundTrip:
         assert parse_plot(format_plot(germ)) == germ
 
     def test_interior_plot(self):
-        germ = InteriorGerm(F(1, 2), Jet1([F(1, 2), 1]))
+        germ = InteriorGerm(Jet1([F(1, 2), 1]))
         assert parse_plot(format_plot(germ)) == germ
 
     def test_flat_plot(self):
@@ -819,6 +819,22 @@ class TestCliScenarios:
     def test_gl_check_nonnegativity_failure_exits_two(self, capsys):
         assert run(["gl-check", "--f", "t", "--interval", "-1", "1"]) == 2
         assert "not nonnegative" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("interval", [["-3/4", "1"], ["-3/4", "-1/2"], ["-2", "-1/3"]])
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_gl_check_reads_a_negative_fraction_as_a_value(self, capsys, interval, form):
+        argv = ["gl-check", "--format", form, "--f", "t^2", "--interval"]
+        spaced = [" " + a if a.startswith("-") else a for a in interval]
+        assert run(argv + spaced) == 0
+        expected = capsys.readouterr()
+        assert run(argv + interval) == 0
+        assert capsys.readouterr() == expected
+
+    def test_gl_check_still_reads_a_dash_word_as_an_option(self, capsys):
+        assert run(["gl-check", "--f", "t^2", "--interval", "-x", "1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "usage error: argument --interval: expected 2 arguments\n")
 
     @pytest.mark.parametrize("tol", [["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--tol=-inf"]])
     def test_gl_check_rejects_bad_tolerance(self, capsys, tol):

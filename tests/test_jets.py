@@ -10,7 +10,7 @@ from cornerjet import (
     decompose_halfline,
     decompose_quadrant,
     glaeser_landau_check,
-    make_boundary_plot,
+    parse_plot,
     parse_tensor,
     pullback_halfline,
     pullback_sq2,
@@ -21,7 +21,7 @@ from cornerjet.decompose import ComponentParity
 from cornerjet.jets import Jet1, LaurentJet2, Record, parity_masses, whitney_descend
 from cornerjet.metric import MetricVerdict, MetricWitness
 from cornerjet.numeric import SampledFunction
-from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, make_interior_plot
+from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm
 from cornerjet.pullback import SmoothnessVerdict, Status, _derivative, _divide
 from cornerjet.tensors import (
     QUADRANT_BASIS,
@@ -30,7 +30,14 @@ from cornerjet.tensors import (
 )
 
 from conftest import jet1s, laurent_jets, laurent2s, nonzero_laurent_jets
-from oracles import compose, make_halfline_tensor, make_quadrant_tensor, schoolbook_product
+from oracles import (
+    compose,
+    make_boundary_plot,
+    make_halfline_tensor,
+    make_interior_plot,
+    make_quadrant_tensor,
+    schoolbook_product,
+)
 from test_kernel import divide, scaled, unscaled
 from test_kernel import times as times_through
 
@@ -411,7 +418,7 @@ class TestValueTypes:
 
     def test_equality_across_types(self):
         jet = Jet1([1, 1])
-        assert InteriorGerm(F(1), jet) != BoundaryGerm(1, jet)
+        assert InteriorGerm(jet) != BoundaryGerm(1, jet)
         pulled = pullback_sq2(_QUADRANT)
         assert pulled != (pulled.a, pulled.b, pulled.c)
         assert FlatGerm() == FlatGerm() and FlatGerm() != ()
@@ -440,8 +447,8 @@ class TestValueTypes:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: HalfLineTensor(-1, LaurentJet()), "degree must be nonnegative"),
-        (lambda: InteriorGerm(F(0), Jet1([0, 1])), "base point must be positive"),
-        (lambda: InteriorGerm(F(1), Jet1([2, 1])), "must equal the base point"),
+        (lambda: InteriorGerm(Jet1([0, 1])), "base point must be positive"),
+        (lambda: parse_plot("interior(1; 2+t)"), "must equal the base point"),
         (lambda: BoundaryGerm(0, Jet1([1])), "not certified nonnegative"),
         (lambda: BoundaryGerm(1, Jet1([0])), "not certified nonnegative"),
         (lambda: SampledFunction((F(1),), (F(1), F(0))), "a < b"),

@@ -20,11 +20,9 @@ from cornerjet import (
     check_gamma_parity,
     decompose_halfline,
     decompose_quadrant,
-    make_boundary_plot,
     pullback_halfline,
 )
 from cornerjet.jets import Jet1, LaurentJet2
-from cornerjet.plots import make_interior_plot
 from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor
 
 from conftest import nonzero_rationals, rationals, unit_jet1s
@@ -33,6 +31,8 @@ from oracles import (
     dilate_jet,
     dilate_quadrant,
     laurent_product,
+    make_boundary_plot,
+    make_interior_plot,
     reparametrize,
     reparametrized_witness,
     singular_plus_regular,

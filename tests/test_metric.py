@@ -12,10 +12,10 @@ from cornerjet import (
     tau_sing,
 )
 from cornerjet.metric import DEFAULT_FAMILY
-from cornerjet.plots import BoundaryGerm, InteriorGerm, make_boundary_plot
+from cornerjet.plots import BoundaryGerm, InteriorGerm
 
 from conftest import jet1s, nonzero_rationals, rationals
-from oracles import make_halfline_tensor, singular_plus_regular
+from oracles import make_boundary_plot, make_halfline_tensor, singular_plus_regular
 
 ORDERS = (2, 16, 64, 256)
 
@@ -128,6 +128,14 @@ class TestMetricWindow:
         # read also where the verdict needs no window beyond the shortest
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             check_metric(make_halfline_tensor(2, coeff), order=order)
+
+    @pytest.mark.parametrize("coeff", [LaurentJet(0, [1, 1]), LaurentJet(-1, [1]),
+                                       LaurentJet(-2, [1])],
+                             ids=["metric", "rejected", "double-pole"])
+    def test_negative_order_is_refused(self, coeff):
+        # the decompositions' reader and text: refused before any germ is pulled back
+        with pytest.raises(ValueError, match="^order -5 is below the minimum 0$"):
+            check_metric(make_halfline_tensor(2, coeff), order=-5)
 
     @settings(max_examples=80, deadline=None)
     @given(metric_candidates())

@@ -8,12 +8,11 @@ from cornerjet import (
     LaurentJet,
     SampledFunction,
     glaeser_landau_check,
-    make_boundary_plot,
     pullback_halfline,
     tau_sing,
 )
 
-from oracles import make_halfline_tensor, numeric_pullback_probe
+from oracles import make_boundary_plot, make_halfline_tensor, numeric_pullback_probe
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from cornerjet import LaurentJet, make_boundary_plot
+import cornerjet
+from cornerjet import BoundaryGerm, LaurentJet, parse_plot
 from cornerjet.jets import Jet1
-from cornerjet.plots import FlatGerm, make_interior_plot
+from cornerjet.metric import DEFAULT_FAMILY
+from cornerjet.plots import FlatGerm, InteriorGerm
 
 from conftest import unit_jet1s
-from oracles import realize_jet
+from oracles import make_boundary_plot, make_interior_plot, realize_jet
 
 
 class TestMakeBoundaryPlot:
@@ -28,17 +30,17 @@ class TestMakeBoundaryPlot:
     @pytest.mark.parametrize("m, unit", [(0, 1), (-3, 1), (1, -1), (1, 0)])
     def test_not_nonnegative(self, m, unit):
         with pytest.raises(ValueError, match="not certified nonnegative"):
-            make_boundary_plot(m, unit)
+            BoundaryGerm(m, Jet1([unit]))
 
     def test_unit_with_negative_constant_jet(self):
         with pytest.raises(ValueError, match="not certified nonnegative"):
-            make_boundary_plot(1, Jet1([-1, 2]))
+            BoundaryGerm(1, Jet1([-1, 2]))
 
     @pytest.mark.parametrize("m", [1.5, F(3, 2), F(1)])
     def test_contact_half_order_is_an_integer(self, m):
         # t^(2m) with m = 1.5 is t^3, a curve that leaves the half-line
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            make_boundary_plot(m, 1)
+            BoundaryGerm(m)
 
 
 class TestRealizeJet:
@@ -77,8 +79,36 @@ class TestRealizeJet:
 class TestInteriorValidation:
     def test_base_point_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            make_interior_plot(0)
+            InteriorGerm(Jet1([0, 1]))
 
     def test_jet_must_match_base_point(self):
+        # the germ stores one base point; only the text form writes it twice
         with pytest.raises(ValueError, match="constant term"):
-            make_interior_plot(1, Jet1([2, 1]))
+            parse_plot("interior(1; 2+t)")
+
+
+class TestGermRecords:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BoundaryGerm(1, 1), "boundary unit must be a Jet1, not 1"),
+        (lambda: InteriorGerm(1), "interior jet must be a Jet1, not 1"),
+    ])
+    def test_refuses_a_jet_of_another_type(self, build, message):
+        with pytest.raises(TypeError, match=message):
+            build()
+
+    def test_the_package_exports_the_record(self):
+        assert "BoundaryGerm" in cornerjet.__all__
+        assert "make_boundary_plot" not in cornerjet.__all__
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_unit_defaults_to_one(self, m):
+        assert BoundaryGerm(m) == BoundaryGerm(m, Jet1([1])) == parse_plot("t^%d" % (2 * m))
+
+    def test_base_point_is_the_jet_constant_term(self):
+        germ = InteriorGerm(Jet1([F(3, 2), 1, 5]))
+        assert germ.x0 == F(3, 2) and germ._fields == ("jet",)
+
+    def test_metric_family_is_its_text_forms(self):
+        texts = ["t^2", "t^4", "t^6",
+                 "interior(1/2; 1/2+t)", "interior(1; 1+t)", "interior(2; 2+t)"]
+        assert DEFAULT_FAMILY == tuple(parse_plot(s) for s in texts)

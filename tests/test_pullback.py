@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from cornerjet import (
     LaurentJet,
     PairGerm,
-    make_boundary_plot,
     parse_plot,
     parse_tensor,
     pullback_halfline,
@@ -16,14 +15,16 @@ from cornerjet import (
     tau_sing,
 )
 from cornerjet.jets import Jet1, LaurentJet2
-from cornerjet.plots import FlatGerm, make_interior_plot
+from cornerjet.plots import FlatGerm
 from cornerjet.pullback import Status
 from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor
 
 from conftest import laurent2s, laurent_jets, polynomial_laurent2s, rationals, unit_jet1s
 from oracles import (
     long_divide,
+    make_boundary_plot,
     make_halfline_tensor,
+    make_interior_plot,
     make_quadrant_tensor,
     realize_jet,
     schoolbook_product,
