@@ -10,6 +10,8 @@ rather than assumed.
 
 from __future__ import annotations
 
+from operator import index
+
 from .jets import DEFAULT_ORDER, LaurentJet, Record
 from .plots import BoundaryGerm
 from .pullback import pullback_halfline
@@ -30,6 +32,7 @@ def verify_capacity(
     k: int, p: int, m_max: int = 6, order: int = DEFAULT_ORDER
 ) -> CapacityReport:
     """Margins k(2m-1) - 2mp for m = 1..m_max, matched against pullback valuations."""
+    k, p, m_max = index(k), index(p), index(m_max)
     if k < 0 or p < 0:
         raise ValueError("degree and pole order must be nonnegative")
     if m_max < 1:
@@ -58,7 +61,7 @@ def verify_capacity(
 
 def capacity_table(k_max: int) -> list[tuple[int, int]]:
     """(k, largest admissible pole order) for k = 0..k_max, found by search."""
-    if k_max < 0:
+    if index(k_max) < 0:
         raise ValueError("k_max must be nonnegative")
     table = []
     for k in range(k_max + 1):

@@ -5,8 +5,8 @@ metric, admissible capacity, inequality holds), 2 when it rejects/fails
 (pole, rejected metric, capacity exceeded, parity violation, inequality
 failure), 1 on usage or parse errors and on a failed internal cross-check.
 
-The global ``--order`` (default 16, or $CORNERJET_ORDER) must be 0 to
-``MAX_ORDER``, checked for every command, also those that do not read it.
+The global ``--order`` (default 16) must be 0 to ``MAX_ORDER``, checked for
+every command, also those that do not read it.
 
 A JSON payload is ``command`` plus the fields of the command's result record
 (``SmoothnessVerdict``, ``Decomposition``, ``QuadrantDecomposition``,
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from collections.abc import Mapping
@@ -48,10 +47,8 @@ from .parser import (
     parse_tensor,
 )
 from .plots import PlotGerm
-from .pullback import NotSmoothError, SmoothnessVerdict, Status, pullback_halfline
+from .pullback import NotSmoothError, SmoothnessVerdict, Status, _read_order, pullback_halfline
 from .tensors import QuadrantTensor, basis_name
-
-ORDER_ENV_VAR = "CORNERJET_ORDER"
 
 # Caps on the sizes a command line may ask for; larger values exit 1 at once.
 # With parser.MAX_EXPONENT they bound the work of a short input (each costliest
@@ -130,22 +127,6 @@ def _parity_line(report: ParityReport) -> str:
 def _check_cap(name: str, value: int, cap: int) -> None:
     if value > cap:
         raise ParseError("%s %d exceeds the maximum %d" % (name, value, cap))
-
-
-def _resolve_order(ns) -> int:
-    order = ns.order
-    if order is None:
-        env = os.environ.get(ORDER_ENV_VAR)
-        if env is None:
-            return DEFAULT_ORDER
-        try:
-            order = int(env)
-        except ValueError:
-            raise ParseError("%s must be an integer, got %r" % (ORDER_ENV_VAR, env))
-    _check_cap("order", order, MAX_ORDER)
-    if order < 0:
-        raise ParseError("order %d is below the minimum 0" % order)
-    return order
 
 
 # -- command handlers ---------------------------------------------------------
@@ -276,8 +257,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def build_parser() -> _ArgumentParser:
     common = _ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=None,
-                        help="global truncation order (default 16, or $%s)" % ORDER_ENV_VAR)
+    common.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                        help="global truncation order (default %d)" % DEFAULT_ORDER)
     common.add_argument("--format", choices=("text", "json"), default="text")
     top = _ArgumentParser(
         prog="cornerjet",
@@ -341,7 +322,8 @@ def run(argv=None) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
     try:
-        ns.order = _resolve_order(ns)
+        _check_cap("order", ns.order, MAX_ORDER)
+        _read_order(ns.order)
         return ns.handler(ns)
     except NotSmoothError as err:
         # A rejected tensor, with its witness: a pullback verdict or a parity report.

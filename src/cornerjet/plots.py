@@ -70,3 +70,7 @@ class PairGerm(Record):
     px: PlotGerm
     py: PlotGerm
 
+    def __post_init__(self):
+        for germ in (self.px, self.py):
+            if not isinstance(germ, PlotGerm):
+                raise TypeError("pair component must be a plot germ, not %r" % (germ,))

@@ -67,6 +67,18 @@ class TestVerifyCapacity:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             verify_capacity(k, p)
 
+    @pytest.mark.parametrize("k, p, m_max", [(2, 1, 2.5), (2, 1, 0.5), (-1, 0, 2.5), (2, 1, "2")])
+    def test_non_integer_m_max_rejected_up_front(self, k, p, m_max):
+        # read as an integer before the sign and size checks, like k and p
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            verify_capacity(k, p, m_max)
+
+    def test_report_holds_integers(self):
+        # a bool is an integer index, read as the int it stands for
+        report = verify_capacity(True, 0, True)
+        assert report == verify_capacity(1, 0, 1)
+        assert (type(report.k), type(report.p)) == (int, int)
+
 
 class TestCapacityTable:
     def test_reproduces_floor_table(self):
@@ -74,6 +86,11 @@ class TestCapacityTable:
 
     def test_degenerate(self):
         assert capacity_table(0) == [(0, 0)]
+
+    @pytest.mark.parametrize("k_max", [2.5, -0.5, "2"])
+    def test_non_integer_k_max_rejected(self, k_max):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            capacity_table(k_max)
 
     def test_negative_k_max_rejected(self):
         with pytest.raises(ValueError, match="k_max must be nonnegative"):

@@ -536,31 +536,26 @@ class TestCaps:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert message in captured.err
 
-    def test_order_cap_covers_the_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORNERJET_ORDER", str(MAX_ORDER + 1))
-        assert run(["decompose", "(1/x)*dx^2"]) == 1
-        assert "order 257 exceeds the maximum 256" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["capacity", "4"], ["gl-check", "--f", "t^2"], ["parity", "x*y*dx*dy"],
     ], ids=lambda argv: argv[0])
-    @pytest.mark.parametrize("source, value, message", [
-        ("flag", str(MAX_ORDER + 1), "order 257 exceeds the maximum 256"),
-        ("env", str(MAX_ORDER + 1), "order 257 exceeds the maximum 256"),
-        ("env", "abc", "CORNERJET_ORDER must be an integer, got 'abc'"),
-        ("flag", "-5", "order -5 is below the minimum 0"),
-        ("env", "-5", "order -5 is below the minimum 0"),
-    ], ids=["flag", "env", "env-not-an-integer", "flag-negative", "env-negative"])
-    def test_order_is_checked_by_commands_that_ignore_it(
-            self, capsys, monkeypatch, argv, source, value, message):
+    @pytest.mark.parametrize("value, message", [
+        (str(MAX_ORDER + 1), "order 257 exceeds the maximum 256"),
+        ("-5", "order -5 is below the minimum 0"),
+    ], ids=["flag", "flag-negative"])
+    def test_order_is_checked_by_commands_that_ignore_it(self, capsys, argv, value, message):
         # --order is global: every subcommand refuses a bad one, read or not
-        if source == "flag":
-            argv = argv[:1] + ["--order", value] + argv[1:]
-        else:
-            monkeypatch.setenv("CORNERJET_ORDER", value)
-        assert run(argv) == 1
+        assert run(argv[:1] + ["--order", value] + argv[1:]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: %s\n" % message
+
+    def test_negative_order_is_refused_with_the_library_text(self, capsys):
+        # the CLI reads --order with the library's reader, so both say the same
+        with pytest.raises(ValueError) as refused:
+            decompose_halfline(parse_tensor("(1/x)*dx^2"), order=-5)
+        assert run(["decompose", "--order", "-5", "(1/x)*dx^2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: %s\n" % refused.value
 
     def test_values_at_the_caps_are_accepted(self, capsys):
         assert run(["pullback", "--order", str(MAX_ORDER), "--plot", "t^2", "(1/x)*dx^2"]) == 0
@@ -887,16 +882,21 @@ class TestCliScenarios:
         payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert (payload["C"], payload["max_violation"]) == (2.0, 0.0)
 
-    def test_order_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORNERJET_ORDER", "8")
-        assert run(["decompose", "--format", "json", "(1/x)*dx^2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["regular"]["order"] == 8
-
-    def test_order_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORNERJET_ORDER", "8")
-        assert run(["decompose", "--order", "4", "--format", "json", "(1/x)*dx^2"]) == 0
-        assert json.loads(capsys.readouterr().out)["regular"]["order"] == 4
+    def test_order_comes_only_from_the_flag(self, capsys, monkeypatch):
+        # the environment sets no order, not even a broken one
+        argv = ["decompose", "--format", "json", "(1/x)*dx^2"]
+        monkeypatch.delenv("CORNERJET_ORDER", raising=False)
+        assert run(argv) == 0
+        unset = capsys.readouterr().out
+        assert json.loads(unset)["regular"]["order"] == 16
+        for value in ("8", "abc", "-5", str(MAX_ORDER + 1)):
+            monkeypatch.setenv("CORNERJET_ORDER", value)
+            assert run(argv) == 0
+            assert capsys.readouterr().out == unset
+            assert run(["capacity", "4"]) == 0
+            assert capsys.readouterr() == ("2\n", "")
+            assert run(argv[:1] + ["--order", "4"] + argv[1:]) == 0
+            assert json.loads(capsys.readouterr().out)["regular"]["order"] == 4
 
     def test_decompose_witness_follows_the_order(self, capsys):
         # The capacity-exceeded witness is the pullback along t^2 at --order,

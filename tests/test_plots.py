@@ -8,7 +8,7 @@ import cornerjet
 from cornerjet import BoundaryGerm, LaurentJet, parse_plot
 from cornerjet.jets import Jet1
 from cornerjet.metric import DEFAULT_FAMILY
-from cornerjet.plots import FlatGerm, InteriorGerm
+from cornerjet.plots import FlatGerm, InteriorGerm, PairGerm
 
 from conftest import unit_jet1s
 from oracles import make_boundary_plot, make_interior_plot, realize_jet
@@ -95,6 +95,16 @@ class TestGermRecords:
     def test_refuses_a_jet_of_another_type(self, build, message):
         with pytest.raises(TypeError, match=message):
             build()
+
+    @pytest.mark.parametrize("px, py", [
+        (1, 2),
+        (BoundaryGerm(1), Jet1([1, 1])),
+        ("flat", FlatGerm()),
+    ])
+    def test_pair_refuses_a_component_that_is_not_a_germ(self, px, py):
+        # refused when built, not later inside the path pullback
+        with pytest.raises(TypeError, match="pair component must be a plot germ"):
+            PairGerm(px, py)
 
     def test_the_package_exports_the_record(self):
         assert "BoundaryGerm" in cornerjet.__all__
