@@ -5,9 +5,12 @@ metric, admissible capacity, inequality holds), 2 when it rejects/fails
 (pole, rejected metric, capacity exceeded, parity violation, inequality
 failure), 1 on usage or parse errors and on a failed internal cross-check.
 
-The global ``--order`` (default 16) must be 0 to ``MAX_ORDER``, checked for
-every command, also those that do not read it.
+The global options ``--order`` and ``--format`` go before or after the
+subcommand (after wins).  ``--order`` (default 16) must be 0 to ``MAX_ORDER``,
+checked for every command, also those that do not read it.
 
+A handler returns its exit code, text lines and JSON fields, and one function,
+``_emit``, prints them and adds the payload's ``command`` key.
 A JSON payload is ``command`` plus the fields of the command's result record
 (``SmoothnessVerdict``, ``Decomposition``, ``QuadrantDecomposition``,
 ``ParityReport``, ``CapacityReport``, ``MetricVerdict``,
@@ -95,11 +98,13 @@ def _json(value):
 # -- output helpers -----------------------------------------------------------
 
 
-def _emit(ns, lines: list[str], payload: dict) -> None:
+def _emit(ns, code: int, lines: list[str], fields: dict) -> int:
+    """Print a result, as text lines or as ``command`` plus ``fields`` in JSON; return ``code``."""
     if ns.format == "json":
-        print(json.dumps(payload, sort_keys=True, allow_nan=False))
+        print(json.dumps({"command": ns.command, **fields}, sort_keys=True, allow_nan=False))
     else:
         print("\n".join(lines))
+    return code
 
 
 def _status_text(v: SmoothnessVerdict) -> str:
@@ -132,59 +137,48 @@ def _check_cap(name: str, value: int, cap: int) -> None:
 # -- command handlers ---------------------------------------------------------
 
 
-def _cmd_decompose(ns) -> int:
+def _cmd_decompose(ns) -> tuple[int, list[str], dict]:
     tensor = parse_tensor(ns.tensor, ns.space)
     if ns.space == "halfline":
         result = decompose_halfline(tensor, order=ns.order)
         lines = ["c = %s" % result.c, "regular = %s" % result.regular.to_str("x")]
     else:
         result = decompose_quadrant(tensor, order=ns.order)
-        lines = [
-            "A = %s" % result.A.to_str("y"),
-            "B = %s" % result.B.to_str("x"),
-            "regular = %s" % format_quadrant_tensor(result.regular),
-            _parity_line(result.parity),
-        ]
-    _emit(ns, lines,
-          {"command": "decompose", "space": ns.space, "accepted": True, **_json(result)})
-    return 0
+        lines = ["A = %s" % result.A.to_str("y"), "B = %s" % result.B.to_str("x"),
+                 "regular = %s" % format_quadrant_tensor(result.regular),
+                 _parity_line(result.parity)]
+    return 0, lines, {"space": ns.space, "accepted": True, **_json(result)}
 
 
-def _cmd_pullback(ns) -> int:
+def _cmd_pullback(ns) -> tuple[int, list[str], dict]:
     tensor = parse_tensor(ns.tensor, "halfline")
     plot = parse_plot(ns.plot)
     verdict = pullback_halfline(tensor, plot, ns.order)
-    _emit(ns, _verdict_lines(verdict),
-          {"command": "pullback", "plot": format_plot(plot), **_json(verdict)})
-    return 0 if verdict.is_smooth else 2
+    fields = {"plot": format_plot(plot), **_json(verdict)}
+    return (0 if verdict.is_smooth else 2), _verdict_lines(verdict), fields
 
 
-def _cmd_capacity(ns) -> int:
+def _cmd_capacity(ns) -> tuple[int, list[str], dict]:
     value = capacity(ns.k)
-    _emit(ns, ["%d" % value], {"command": "capacity", "k": ns.k, "capacity": value})
-    return 0
+    return 0, ["%d" % value], {"k": ns.k, "capacity": value}
 
 
-def _cmd_verify_capacity(ns) -> int:
+def _cmd_verify_capacity(ns) -> tuple[int, list[str], dict]:
     # k and p are the exponents of x^-p dx^k, capped like written exponents.
     _check_cap("k", ns.k, MAX_EXPONENT)
     _check_cap("p", ns.p, MAX_EXPONENT)
     _check_cap("m_max", ns.m_max, MAX_M_MAX)
     report = verify_capacity(ns.k, ns.p, ns.m_max, order=ns.order)
-    _emit(
-        ns,
-        [
-            "k = %d, p = %d, m_max = %d" % (report.k, report.p, ns.m_max),
-            "margins = %s" % list(report.margins),
-            "binding_m = %d" % report.binding_m,
-            "admissible" if report.admissible else "inadmissible",
-        ],
-        {"command": "verify-capacity", "m_max": ns.m_max, **_json(report)},
-    )
-    return 0 if report.admissible else 2
+    lines = [
+        "k = %d, p = %d, m_max = %d" % (report.k, report.p, ns.m_max),
+        "margins = %s" % list(report.margins),
+        "binding_m = %d" % report.binding_m,
+        "admissible" if report.admissible else "inadmissible",
+    ]
+    return (0 if report.admissible else 2), lines, {"m_max": ns.m_max, **_json(report)}
 
 
-def _cmd_check_metric(ns) -> int:
+def _cmd_check_metric(ns) -> tuple[int, list[str], dict]:
     verdict = check_metric(parse_tensor(ns.tensor, "halfline"), order=ns.order)
     w = verdict.witness
     lines = ["accepted"] if verdict.accepted else [
@@ -193,48 +187,48 @@ def _cmd_check_metric(ns) -> int:
         "value = %s" % w.value,
         "clause = %s" % w.clause,
     ]
-    _emit(ns, lines, {"command": "check-metric", **_json(verdict)})
-    return 0 if verdict.accepted else 2
+    return (0 if verdict.accepted else 2), lines, _json(verdict)
 
 
-def _cmd_gl_check(ns) -> int:
+def _cmd_gl_check(ns) -> tuple[int, list[str], dict]:
     check_tolerance(ns.tol)  # a bad tolerance is invalid input (exit 1), not a failed check
     _check_cap("grid", ns.grid, MAX_GRID)
     coeffs = parse_polynomial(ns.f).coeffs
-    a = parse_rational(ns.interval[0])
-    b = parse_rational(ns.interval[1])
-    f = SampledFunction.polynomial(coeffs, (a, b), grid_n=ns.grid)
+    f = SampledFunction.polynomial(coeffs, tuple(map(parse_rational, ns.interval)), ns.grid)
     try:
         report = glaeser_landau_check(f, tol=ns.tol)
     except ValueError as err:
-        _emit(ns, ["error: %s" % err], {
-            "command": "gl-check", "error": str(err), "passed": False,
-        })
-        return 2
-    _emit(
-        ns,
-        [
-            "C = %r" % report.C,
-            "max_violation = %r" % report.max_violation,
-            "pass" if report.passed else "fail",
-        ],
-        {"command": "gl-check", **_json(report)},
-    )
-    return 0 if report.passed else 2
+        return 2, ["error: %s" % err], {"error": str(err), "passed": False}
+    lines = [
+        "C = %r" % report.C,
+        "max_violation = %r" % report.max_violation,
+        "pass" if report.passed else "fail",
+    ]
+    return (0 if report.passed else 2), lines, _json(report)
 
 
-def _cmd_parity(ns) -> int:
-    tensor = parse_tensor(ns.tensor, "quadrant")
-    report = check_gamma_parity(tensor)
+def _cmd_parity(ns) -> tuple[int, list[str], dict]:
+    report = check_gamma_parity(parse_tensor(ns.tensor, "quadrant"))
     lines = []
     for name, comp in report.components.items():
-        occupied = ["%s:%d" % (s, n) for s, n in comp.masses.items() if n]
-        lines.append(
-            "%s: %s; %s" % (name, ", ".join(occupied) or "empty", "ok" if comp.ok else "VIOLATED")
-        )
+        occupied = ", ".join("%s:%d" % (s, n) for s, n in comp.masses.items() if n)
+        lines.append("%s: %s; %s" % (name, occupied or "empty", "ok" if comp.ok else "VIOLATED"))
     lines.append("rule holds" if report.rule_holds else "rule violated")
-    _emit(ns, lines, {"command": "parity", **_json(report)})
-    return 0 if report.rule_holds else 2
+    return (0 if report.rule_holds else 2), lines, _json(report)
+
+
+def _rejection(ns, err: NotSmoothError) -> tuple[int, list[str], dict]:
+    """A rejected tensor, with its witness: a pullback verdict or a parity report."""
+    fields = {"accepted": False, "error": str(err)}
+    if hasattr(ns, "space"):
+        fields["space"] = ns.space
+    if err.verdict is not None:
+        lines = _verdict_lines(err.verdict)
+        fields["witness"] = _json(err.verdict)
+    else:
+        lines = [_parity_line(err.parity)]
+        fields["parity"] = _json(err.parity)
+    return 2, ["rejected: %s" % err] + lines, fields
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -256,14 +250,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> _ArgumentParser:
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    # Global options, before or after the subcommand: their defaults are in the
+    # namespace that ``run`` parses into, so only a value written replaces one.
+    common = _ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--order", type=int,
                         help="global truncation order (default %d)" % DEFAULT_ORDER)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--format", choices=("text", "json"))
     top = _ArgumentParser(
         prog="cornerjet",
         description="Exact calculus for tensors with axial poles on the half-line"
                     " and the quadrant.",
+        parents=[common],
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -315,7 +312,7 @@ def build_parser() -> _ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(argv, argparse.Namespace(order=DEFAULT_ORDER, format="text"))
     except _UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 1
@@ -324,20 +321,12 @@ def run(argv=None) -> int:
     try:
         _check_cap("order", ns.order, MAX_ORDER)
         _read_order(ns.order)
-        return ns.handler(ns)
-    except NotSmoothError as err:
-        # A rejected tensor, with its witness: a pullback verdict or a parity report.
-        payload = {"command": ns.command, "accepted": False, "error": str(err)}
-        if hasattr(ns, "space"):
-            payload["space"] = ns.space
-        if err.verdict is not None:
-            lines = _verdict_lines(err.verdict)
-            payload["witness"] = _json(err.verdict)
-        else:
-            lines = [_parity_line(err.parity)]
-            payload["parity"] = _json(err.parity)
-        _emit(ns, ["rejected: %s" % err] + lines, payload)
-        return 2
+        try:
+            result = ns.handler(ns)
+        except NotSmoothError as err:
+            result = _rejection(ns, err)
+        # printed inside the try: an output that cannot print is an error too
+        return _emit(ns, *result)
     except (ValueError, ZeroDivisionError, RuntimeError, TypeError) as err:
         # RuntimeError, TypeError: a failed internal check, such as a capacity margin.
         print("error: %s" % err, file=sys.stderr)

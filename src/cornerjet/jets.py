@@ -88,7 +88,8 @@ class Record:
 
     A class attribute named like a field is that field's default.  ``__init__``
     binds positional and keyword values, each field annotated ``dict`` as a
-    read-only copy (a ``MappingProxyType``), then calls ``__post_init__``.  A
+    read-only copy (a ``MappingProxyType``) and each annotated ``int`` as
+    ``operator.index`` reads it, then calls ``__post_init__``.  A
     record equals only a record of the same type with equal fields, hashes by
     its fields and prints as ``Name(field=value, ...)``.
     """
@@ -100,6 +101,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._mappings = tuple(n for n, t in cls.__annotations__.items() if str(t)[:4] == "dict")
+        cls._ints = tuple(n for n, t in cls.__annotations__.items() if t == "int")
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self._fields
@@ -124,6 +126,8 @@ class Record:
                     bind(self, name, value)
         for name in self._mappings:
             bind(self, name, MappingProxyType(dict(getattr(self, name))))
+        for name in self._ints:
+            bind(self, name, index(getattr(self, name)))
         self.__post_init__()
 
     def __post_init__(self):

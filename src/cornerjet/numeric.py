@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import index
 
 from .jets import Record, as_fraction
 
@@ -68,7 +67,8 @@ class SampledFunction(Record):
     evaluated square by square (f = sum q^2, f' = sum 2 q q', f'' = sum
     2(q'^2 + q q'')), which avoids the catastrophic cancellation the expanded
     coefficients suffer near high-multiplicity roots.  Plain polynomials get
-    their nonnegativity checked on the grid instead.
+    their nonnegativity checked on the grid instead.  Every coefficient and
+    endpoint is read with ``as_fraction``, which refuses a float.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -77,9 +77,15 @@ class SampledFunction(Record):
     squares: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.interval[0] >= self.interval[1]:
+        bind = object.__setattr__
+        bind(self, "coeffs", tuple(map(as_fraction, self.coeffs)))
+        a, b = map(as_fraction, self.interval)
+        bind(self, "interval", (a, b))
+        if self.squares is not None:
+            bind(self, "squares", tuple(tuple(map(as_fraction, q)) for q in self.squares))
+        if a >= b:
             raise ValueError("interval must satisfy a < b")
-        if index(self.grid_n) < 16:
+        if self.grid_n < 16:
             raise ValueError("grid_n must be at least 16")
         # Everything the oracle evaluates in floats must convert to a float.
         _check_float_range(self.interval, "interval endpoint")
@@ -87,21 +93,13 @@ class SampledFunction(Record):
             _check_float_range(sum(_with_derivatives(q), ()), "coefficient")
 
     @classmethod
-    def polynomial(
-        cls, coeffs, interval, grid_n: int = 1024
-    ) -> "SampledFunction":
-        return cls(
-            tuple(as_fraction(c) for c in coeffs),
-            (as_fraction(interval[0]), as_fraction(interval[1])),
-            grid_n,
-        )
+    def polynomial(cls, coeffs, interval, grid_n: int = 1024) -> "SampledFunction":
+        return cls(coeffs, interval, grid_n)
 
     @classmethod
-    def sum_of_squares(
-        cls, squares, interval, grid_n: int = 1024
-    ) -> "SampledFunction":
+    def sum_of_squares(cls, squares, interval, grid_n: int = 1024) -> "SampledFunction":
         """f = q_1^2 + ... + q_r^2, kept factored and also expanded exactly."""
-        kept = tuple(tuple(as_fraction(c) for c in q) for q in squares)
+        kept = tuple(tuple(map(as_fraction, q)) for q in squares)  # exact, to expand
         total: dict[int, Fraction] = {}
         for qc in kept:
             for i, a in enumerate(qc):
@@ -109,12 +107,7 @@ class SampledFunction(Record):
                     total[i + j] = total.get(i + j, Fraction(0)) + a * b
         degree = max(total, default=0)
         coeffs = tuple(total.get(d, Fraction(0)) for d in range(degree + 1))
-        return cls(
-            coeffs,
-            (as_fraction(interval[0]), as_fraction(interval[1])),
-            grid_n,
-            squares=kept,
-        )
+        return cls(coeffs, interval, grid_n, kept)
 
     def grid(self, enlargement: float = 0.0) -> list[float]:
         a, b = float(self.interval[0]), float(self.interval[1])

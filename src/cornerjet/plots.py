@@ -9,7 +9,6 @@ contact point carry no usable jet and are a separate variant.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
 
 from .jets import Jet1, Record
 
@@ -45,7 +44,7 @@ class BoundaryGerm(Record):
     unit: Jet1 = Jet1((1,))
 
     def __post_init__(self):
-        if index(self.m) < 1:
+        if self.m < 1:
             raise ValueError("plot not certified nonnegative: leading term t^%d" % (2 * self.m))
         if not isinstance(self.unit, Jet1):
             raise TypeError("boundary unit must be a Jet1, not %r" % (self.unit,))

@@ -56,7 +56,7 @@ class HalfLineTensor(Record):
     coeff: LaurentJet
 
     def __post_init__(self):
-        if index(self.degree) < 0:
+        if self.degree < 0:
             raise ValueError("tensor degree must be nonnegative")
         if not isinstance(self.coeff, LaurentJet):
             raise TypeError("half-line coefficient must be a LaurentJet, not %r" % (self.coeff,))

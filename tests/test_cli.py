@@ -898,6 +898,28 @@ class TestCliScenarios:
             assert run(argv[:1] + ["--order", "4"] + argv[1:]) == 0
             assert json.loads(capsys.readouterr().out)["regular"]["order"] == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "(1/x + x)*dx^2"],
+        ["pullback", "--plot", "t^2*(1+t)", "(1/x)*dx^2"],
+        ["capacity", "4"],
+        ["verify-capacity", "2", "1"],
+        ["check-metric", "(1/x)*dx^2"],
+        ["gl-check", "--f", "t^2"],
+        ["parity", "x*y*dx*dy"],
+    ], ids=lambda argv: argv[0])
+    def test_global_options_before_the_subcommand(self, capsys, argv):
+        def output(args):
+            return run(args), capsys.readouterr()
+
+        command, rest = argv[0], argv[1:]
+        after = output([command, "--format", "json", "--order", "4", *rest])
+        assert output(["--format", "json", "--order", "4", *argv]) == after
+        # given on both sides, the value after the subcommand wins
+        both = ["--format", "text", "--order", "8", command, "--format", "json", "--order", "4"]
+        assert output(both + rest) == after
+        if command in ("decompose", "pullback"):  # outputs that show the order
+            assert output([command, "--format", "json", "--order", "8", *rest]) != after
+
     def test_decompose_witness_follows_the_order(self, capsys):
         # The capacity-exceeded witness is the pullback along t^2 at --order,
         # the same as check-metric reports.

@@ -3,7 +3,7 @@
 Every argv is built from the expression grammar of ``cornerjet.parser`` for
 one of the seven subcommands, with exponents and integer options drawn up to
 10^20 in absolute value, rational literals, plot germs and both output
-formats.  Whatever the input, ``run`` must answer with exit code 0, 1 or 2,
+formats, the global options before or after the subcommand.  Whatever the input, ``run`` must answer with exit code 0, 1 or 2,
 never a traceback, and print nothing to stderr when it exits 0; whatever it
 prints in JSON mode must be strict JSON (no NaN or Infinity).
 """
@@ -78,9 +78,11 @@ def argvs(draw) -> list[str]:
     command = draw(st.sampled_from(
         ["decompose", "pullback", "capacity", "verify-capacity", "check-metric", "gl-check",
          "parity"]))
-    argv = [command, "--format", draw(st.sampled_from(["text", "json"]))]
+    options = ["--format", draw(st.sampled_from(["text", "json"]))]
     if draw(st.booleans()):
-        argv += ["--order", str(draw(orders))]
+        options += ["--order", str(draw(orders))]
+    # the global options go before or after the subcommand
+    argv = options + [command] if draw(st.booleans()) else [command] + options
     if command == "decompose":
         space = draw(st.sampled_from(["halfline", "quadrant"]))
         tensor = draw(halfline_tensors if space == "halfline" else quadrant_tensors)
@@ -116,5 +118,5 @@ def test_run_answers_every_argv(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert err.getvalue() == "", argv
-    if argv[2] == "json" and out.getvalue():
+    if argv[argv.index("--format") + 1] == "json" and out.getvalue():
         json.loads(out.getvalue(), parse_constant=_refuse)

@@ -462,6 +462,29 @@ class TestValueTypes:
         with pytest.raises(ValueError, match=message):
             build()
 
+    @pytest.mark.parametrize("field, build, value, use", [
+        ("degree", lambda n: HalfLineTensor(n, LaurentJet(-1, [1])), 2,
+         lambda t: pullback_halfline(t, _BOUNDARY, 4)),
+        ("m", BoundaryGerm, 2, lambda g: pullback_halfline(tau_sing(), g, 4)),
+        ("grid_n", lambda n: SampledFunction.polynomial([0, 0, 1], (-1, 1), n), 32,
+         lambda f: f.grid()),
+    ])
+    def test_int_fields_hold_the_integer_they_check(self, field, build, value, use):
+        # a field annotated int is bound as operator.index reads it
+        class Index:
+            def __index__(self):
+                return value
+
+        record = build(Index())
+        assert type(getattr(record, field)) is int
+        assert record == build(value) and use(record) == use(build(value))
+        if field == "grid_n":  # True reads as 1, below the minimum grid
+            with pytest.raises(ValueError, match="at least 16"):
+                build(True)
+        else:
+            assert type(getattr(build(True), field)) is int
+            assert "%s=1," % field in repr(build(True))
+
     def test_repr(self):
         # Name(field=value, ...) with each value's repr, as a frozen dataclass prints.
         assert repr(_VERDICT) == (

@@ -118,6 +118,27 @@ class TestGlaeserLandau:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             SampledFunction((F(1),), (F(0), F(1)), grid_n)
 
+    @pytest.mark.parametrize("build", [
+        lambda: SampledFunction((0.1, 0.0, 1.0), (0, 1)),
+        lambda: SampledFunction((F(1),), (0.0, 1)),
+        lambda: SampledFunction((F(1),), (0, 1), squares=((0.5,),)),
+        lambda: SampledFunction.polynomial((0.1,), (0, 1)),
+        lambda: SampledFunction.polynomial((1,), (0, 1.0)),
+        lambda: SampledFunction.sum_of_squares([[0.5]], (0, 1)),
+    ])
+    def test_the_record_refuses_floats(self, build):
+        # built directly or by a constructor, the record is the one gate
+        with pytest.raises(TypeError, match="floating-point coefficient"):
+            build()
+
+    def test_the_record_holds_fractions(self):
+        f = SampledFunction([F(1, 10), 0, 1], ["0", 1])
+        assert f == SampledFunction.polynomial(["1/10", 0, 1], (0, F(1)))
+        assert {type(c) for c in f.coeffs + f.interval} == {F}
+        f = SampledFunction((1, 0, 1), (-1, 1), 16, [[1], ["0", 1]])
+        assert f == SampledFunction.sum_of_squares([[1], [0, 1]], (F(-1), F(1)), 16)
+        assert {type(c) for q in f.squares for c in q} == {F}
+
     def test_values_beyond_the_float_range_are_refused(self):
         huge = 10 ** 400
         with pytest.raises(ValueError, match="interval endpoint beyond the float range"):
