@@ -7,25 +7,25 @@ the constant term.  Shortcutting to a valuation split would give the same
 answer; the test suite keeps that shortcut as an independent oracle precisely
 so the two routes can be compared.
 
-On the quadrant the square map (u, v) -> (u^2, v^2) and its parity report
-decide.  A component's rules are read from its key, the basis element (p, q)
-of ``tensors.QUADRANT_BASIS``: it must pull back into parity sector
-(p mod 2, q mod 2), so dx^2 and dy^2 land even-even and the cross term
-odd-odd, and without a pole, so the cross term has none and an axial pole is
-at most simple.  Once the report accepts, the split is read off the components
+On the quadrant the parity report decides, read off the input's exponents:
+the square map (u, v) -> (u^2, v^2) sends x^i y^j in the component keyed
+(p, q), its basis element in ``tensors.QUADRANT_BASIS``, to u^(2i+p) v^(2j+q),
+so into sector (p mod 2, q mod 2), and without a pole exactly within
+``tensors.pole_bound``: the cross term has none, an axial pole is at most
+simple.  The tests check this against ``pullback_sq2`` and a term-by-term
+count.  Once the report accepts, the split is read off the components
 themselves: descending the pullback inverts the square map exactly, so it
-would only give them back.  The test suite keeps that descent as an
-independent oracle.
+would only give them back.  The test suite keeps that descent as an oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record
-from .jets import parity_masses, whitney_descend
-from .pullback import NotSmoothError, _check_capacity, _read_order, pullback_sq2
-from .tensors import Decomposition, DecompositionTrace, HalfLineTensor, QuadrantTensor, basis_name
+from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record, whitney_descend
+from .pullback import NotSmoothError, _check_capacity, _read_order
+from .tensors import Decomposition, DecompositionTrace, HalfLineTensor, QuadrantTensor
+from .tensors import basis_name, pole_bound
 
 __all__ = [
     "ComponentParity",
@@ -62,8 +62,9 @@ def decompose_halfline(tensor: HalfLineTensor, order: int | None = None) -> Deco
 
 
 class ComponentParity(Record):
-    """Parity-sector occupancy of one pulled-back component; ``ok`` when it
-    fills only its expected sector and has no pole."""
+    """Parity-sector occupancy of one pulled-back component; ``ok`` when it has
+    no pole.  ``sector_ok``, that it fills only its expected sector, is always
+    true for integer exponents and stays for the JSON schema."""
 
     expected: str
     masses: dict[str, int]
@@ -81,30 +82,25 @@ class ParityReport(Record):
     rule_holds: bool
 
 
-def _component_parity(expected: str, jet: LaurentJet2) -> ComponentParity:
-    masses = parity_masses(jet)
-    occupied = [sector for sector, count in masses.items() if count]
-    vx, vy = jet.valuations
-    sector_ok = all(sector == expected for sector in occupied)
-    smooth = jet.is_zero or (vx >= 0 and vy >= 0)
+def _component_parity(basis: tuple[int, int], jet: LaurentJet2) -> ComponentParity:
+    # x^i y^j dx^p dy^q pulls back to a multiple of u^(2i + p) v^(2j + q) du^p dv^q.
+    (p, q), (vx, vy), (bx, by) = basis, jet.valuations, pole_bound(basis)
+    expected, n = SECTOR_NAMES[p % 2, q % 2], sum(1 for _ in jet.terms())
+    smooth = jet.is_zero or (vx >= -bx and vy >= -by)
     return ComponentParity(
         expected=expected,
-        masses=masses,
-        min_degrees=None if jet.is_zero else (vx, vy),
-        sector_ok=sector_ok,
-        smooth=smooth,
-        ok=sector_ok and smooth,
-    )
+        masses={sector: n if sector == expected else 0 for sector in SECTOR_NAMES.values()},
+        min_degrees=None if jet.is_zero else (2 * vx + p, 2 * vy + q),
+        sector_ok=True, smooth=smooth, ok=smooth)
 
 
 def check_gamma_parity(tensor: QuadrantTensor) -> ParityReport:
-    """Which parity sectors each pulled-back component occupies, and whether
-    the corner selection rule holds: the du^p dv^q component fills only sector
-    (p mod 2, q mod 2) and has no pole."""
-    components = {
-        basis_name((p, q), ("du", "dv")): _component_parity(SECTOR_NAMES[p % 2, q % 2], jet)
-        for (p, q), jet in pullback_sq2(tensor).components.items()
-    }
+    """Which parity sectors each component occupies once pulled back along
+    (u, v) -> (u^2, v^2), and whether the corner selection rule holds: du^p dv^q
+    fills only sector (p mod 2, q mod 2) and has no pole.  The report is read
+    off the input's exponents; the tests check it against ``pullback_sq2``."""
+    components = {basis_name(basis, ("du", "dv")): _component_parity(basis, jet)
+                  for basis, jet in tensor.components.items()}
     return ParityReport(components, all(c.ok for c in components.values()))
 
 
@@ -129,12 +125,10 @@ def decompose_quadrant(
 ) -> QuadrantDecomposition:
     """Extract the axial singular profiles A(y), B(x) and the regular remainder.
 
-    Rejections carry the parity report of the square-map pullback as witness:
-    a pole in the cross coefficient lands in the odd-odd sector at negative
-    degree, and axial poles deeper than one violate smoothness of the
-    pulled-back even-even coefficients.  An accepted tensor has no pole
-    deeper than x^-1 in a, y^-1 in b and none in c, so A(y) is the x^-1
-    slice of a, B(x) the y^-1 slice of b, and the rest is regular.
+    Rejections carry the parity report as witness: a cross-term pole, or an
+    axial pole deeper than ``tensors.pole_bound`` allows.  An accepted tensor
+    has no pole deeper than x^-1 in a, y^-1 in b and none in c, so A(y) is the
+    x^-1 slice of a, B(x) the y^-1 slice of b, and the rest is regular.
     """
     order = _read_order(order)
     report = check_gamma_parity(tensor)
@@ -147,8 +141,8 @@ def decompose_quadrant(
             " with a pole" % basis_name(failing[0], ("dx", "dy")),
             parity=report,
         )
-    a_profile = tensor.a.slice_x(-1)
-    b_profile = tensor.b.slice_y(-1)
+    a_profile = tensor.a.slice_x(-pole_bound((2, 0))[0])
+    b_profile = tensor.b.slice_y(-pole_bound((0, 2))[1])
     # No pole in an accepted profile: y^-1 in A would pull back to a pole in du^2.
     n_a = _report_order(a_profile, order, "axial profile")
     n_b = _report_order(b_profile, order, "axial profile")

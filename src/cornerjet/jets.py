@@ -50,13 +50,13 @@ __all__ = [
 ]
 
 
-def as_fraction(value: Rational) -> Fraction:
-    """Coerce to an exact rational; floats are refused on purpose."""
+def as_fraction(value: Rational, noun: str = "coefficient") -> Fraction:
+    """Coerce to an exact rational; floats are refused on purpose, naming ``noun``."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(
-            "floating-point coefficient %r is not allowed in exact arithmetic" % (value,)
+            "floating-point %s %r is not allowed in exact arithmetic" % (noun, value)
         )
     return Fraction(value)
 
@@ -396,7 +396,7 @@ class LaurentJet2(Record):
         return "LaurentJet2(%r)" % ({k: str(c) for k, c in sorted(self._terms.items())},)
 
 
-def parity_masses(j: LaurentJet2) -> dict[str, int]:
+def parity_masses(j: LaurentJet2) -> dict[str, int]:  # kept by name: perfbench/spans.py wraps it
     """Number of nonzero monomials in each of the four parity sectors."""
     masses = {name: 0 for name in SECTOR_NAMES.values()}
     for i, jj, _ in j.terms():

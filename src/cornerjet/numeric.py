@@ -79,7 +79,7 @@ class SampledFunction(Record):
     def __post_init__(self):
         bind = object.__setattr__
         bind(self, "coeffs", tuple(map(as_fraction, self.coeffs)))
-        a, b = map(as_fraction, self.interval)
+        a, b = (as_fraction(e, "interval endpoint") for e in self.interval)
         bind(self, "interval", (a, b))
         if self.squares is not None:
             bind(self, "squares", tuple(tuple(map(as_fraction, q)) for q in self.squares))

@@ -84,8 +84,8 @@ class NotSmoothError(ValueError):
     """An input tensor is not diffeologically smooth; carries the witness.
 
     ``verdict`` holds a pullback verdict when the rejection came from a single
-    curve; ``parity`` holds the square-map parity report for quadrant
-    rejections.
+    curve; ``parity`` the quadrant parity report, which the exponent formula of
+    ``check_gamma_parity`` decides and ``pullback_sq2`` is the test oracle of.
     """
 
     def __init__(self, message: str, verdict: SmoothnessVerdict | None = None, parity=None):

@@ -17,6 +17,7 @@ __all__ = [
     "QUADRANT_BASIS",
     "basis_name",
     "capacity",
+    "pole_bound",
     "HalfLineTensor",
     "QuadrantTensor",
     "Decomposition",
@@ -42,11 +43,16 @@ def basis_name(basis: tuple[int, int], symbols: tuple[str, str]) -> str:
     return format_terms([(1, zip(symbols, basis))])
 
 
+def pole_bound(basis: tuple[int, ...]) -> tuple[int, ...]:
+    """The deepest pole per variable of a smooth dx^p dy^q coefficient: floor(p/2), floor(q/2)."""
+    return tuple(e // 2 for e in basis)
+
+
 def capacity(k: int) -> int:
     """Singular capacity: the deepest pole a covariant k-tensor supports, floor(k/2)."""
     if index(k) < 0:
         raise ValueError("tensor degree must be nonnegative")
-    return k // 2
+    return pole_bound((k,))[0]
 
 
 class HalfLineTensor(Record):

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from cornerjet import LaurentJet
 from cornerjet.jets import Jet1, LaurentJet2
+from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -63,3 +64,22 @@ def polynomial_laurent2s(draw, max_degree=4, max_terms=8):
     for _ in range(n_terms):
         terms[(draw(exps), draw(exps))] = draw(rationals)
     return LaurentJet2(terms)
+
+
+@st.composite
+def quadrant_components(draw, lo):
+    """A LaurentJet2 of up to 5 terms with exponents from ``lo`` to 3."""
+    exps = st.tuples(st.integers(lo[0], 3), st.integers(lo[1], 3))
+    return LaurentJet2(draw(st.dictionaries(exps, nonzero_rationals, max_size=5)))
+
+
+@st.composite
+def quadrant_tensors(draw):
+    """Poles down to x^-2 y^-2; half the draws keep each component within the
+    poles it admits, so that both verdicts occur often."""
+    if draw(st.booleans()):
+        bounds = [(-(p // 2), -(q // 2)) for p, q in QUADRANT_BASIS]
+    else:
+        bounds = [(-2, -2)] * len(QUADRANT_BASIS)
+    return QuadrantTensor({
+        basis: draw(quadrant_components(lo)) for basis, lo in zip(QUADRANT_BASIS, bounds)})

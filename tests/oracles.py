@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cornerjet import LaurentJet, SampledFunction
+from cornerjet.decompose import ComponentParity
 from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.numeric import _reduce, _sup_abs, check_tolerance
 from cornerjet.plots import BoundaryGerm, FlatGerm, InteriorGerm
@@ -114,6 +115,32 @@ def descend_square_pullback(pulled):
     regular_dx2 = {(i - 1, j): c for (i, j), c in k_a.items() if i >= 1}
     regular_dy2 = {(i, j - 1): c for (i, j), c in k_b.items() if j >= 1}
     return A, B, regular_dx2, regular_dy2, regular_cross
+
+
+_SECTORS = {(0, 0): "even-even", (0, 1): "even-odd", (1, 0): "odd-even", (1, 1): "odd-odd"}
+
+
+def component_parity(expected: str, pulled: LaurentJet2) -> ComponentParity:
+    """The parity of one square-map-pulled-back component, counted term by term.
+
+    Each term u^i v^j counts in sector (i mod 2, j mod 2); the component obeys
+    the rule when it fills only ``expected`` and no exponent is negative.
+    """
+    masses = dict.fromkeys(_SECTORS.values(), 0)
+    for i, j, _ in pulled.terms():
+        masses[_SECTORS[i % 2, j % 2]] += 1
+    occupied = [sector for sector, count in masses.items() if count]
+    vx, vy = pulled.valuations
+    sector_ok = all(sector == expected for sector in occupied)
+    smooth = pulled.is_zero or (vx >= 0 and vy >= 0)
+    return ComponentParity(
+        expected=expected,
+        masses=masses,
+        min_degrees=None if pulled.is_zero else (vx, vy),
+        sector_ok=sector_ok,
+        smooth=smooth,
+        ok=sector_ok and smooth,
+    )
 
 
 # Expression trees for the tensor grammar: ("num", n), ("sym", name),

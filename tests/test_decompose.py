@@ -15,11 +15,13 @@ from cornerjet import (
     tau_sing,
 )
 from cornerjet import decompose as decompose_module
+from cornerjet.decompose import ParityReport
 from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.pullback import Status
 
-from conftest import jet1s, nonzero_rationals, polynomial_laurent2s, rationals
+from conftest import jet1s, nonzero_rationals, polynomial_laurent2s, quadrant_tensors, rationals
 from oracles import (
+    component_parity,
     descend_square_pullback,
     make_halfline_tensor,
     make_quadrant_tensor,
@@ -318,3 +320,23 @@ class TestCheckGammaParity:
         assert report.components["du^2"].min_degrees == pulled.a.valuations
         assert report.components["dv^2"].min_degrees == pulled.b.valuations
         assert report.components["du*dv"].min_degrees == pulled.c.valuations
+
+    @settings(max_examples=100, deadline=None)
+    @given(quadrant_tensors())
+    def test_report_equals_the_square_pullback_count(self, tensor):
+        # the exponent formula against the constructive route: pull back along
+        # (u, v) -> (u^2, v^2) and count each component's terms by sector
+        pulled = pullback_sq2(tensor).components
+        components = {
+            "du^2": component_parity("even-even", pulled[2, 0]),
+            "dv^2": component_parity("even-even", pulled[0, 2]),
+            "du*dv": component_parity("odd-odd", pulled[1, 1]),
+        }
+        expected = ParityReport(components, all(c.ok for c in components.values()))
+        assert check_gamma_parity(tensor) == expected
+
+    def test_sector_is_read_from_the_key_in_order(self):
+        # every quadrant key has p = q mod 2; the x^0 y^0 dx term of a one-form
+        # pulls back to 2 u du, odd in u and even in v
+        report = decompose_module._component_parity((1, 0), LaurentJet2({(0, 0): 1}))
+        assert report == component_parity("odd-even", LaurentJet2({(1, 0): 2}))

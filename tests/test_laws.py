@@ -21,11 +21,12 @@ from cornerjet import (
     decompose_halfline,
     decompose_quadrant,
     pullback_halfline,
+    pullback_sq2,
 )
 from cornerjet.jets import Jet1, LaurentJet2
-from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor
+from cornerjet.tensors import QuadrantTensor
 
-from conftest import nonzero_rationals, rationals, unit_jet1s
+from conftest import nonzero_rationals, quadrant_tensors, rationals, unit_jet1s
 from oracles import (
     dilate_halfline,
     dilate_jet,
@@ -40,25 +41,6 @@ from oracles import (
 )
 
 scales = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=5)
-
-
-@st.composite
-def components(draw, lo):
-    """A LaurentJet2 of up to 5 terms with exponents from ``lo`` to 3."""
-    exps = st.tuples(st.integers(lo[0], 3), st.integers(lo[1], 3))
-    return LaurentJet2(draw(st.dictionaries(exps, nonzero_rationals, max_size=5)))
-
-
-@st.composite
-def quadrant_tensors(draw):
-    """Poles down to x^-2 y^-2; half the draws keep each component within the
-    poles it admits, so that both verdicts occur often."""
-    if draw(st.booleans()):
-        bounds = [(-(p // 2), -(q // 2)) for p, q in QUADRANT_BASIS]
-    else:
-        bounds = [(-2, -2)] * len(QUADRANT_BASIS)
-    return QuadrantTensor({
-        basis: draw(components(lo)) for basis, lo in zip(QUADRANT_BASIS, bounds)})
 
 
 def split(tensor):
@@ -103,6 +85,9 @@ class TestQuadrantLaws:
         # so a quadrant rejection is always a pole
         report = check_gamma_parity(tensor)
         assert all(c.sector_ok for c in report.components.values())
+        # the square map's side: the exponents of each pulled-back term
+        for (p, q), jet in pullback_sq2(tensor).components.items():
+            assert all((i - p) % 2 == (j - q) % 2 == 0 for i, j, _ in jet.terms())
 
     def test_swap_exchanges_the_profiles(self):
         tensor = QuadrantTensor({

@@ -118,18 +118,20 @@ class TestGlaeserLandau:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             SampledFunction((F(1),), (F(0), F(1)), grid_n)
 
-    @pytest.mark.parametrize("build", [
-        lambda: SampledFunction((0.1, 0.0, 1.0), (0, 1)),
-        lambda: SampledFunction((F(1),), (0.0, 1)),
-        lambda: SampledFunction((F(1),), (0, 1), squares=((0.5,),)),
-        lambda: SampledFunction.polynomial((0.1,), (0, 1)),
-        lambda: SampledFunction.polynomial((1,), (0, 1.0)),
-        lambda: SampledFunction.sum_of_squares([[0.5]], (0, 1)),
-    ])
-    def test_the_record_refuses_floats(self, build):
-        # built directly or by a constructor, the record is the one gate
-        with pytest.raises(TypeError, match="floating-point coefficient"):
+    @pytest.mark.parametrize("build, refused", [
+        (lambda: SampledFunction((0.1, 0.0, 1.0), (0, 1)), "coefficient 0.1"),
+        (lambda: SampledFunction((F(1),), (0.0, 1)), "interval endpoint 0.0"),
+        (lambda: SampledFunction((F(1),), (0, 1), squares=((0.5,),)), "coefficient 0.5"),
+        (lambda: SampledFunction.polynomial((0.1,), (0, 1)), "coefficient 0.1"),
+        (lambda: SampledFunction.polynomial((1,), (0, 1.0)), "interval endpoint 1.0"),
+        (lambda: SampledFunction.sum_of_squares([[0.5]], (0, 1)), "coefficient 0.5"),
+    ], ids=["<lambda>%d" % i for i in range(6)])
+    def test_the_record_refuses_floats(self, build, refused):
+        # built directly or by a constructor, the record is the one gate, and
+        # its refusal names what was a float
+        with pytest.raises(TypeError) as err:
             build()
+        assert str(err.value) == "floating-point %s is not allowed in exact arithmetic" % refused
 
     def test_the_record_holds_fractions(self):
         f = SampledFunction([F(1, 10), 0, 1], ["0", 1])

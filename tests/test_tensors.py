@@ -13,6 +13,7 @@ from cornerjet import (
 )
 from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.tensors import QUADRANT_BASIS, HalfLineTensor, QuadrantTensor, basis_name
+from cornerjet.tensors import pole_bound
 
 from oracles import make_halfline_tensor, make_quadrant_tensor
 
@@ -128,3 +129,8 @@ class TestQuadrantBasis:
     def test_basis_names(self):
         assert [basis_name(b, ("dx", "dy")) for b in QUADRANT_BASIS] == ["dx^2", "dy^2", "dx*dy"]
         assert [basis_name(b, ("du", "dv")) for b in QUADRANT_BASIS] == ["du^2", "dv^2", "du*dv"]
+
+    def test_pole_bounds(self):
+        # an axial pole is at most simple and the cross term has none
+        assert [pole_bound(b) for b in QUADRANT_BASIS] == [(1, 0), (0, 1), (0, 0)]
+        assert [pole_bound((k,)) for k in range(5)] == [(0,), (0,), (1,), (1,), (2,)]
