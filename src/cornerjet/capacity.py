@@ -2,10 +2,10 @@
 
 A curve touching the boundary as t^(2m) contributes a factor t^(k(2m-1)) from
 its differentials while a pole of order p costs t^(-2mp); the margin
-k(2m-1) - 2mp must stay nonnegative for every m >= 1.  The reports here
-compute those margins directly and cross-check every one against the actual
-pullback valuation, so the worst case (m = 1 once k >= 2p) is rediscovered
-rather than assumed.
+k(2m-1) - 2mp = 2m(k - p) - k must stay nonnegative for every m >= 1: it binds
+at m = 1 iff k >= p (else at m_max) and holds for all m iff k >= 2p.  Each
+margin is cross-checked against the pullback valuation, exact at any window and
+taken at ``pullback.MIN_ORDER``, so the rule is rediscovered, not assumed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from operator import index
 
 from .jets import DEFAULT_ORDER, LaurentJet, Record
 from .plots import BoundaryGerm
-from .pullback import pullback_halfline
+from .pullback import MIN_ORDER, _read_order, pullback_halfline
 from .tensors import HalfLineTensor, capacity
 
 __all__ = ["CapacityReport", "capacity", "verify_capacity", "capacity_table"]
@@ -37,25 +37,22 @@ def verify_capacity(
         raise ValueError("degree and pole order must be nonnegative")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    _read_order(order)  # checked like every entry's order, and read nowhere
     tensor = HalfLineTensor(k, LaurentJet(-p, (1,)))
-    margins = []
-    for m in range(1, m_max + 1):
-        margin = k * (2 * m - 1) - 2 * m * p
-        verdict = pullback_halfline(tensor, BoundaryGerm(m), order)
-        observed = verdict.witness.valuation
+    margins = tuple(k * (2 * m - 1) - 2 * m * p for m in range(1, m_max + 1))
+    for m, margin in enumerate(margins, 1):
+        observed = pullback_halfline(tensor, BoundaryGerm(m), MIN_ORDER).witness.valuation
         if observed != margin:
             raise RuntimeError(
                 "capacity margin %d disagrees with pullback valuation %d"
                 " at k=%d p=%d m=%d" % (margin, observed, k, p, m)
             )
-        margins.append(margin)
-    binding = 1 + min(range(m_max), key=lambda i: margins[i])
     return CapacityReport(
         k=k,
         p=p,
-        margins=tuple(margins),
+        margins=margins,
         admissible=min(margins) >= 0,
-        binding_m=binding,
+        binding_m=1 + margins.index(min(margins)),
     )
 
 

@@ -7,7 +7,8 @@ failure), 1 on usage or parse errors and on a failed internal cross-check.
 
 The global options ``--order`` and ``--format`` go before or after the
 subcommand (after wins).  ``--order`` (default 16) must be 0 to ``MAX_ORDER``,
-checked for every command, also those that do not read it.
+checked for every command, also ``capacity``, ``verify-capacity``, ``gl-check``
+and ``parity``, which do not read it.
 
 A handler returns its exit code, text lines and JSON fields, and one function,
 ``_emit``, prints them and adds the payload's ``command`` key.
@@ -168,7 +169,7 @@ def _cmd_verify_capacity(ns) -> tuple[int, list[str], dict]:
     _check_cap("k", ns.k, MAX_EXPONENT)
     _check_cap("p", ns.p, MAX_EXPONENT)
     _check_cap("m_max", ns.m_max, MAX_M_MAX)
-    report = verify_capacity(ns.k, ns.p, ns.m_max, order=ns.order)
+    report = verify_capacity(ns.k, ns.p, ns.m_max)
     lines = [
         "k = %d, p = %d, m_max = %d" % (report.k, report.p, ns.m_max),
         "margins = %s" % list(report.margins),

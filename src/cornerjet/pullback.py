@@ -53,6 +53,9 @@ __all__ = [
     "pullback_quadrant_path",
 ]
 
+# The shortest window: every window holds the witness's valuation exactly.
+MIN_ORDER = 2
+
 
 class Status(enum.Enum):
     SMOOTH = "smooth"
@@ -309,8 +312,8 @@ def pullback_halfline(
     tensor: HalfLineTensor, plot: PlotGerm, order: int = DEFAULT_ORDER
 ) -> SmoothnessVerdict:
     """Pull coeff(x) dx^k back along a plot germ and judge smoothness at t = 0."""
-    if index(order) < 2:
-        raise ValueError("order must be at least 2")
+    if index(order) < MIN_ORDER:
+        raise ValueError("order must be at least %d" % MIN_ORDER)
     if isinstance(plot, FlatGerm):
         # Flat curves tame any pole up to the capacity; beyond it the jet calculus
         # cannot decide, so no verdict is fabricated.
@@ -345,8 +348,8 @@ def pullback_quadrant_path(
     The dt^2 coefficient is a(px,py) px'^2 + b(px,py) py'^2 + 2 c(px,py) px'py',
     the cross term once per slot order.
     """
-    if index(order) < 2:
-        raise ValueError("order must be at least 2")
+    if index(order) < MIN_ORDER:
+        raise ValueError("order must be at least %d" % MIN_ORDER)
     if isinstance(germ.px, FlatGerm) or isinstance(germ.py, FlatGerm):
         raise ValueError("flat components are not supported in path pullback")
     terms = []

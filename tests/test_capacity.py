@@ -1,5 +1,7 @@
+import importlib
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cornerjet import (
@@ -9,6 +11,7 @@ from cornerjet import (
     verify_capacity,
 )
 from cornerjet.capacity import capacity_table
+from cornerjet.pullback import MIN_ORDER
 
 from oracles import make_boundary_plot, make_halfline_tensor
 
@@ -57,9 +60,33 @@ class TestVerifyCapacity:
 
     @pytest.mark.parametrize("order", [2.5, 16.0, "16"])
     def test_order_is_an_integer(self, order):
-        # read by the pullbacks that check each margin
+        # read by pullback._read_order, as check_metric and the decompositions read it
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             verify_capacity(2, 1, 2, order)
+
+    def test_germs_are_pulled_back_at_the_shortest_window(self, monkeypatch):
+        # Each margin is checked against a valuation, which every window holds
+        # exactly; an edit that pulls back at ``order`` again redoes 257
+        # coefficients of work per germ at order 256 to read one number.
+        # (``cornerjet.capacity`` is the function; the module comes from importlib.)
+        capacity_module = importlib.import_module("cornerjet.capacity")
+        pullback = capacity_module.pullback_halfline
+        asked = []
+
+        def recording(tensor, plot, order):
+            asked.append(order)
+            return pullback(tensor, plot, order)
+
+        monkeypatch.setattr(capacity_module, "pullback_halfline", recording)
+        verify_capacity(4, 3, 6, order=256)
+        assert len(asked) == 6
+        capacity_table(3)
+        assert len(asked) > 6 and set(asked) == {MIN_ORDER}
+
+    @settings(deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 7), st.integers(1, 6), st.integers(0, 256))
+    def test_report_does_not_depend_on_the_order(self, k, p, m_max, order):
+        assert verify_capacity(k, p, m_max, order) == verify_capacity(k, p, m_max)
 
     @pytest.mark.parametrize("k, p", [(2.5, 1), (2, 1.5)])
     def test_non_integer_exponents_rejected(self, k, p):
@@ -123,3 +150,11 @@ class TestOracleAgreement:
         report = verify_capacity(k, p, 6)
         if k >= 2 * p:
             assert report.binding_m == 1
+
+    @given(st.integers(0, 14), st.integers(0, 14), st.sampled_from([1, 2, 6]))
+    def test_capacity_rule(self, k, p, m_max):
+        # the margin 2m(k - p) - k is smallest at m = 1 iff k >= p, and is
+        # nonnegative there iff k >= 2p; otherwise it falls with m
+        report = verify_capacity(k, p, m_max)
+        assert report.binding_m == (1 if k >= p else m_max)
+        assert report.admissible == (k >= 2 * p)

@@ -537,7 +537,8 @@ class TestCaps:
         assert message in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["capacity", "4"], ["gl-check", "--f", "t^2"], ["parity", "x*y*dx*dy"],
+        ["capacity", "4"], ["verify-capacity", "2", "1"], ["gl-check", "--f", "t^2"],
+        ["parity", "x*y*dx*dy"],
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("value, message", [
         (str(MAX_ORDER + 1), "order 257 exceeds the maximum 256"),
