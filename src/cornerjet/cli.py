@@ -3,7 +3,8 @@
 Exit codes: 0 when the computation accepts/passes (smooth pullback, accepted
 metric, admissible capacity, inequality holds), 2 when it rejects/fails
 (pole, rejected metric, capacity exceeded, parity violation, inequality
-failure), 1 on usage or parse errors and on a failed internal cross-check.
+failure), 1 on usage or parse errors, on a failed internal cross-check, and
+from ``main`` when the reader of stdout closes it before all is written.
 
 The global options ``--order`` and ``--format`` go before or after the
 subcommand (after wins).  ``--order`` (default 16) must be 0 to ``MAX_ORDER``,
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Mapping
@@ -335,7 +337,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe fails here, inside the try, not at exit
+    except BrokenPipeError:
+        # The reader went away: send what is still buffered nowhere, as the
+        # note on SIGPIPE in the signal module's documentation does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,11 +18,14 @@ deepest poles in x and y, and
 
 a polynomial.  The valuation of each term of W is known exactly from the
 curve valuations; W is computed through degree lo + order, lo the smallest
-term valuation, from powers that keep ``top - lo`` coefficients above their
-valuation, each built on its own by one recurrence (``_powers``).  Only when
-cancellation hides val(W) does the bound grow, and never past deg W, so every
-verdict is exact.  The witness is the one series division W / D, reported
-through the requested order above its valuation.
+term valuation.  Each slot px'^p py'^q sum over a of px^a sum over b of c py^b
+is summed by Horner's rule in px (Knuth, TAOCP vol. 2, 4.6.4), from the
+highest exponent present down to 0, and the py^b are one chain by the same
+rule, so nearly every product has a curve as one factor; only a gap of more
+than 1 between exponents present (sparse exponents) asks ``_powers`` for a
+higher power.  Only when cancellation hides val(W) does the bound grow, and
+never past deg W, so every verdict is exact.  The witness is the one series
+division W / D, reported through the requested order above its valuation.
 
 The stage computes on integers from the curves to the witness: each curve is
 scaled once by the lcm of its denominators, it and its derivative carry their
@@ -38,7 +41,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add, index, mul
+from operator import add, index
 
 from .jets import DEFAULT_ORDER, LaurentJet, LaurentJet2, Record
 from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PairGerm, PlotGerm
@@ -152,14 +155,21 @@ def _derivative(curve: _Series) -> _Series:
 
 
 def _times(a: _Series, b: _Series, top: int) -> _Series:
-    """The product a * b through degree ``top``; nothing above it is formed."""
-    val, x, ry = a[0] + b[0], a[1], b[1][::-1]
-    n = len(ry) - 1
-    # Coefficient k pairs x[i] with b's coefficient k - i, which is ry[n - k + i].
-    return val, [
-        sum(map(mul, x[max(0, k - n) : k + 1], ry[max(n - k, 0) :]))
-        for k in range(min(top - val + 1, len(x) + n))
-    ]
+    """The product a * b through degree ``top``; nothing above it is formed.
+
+    One pass per coefficient of the shorter factor adds that multiple of the
+    longer one at its shift; the product keeps its trailing zeros.
+    """
+    val, x, y = a[0] + b[0], a[1], b[1]
+    if len(x) > len(y):
+        x, y = y, x
+    n = len(y)
+    out = [0] * max(0, min(top - val + 1, len(x) + n - 1))
+    for i, c in enumerate(x[: len(out)]):
+        if c:
+            # The slice stops at the end of out, and map at the shorter input.
+            out[i : i + n] = map(add, out[i : i + n], map(c.__mul__, y))
+    return val, out
 
 
 def _combine(parts: list[tuple[int, _Series]]) -> _Series:
@@ -170,17 +180,20 @@ def _combine(parts: list[tuple[int, _Series]]) -> _Series:
         start = val - low
         end = start + len(coeffs)
         out.extend([0] * (end - len(out)))
-        out[start:end] = map(add, out[start:end], [c * x for x in coeffs] if c != 1 else coeffs)
+        out[start:end] = map(add, out[start:end], map(c.__mul__, coeffs) if c != 1 else coeffs)
     return low, out
 
 
 def _powers(base: _Series, exponents: set[int], keep: int) -> dict[int, _Series]:
     """base^e for each e in ``exponents``, each through ``keep`` degrees above its valuation.
 
-    ``base`` has a nonzero leading coefficient a_0, so val(base^e) = e val(base)
-    exactly, and coefficients of base above val(base) + keep never reach the
-    kept degrees.  Each power is J.C.P. Miller's recurrence (Knuth, TAOCP
-    vol. 2, 4.7) on the coefficients a_j of base and g_k of base^e:
+    The stage asks for the gaps between the exponents that it sums by Horner's
+    rule, so a gap above 1 comes only from sparse exponents, and for the
+    derivative factors.  ``base`` has a nonzero leading coefficient a_0, so
+    val(base^e) = e val(base) exactly, and coefficients of base above
+    val(base) + keep never reach the kept degrees.  Exponent 1 is base itself;
+    a higher one is J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) on
+    the coefficients a_j of base and g_k of base^e:
 
         k a_0 g_k = sum over j >= 1 of ((e + 1) j - k) a_j g_(k-j),
 
@@ -190,6 +203,9 @@ def _powers(base: _Series, exponents: set[int], keep: int) -> dict[int, _Series]
     val, a = base[0], base[1][: keep + 1]
     n, out = len(a) - 1, {}
     for e in exponents:
+        if e == 1:
+            out[e] = (val, a)
+            continue
         g = [a[0] ** e if e else 1]
         for k in range(1, min(keep, e * n) + 1):
             acc = sum(((e + 1) * j - k) * a[j] * g[k - j] for j in range(1, min(k, n) + 1))
@@ -230,32 +246,31 @@ def _pull_back(terms: list[_Term], px: LaurentJet, py: LaurentJet, order: int) -
     Exact: W (the sum with denominators cleared) is built on integers through
     a degree that exposes its valuation, then divided once by D = px^vx py^vy.
     """
-    (fx, fdx), (fy, fdy) = _factors(px), _factors(py)
-    factors = (fx, fy, fdx, fdy)
-    curves = tuple(s for _, _, s in factors)
+    ((nx, dx, sx), (ndx, ddx, sdx)), ((ny, dy, sy), (ndy, ddy, sdy)) = _factors(px), _factors(py)
+    curves = (sx, sy, sdx, sdy)
     # A differential of a constant curve component kills its terms.
-    terms = [t for t in terms if not ((t[2] and not fdx[2][1]) or (t[3] and not fdy[2][1]))]
+    terms = [t for t in terms if not ((t[2] and not sdx[1]) or (t[3] and not sdy[1]))]
     if not terms:
         return LaurentJet()
     vx = max(0, -min(t[0] for t in terms))
     vy = max(0, -min(t[1] for t in terms))
-    # Per term: the exponents of (px, py, px', py') and the scalar with their
-    # contents, as num / d.
-    scaled = []
+    # Per term: the exponents of (px, py, px', py'), the scalar with their
+    # contents as num / d, and the valuation and degree of its product.
+    (lx, hx), (ly, hy), (ldx, hdx), (ldy, hdy) = [(v, v + len(s) - 1) for v, s in curves]
+    scaled, vals, degs = [], [], []
     for i, j, p, q, c in terms:
-        exps = (i + vx, j + vy, p, q)
-        num, d = c.numerator, c.denominator
-        for n, (fn, fd, _) in zip(exps, factors):
-            num, d = num * fn ** n, d * fd ** n
-        scaled.append((exps, num, d))
+        a, b = i + vx, j + vy
+        scaled.append((a, b, p, q, c.numerator * nx ** a * ny ** b * ndx ** p * ndy ** q,
+                       c.denominator * dx ** a * dy ** b * ddx ** p * ddy ** q))
+        vals.append(a * lx + b * ly + p * ldx + q * ldy)
+        degs.append(a * hx + b * hy + p * hdx + q * hdy)
     # W times den, grouped as sum over (p, q) of px'^p py'^q sum over a of px^a
     # sum over b of c py^b, every c an integer.
-    den = lcm(*[d for _, _, d in scaled])
+    den = lcm(*[t[5] for t in scaled])
     slots: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
-    for (a, b, p, q), num, d in scaled:
+    for a, b, p, q, num, d in scaled:
         slots.setdefault((p, q), {}).setdefault(a, []).append((b, num * (den // d)))
-    lo = min(sum(n * v for n, (v, _) in zip(e, curves)) for e, _, _ in scaled)
-    deg_w = max(sum(n * (v + len(f) - 1) for n, (v, f) in zip(e, curves)) for e, _, _ in scaled)
+    lo, deg_w = min(vals), max(degs)
     top = min(lo + order, deg_w)
     while True:
         w_val, w = _stripped(_evaluate(slots, curves, top - lo, top))
@@ -266,34 +281,47 @@ def _pull_back(terms: list[_Term], px: LaurentJet, py: LaurentJet, order: int) -
         top = min(deg_w, w_val + order if w else 2 * top - lo)
     if not w:
         return LaurentJet()
-    (nx, dx, sx), (ny, dy, sy) = fx, fy
     d_val, d = _times(_powers(sx, {vx}, order)[vx], _powers(sy, {vy}, order)[vy],
                       vx * sx[0] + vy * sy[0] + order)
     scale = Fraction(dx ** vx * dy ** vy, den * nx ** vx * ny ** vy)
     return LaurentJet(w_val - d_val, _divide(w, d, order + 1, scale))
 
 
+def _descent(exponents) -> list[tuple[int, int]]:
+    """(e, f) for each exponent e from the highest down, f the next one below it or 0."""
+    down = sorted(exponents, reverse=True)
+    return list(zip(down, down[1:] + [0]))
+
+
 def _evaluate(slots, curves: tuple[_Series, ...], keep: int, top: int) -> _Series:
     """W through degree ``top``, every term of which has valuation >= top - keep.
 
-    Each power keeps ``keep`` degrees above its valuation, which is all that a
-    term can carry below ``top``, and every product stops at the degree that
-    can still reach ``top``.
+    Horner's rule in px, slot by slot: for the exponents a present, from the
+    highest down to 0, acc = acc px^(a - f) + sum over b of c py^b, f the next
+    exponent below a or 0; each py^b is the one below it times py to the gap.
+    A gap of 1 is the curve itself, and only sparse exponents take a higher
+    power from ``_powers``.  Every product stops at the degree that can still
+    reach ``top``: the slot's bound less f val(px) for the f still to come.
     """
     px, py, dpx, dpy = curves
-    x_pows = _powers(px, {a for rows in slots.values() for a in rows}, keep)
-    y_exps = {b for rows in slots.values() for row in rows.values() for b, _ in row}
-    y_pows = _powers(py, y_exps, keep)
+    steps = {key: _descent(rows) for key, rows in slots.items()}
+    x_gaps = _powers(px, {a - f for down in steps.values() for a, f in down}, keep)
+    y_down = _descent({b for rows in slots.values() for row in rows.values() for b, _ in row})
+    y_gaps = _powers(py, {b - f for b, f in y_down}, keep)
+    y_pows, power = {}, (0, [1])
+    for b, f in reversed(y_down):
+        power = y_pows[b] = _times(power, y_gaps[b - f], b * py[0] + keep)
     dx_pows = _powers(dpx, {p for p, _ in slots}, keep)
     dy_pows = _powers(dpy, {q for _, q in slots}, keep)
     parts = []
     for (p, q), rows in slots.items():
         factor = _times(dx_pows[p], dy_pows[q], p * dpx[0] + q * dpy[0] + keep)
-        slot = _combine([
-            (1, _times(x_pows[a], _combine([(c, y_pows[b]) for b, c in row]), top - factor[0]))
-            for a, row in rows.items()
-        ])
-        parts.append((1, _times(slot, factor, top)))
+        bound, acc = top - factor[0], None
+        for a, f in steps[p, q]:
+            row = [(c, y_pows[b]) for b, c in rows[a]]
+            acc = _combine(row if acc is None else [(1, acc), *row])
+            acc = _times(acc, x_gaps[a - f], bound - f * px[0])
+        parts.append((1, _times(acc, factor, top)))
     return _combine(parts)
 
 

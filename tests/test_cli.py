@@ -812,6 +812,21 @@ class TestCliScenarios:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
 
+    def test_a_closed_stdout_exits_one_without_a_traceback(self):
+        # 720,067 bytes of witness, far more than a pipe buffers: the reader
+        # takes 10 and closes the pipe while the CLI still writes.
+        src = str(Path(cornerjet.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["pullback", "--order", "256", "--plot", "t^2*(3/2+t)", "x^2048*dx^2048"]
+        with subprocess.Popen([sys.executable, "-m", "cornerjet", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b"status = S"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err, err
+
     def test_gl_check_nonnegativity_failure_exits_two(self, capsys):
         assert run(["gl-check", "--f", "t", "--interval", "-1", "1"]) == 2
         assert "not nonnegative" in capsys.readouterr().out

@@ -250,3 +250,44 @@ def test_divide_known_quotients():
     assert _divide([6, 0, 6], [3], 4, F(1)) == [2, 0, 2, 0]
     # The scale meets d0's powers in one reduction: -4/3 / (2 + 3t).
     assert _divide([1], [2, 3], 4, F(-4, 3)) == [F(-2, 3), 1, F(-3, 2), F(9, 4)]
+
+
+# Integers of either sign, zeros among them, some far beyond a machine word.
+integers = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30))
+
+
+@st.composite
+def short_and_long(draw):
+    """(short, long, top): factors of 1-4 and 0-40 coefficients, top anywhere from
+    below the product's valuation to past its degree, so it cuts inside both."""
+    short = (draw(st.integers(-6, 6)), draw(st.lists(integers, min_size=1, max_size=4)))
+    long = (draw(st.integers(-6, 6)), draw(st.lists(integers, max_size=40)))
+    val = short[0] + long[0]
+    top = draw(st.one_of(st.integers(val - 2, val + len(short[1])),
+                         st.integers(val - 2, val + len(short[1]) + len(long[1]))))
+    return short, long, top
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_and_long())
+def test_shift_add_product_matches_schoolbook_in_either_order(case):
+    short, long, top = case
+    product = _times(short, long, top)
+    assert _times(long, short, top) == product
+    val, coeffs = product
+    assert val == short[0] + long[0]
+    # Every degree from the valuation through top or the full product's degree,
+    # trailing zeros included, and none above.
+    assert len(coeffs) == max(0, min(top - val + 1, len(short[1]) + len(long[1]) - 1))
+    assert all(type(c) is int for c in coeffs)
+    full = schoolbook_product(*[{s[0] + i: c for i, c in enumerate(s[1])} for s in (short, long)])
+    assert {val + i: c for i, c in enumerate(coeffs) if c} == {
+        d: c for d, c in full.items() if d <= top}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-8, 8), integers.filter(bool), st.lists(integers, max_size=20),
+       st.integers(0, 24))
+def test_the_first_power_is_the_base_itself(val, lead, tail, keep):
+    base = (val, [lead, *tail])
+    assert _powers(base, {1}, keep) == {1: (val, base[1][: keep + 1])}

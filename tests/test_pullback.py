@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,17 @@ from cornerjet import (
 )
 from cornerjet.jets import Jet1, LaurentJet2
 from cornerjet.plots import FlatGerm
-from cornerjet.pullback import Status
+from cornerjet.pullback import Status, _times
 from cornerjet.tensors import QUADRANT_BASIS, QuadrantTensor
 
-from conftest import laurent2s, laurent_jets, polynomial_laurent2s, rationals, unit_jet1s
+from conftest import (
+    laurent2s,
+    laurent_jets,
+    nonzero_rationals,
+    polynomial_laurent2s,
+    rationals,
+    unit_jet1s,
+)
 from oracles import (
     long_divide,
     make_boundary_plot,
@@ -155,8 +164,6 @@ class TestPullbackHalfline:
         # (x - 1)^20 x^29 dx^2 along 1 + t is t^20 (1 + t)^29: W vanishes
         # through the first bound (t^16), the doubled bound (t^32) shows
         # val(W) = 20 with only 12 degrees above it, and the bound rises to t^36
-        from math import comb
-
         coeff = x_minus_one_power(20, 29)
         verdict = pullback_halfline(make_halfline_tensor(2, coeff), make_interior_plot(1))
         assert verdict.witness == LaurentJet(20, [comb(29, n) for n in range(17)])
@@ -373,8 +380,6 @@ class TestPullbackQuadrantPath:
         # the numerator W = px'^2 + b(py) px py'^2 vanishes through t^22: the
         # first bound (t^18) sees nothing, and the power tables are rebuilt
         # through deg W = 23, where W is exact.
-        from math import comb
-
         unit = Jet1([1, F(1, 2)])
         px = make_boundary_plot(1, unit)
         py = make_interior_plot(1)
@@ -426,3 +431,120 @@ class TestPullbackQuadrantPath:
         verdict = pullback_quadrant_path(t, germ, order=8)
         assert verdict.status is Status.SMOOTH
         assert verdict.witness == LaurentJet()
+
+
+# -- sparse exponents: gaps between the exponents present ---------------------
+
+
+@st.composite
+def sparse_exponents(draw, low, high):
+    """Up to three exponents from one in ``low``, each the last plus 1 to 20, none above ``high``."""
+    exps = [draw(st.integers(*low))]
+    for gap in draw(st.lists(st.integers(1, 20), max_size=2)):
+        exps.append(exps[-1] + gap)
+    return [e for e in exps if e <= high]
+
+
+@st.composite
+def long_germs(draw):
+    """Boundary germs t^(2m) u and interior germs u, u of up to 8 terms and never constant."""
+    unit = draw(unit_jet1s(max_order=7).filter(lambda u: any(u.coeffs[1:])))
+    if draw(st.booleans()):
+        return make_boundary_plot(draw(st.integers(1, 2)), unit)
+    return make_interior_plot(unit.coeffs[0], unit)
+
+
+def cleared_pullback(tensor: QuadrantTensor, germ: PairGerm, order: int) -> LaurentJet:
+    """Oracle: the path pullback through ``order`` degrees above its valuation, as W / D.
+
+    W = sum c px^(i+vx) py^(j+vy) px'^p py'^q with D = px^vx py^vy, each term
+    counted comb(p+q, p) times.  Every factor has valuation >= 0, so schoolbook
+    products cut at one degree are exact through it; the cut grows until W
+    shows its valuation or is complete.  One long division gives W / D.
+    """
+    curves = [dict(realize_jet(g, 64).terms()) for g in (germ.px, germ.py)]
+    bases = curves + [{d - 1: d * c for d, c in s.items() if d} for s in curves]
+    terms = [(i, j, p, q, comb(p + q, p) * c)
+             for (p, q), jet in tensor.components.items() for i, j, c in jet.terms()]
+    vx = max([0] + [-t[0] for t in terms])
+    vy = max([0] + [-t[1] for t in terms])
+    terms = [((i + vx, j + vy, p, q), c) for i, j, p, q, c in terms
+             if all(base or not n for base, n in zip(bases[2:], (p, q)))]
+    lo = min([sum(n * min(b) for n, b in zip(e, bases) if n) for e, _ in terms], default=0)
+    deg = max([sum(n * max(b) for n, b in zip(e, bases) if n) for e, _ in terms], default=0)
+    top = lo + order
+    while True:
+        w: dict[int, F] = {}
+        for e, c in terms:
+            prod = {0: c}
+            for base, n in zip(bases, e):
+                for _ in range(n):
+                    prod = {d: x for d, x in schoolbook_product(prod, base).items() if d <= top}
+            for d, x in prod.items():
+                w[d] = w.get(d, 0) + x
+        w = {d: x for d, x in w.items() if x}
+        if top >= deg or (w and min(w) + order <= top):
+            break
+        top += order
+    if not w:
+        return LaurentJet()
+    d = schoolbook_product(power(curves[0], vx), power(curves[1], vy))
+    return LaurentJet.from_terms(long_divide(w, d, order + 1))
+
+
+class TestExponentGaps:
+    # Exponents that skip by more than 1 take the gap powers of the Horner
+    # evaluation, which no dense tensor reaches.
+
+    @settings(max_examples=25, deadline=None)
+    @given(sparse_exponents((-2, 2), 22), st.lists(nonzero_rationals, min_size=3, max_size=3),
+           st.integers(0, 3), long_germs())
+    def test_halfline_matches_symbolic_oracle(self, exps, coeffs, k, plot):
+        coeff = LaurentJet.from_terms(dict(zip(exps, coeffs)))
+        verdict = pullback_halfline(make_halfline_tensor(k, coeff), plot, order=8)
+        oracle = symbolic_pullback(coeff, plot, k, order=40)
+        window = verdict.witness.valuation + 8
+        assert verdict.witness.truncated(window) == oracle.truncated(window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), long_germs(), long_germs(), st.integers(2, 10))
+    def test_quadrant_matches_cleared_oracle(self, data, px, py, order):
+        components = {}
+        for key in QUADRANT_BASIS:
+            xs = data.draw(sparse_exponents((-2, 1), 30))
+            ys = data.draw(sparse_exponents((-2, 1), 30))
+            pairs = st.tuples(st.sampled_from(xs), st.sampled_from(ys))
+            terms = data.draw(st.dictionaries(pairs, nonzero_rationals, max_size=3))
+            components[key] = LaurentJet2(terms)
+        tensor = QuadrantTensor(components)
+        germ = PairGerm(px, py)
+        verdict = pullback_quadrant_path(tensor, germ, order)
+        assert verdict.witness == cleared_pullback(tensor, germ, order)
+
+    def test_a_lone_high_exponent_is_one_gap_power(self):
+        # px^2048 is one gap power, built by one recurrence in milliseconds;
+        # Horner's rule stepping by px once per unit of the exponent would
+        # take over a second.  Best of three against a busy host.
+        tensor, plot = parse_tensor("x^2048*dx^2048"), parse_plot("t^2*(3/2+t)")
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            verdict = pullback_halfline(tensor, plot, 64)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.25, "took %.3f s" % best
+        # t^4096 (3/2 + t)^2048 (3t + 3t^2)^2048 leads with (9/2)^2048 t^6144.
+        assert verdict.witness.valuation == 6144
+        assert verdict.witness.coeffs[0] == F(9, 2) ** 2048
+
+    def test_a_lone_high_exponent_takes_a_handful_of_products(self, monkeypatch):
+        # The same pullback on a count, free of the host's speed: px^2048 is
+        # one product, where stepping by px would take 2,048 of them.
+        calls = []
+
+        def counted(a, b, top):
+            calls.append(top)
+            return _times(a, b, top)
+
+        monkeypatch.setattr("cornerjet.pullback._times", counted)
+        pullback_halfline(parse_tensor("x^2048*dx^2048"), parse_plot("t^2*(3/2+t)"), 64)
+        assert len(calls) <= 8
