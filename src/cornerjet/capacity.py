@@ -4,8 +4,8 @@ A curve touching the boundary as t^(2m) contributes a factor t^(k(2m-1)) from
 its differentials while a pole of order p costs t^(-2mp); the margin
 k(2m-1) - 2mp = 2m(k - p) - k must stay nonnegative for every m >= 1: it binds
 at m = 1 iff k >= p (else at m_max) and holds for all m iff k >= 2p.  Each
-margin is cross-checked against the pullback valuation, exact at any window and
-taken at ``pullback.MIN_ORDER``, so the rule is rediscovered, not assumed.
+margin is cross-checked against the pullback valuation, exact at every window
+and so taken at order 0, so the rule is rediscovered, not assumed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from operator import index
 
 from .jets import DEFAULT_ORDER, LaurentJet, Record
 from .plots import BoundaryGerm
-from .pullback import MIN_ORDER, _read_order, pullback_halfline
+from .pullback import _read_order, pullback_halfline
 from .tensors import HalfLineTensor, capacity
 
 __all__ = ["CapacityReport", "capacity", "verify_capacity", "capacity_table"]
@@ -41,7 +41,7 @@ def verify_capacity(
     tensor = HalfLineTensor(k, LaurentJet(-p, (1,)))
     margins = tuple(k * (2 * m - 1) - 2 * m * p for m in range(1, m_max + 1))
     for m, margin in enumerate(margins, 1):
-        observed = pullback_halfline(tensor, BoundaryGerm(m), MIN_ORDER).witness.valuation
+        observed = pullback_halfline(tensor, BoundaryGerm(m), 0).witness.valuation
         if observed != margin:
             raise RuntimeError(
                 "capacity margin %d disagrees with pullback valuation %d"

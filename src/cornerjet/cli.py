@@ -197,7 +197,7 @@ def _cmd_gl_check(ns) -> tuple[int, list[str], dict]:
     check_tolerance(ns.tol)  # a bad tolerance is invalid input (exit 1), not a failed check
     _check_cap("grid", ns.grid, MAX_GRID)
     coeffs = parse_polynomial(ns.f).coeffs
-    f = SampledFunction.polynomial(coeffs, tuple(map(parse_rational, ns.interval)), ns.grid)
+    f = SampledFunction(coeffs, tuple(map(parse_rational, ns.interval)), ns.grid)
     try:
         report = glaeser_landau_check(f, tol=ns.tol)
     except ValueError as err:

@@ -9,10 +9,10 @@ value must be strictly positive.
 
 The verdict reads two values of each witness: its leading coefficient and its
 t^0 coefficient.  A metric candidate has at most a simple pole, so every
-witness along the family has valuation >= 0 and the shortest window holds both
-exactly: each germ is pulled back at ``pullback.MIN_ORDER``, whatever
-``order`` is.  ``order`` (``--order`` on ``check-metric``) sets only the window
-of the witness printed when a deeper pole exceeds the capacity.
+witness along the family has valuation >= 0, and its leading term alone holds
+both exactly: each germ is pulled back at order 0, whatever ``order`` is.
+``order`` (``--order`` on ``check-metric``) sets only the window of the
+witness printed when a deeper pole exceeds the capacity.
 
 The family is finite, so a rejection is a genuine counterexample while an
 acceptance is heuristic (soundness is one-sided).  Witness selection is
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .jets import DEFAULT_ORDER, Jet1, Record
 from .plots import BoundaryGerm, InteriorGerm, PlotGerm
-from .pullback import MIN_ORDER, _check_capacity, _read_order, pullback_halfline
+from .pullback import _check_capacity, _read_order, pullback_halfline
 from .tensors import HalfLineTensor
 
 __all__ = ["DEFAULT_FAMILY", "MetricWitness", "MetricVerdict", "check_metric"]
@@ -63,7 +63,7 @@ def check_metric(g: HalfLineTensor, order: int = DEFAULT_ORDER) -> MetricVerdict
         raise ValueError("a metric candidate must be a symmetric 2-tensor")
     _check_capacity(g, _read_order(order))
     for germ in DEFAULT_FAMILY:
-        witness = pullback_halfline(g, germ, MIN_ORDER).witness
+        witness = pullback_halfline(g, germ, 0).witness
         value = witness.coefficient(0)
         if isinstance(germ, BoundaryGerm):
             leading = witness.coeffs[0] if not witness.is_zero else Fraction(0)

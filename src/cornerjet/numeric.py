@@ -93,10 +93,6 @@ class SampledFunction(Record):
             _check_float_range(sum(_with_derivatives(q), ()), "coefficient")
 
     @classmethod
-    def polynomial(cls, coeffs, interval, grid_n: int = 1024) -> "SampledFunction":
-        return cls(coeffs, interval, grid_n)
-
-    @classmethod
     def sum_of_squares(cls, squares, interval, grid_n: int = 1024) -> "SampledFunction":
         """f = q_1^2 + ... + q_r^2, kept factored and also expanded exactly."""
         kept = tuple(tuple(map(as_fraction, q)) for q in squares)  # exact, to expand

@@ -23,9 +23,11 @@ is summed by Horner's rule in px (Knuth, TAOCP vol. 2, 4.6.4), from the
 highest exponent present down to 0, and the py^b are one chain by the same
 rule, so nearly every product has a curve as one factor; only a gap of more
 than 1 between exponents present (sparse exponents) asks ``_powers`` for a
-higher power.  Only when cancellation hides val(W) does the bound grow, and
-never past deg W, so every verdict is exact.  The witness is the one series
-division W / D, reported through the requested order above its valuation.
+higher power.  Only when cancellation hides val(W) does the bound grow, by at
+least one degree each time and never past deg W, so every verdict is exact.
+The witness is the one series division W / D, reported through the requested
+order above its valuation.  Every order from 0 up is such a window, and the
+window of order 0 is the leading term alone; only a negative order is refused.
 
 The stage computes on integers from the curves to the witness: each curve is
 scaled once by the lcm of its denominators, it and its derivative carry their
@@ -55,10 +57,6 @@ __all__ = [
     "pullback_sq2",
     "pullback_quadrant_path",
 ]
-
-# The shortest window: every window holds the witness's valuation exactly.
-MIN_ORDER = 2
-
 
 class Status(enum.Enum):
     SMOOTH = "smooth"
@@ -276,9 +274,10 @@ def _pull_back(terms: list[_Term], px: LaurentJet, py: LaurentJet, order: int) -
         w_val, w = _stripped(_evaluate(slots, curves, top - lo, top))
         if top == deg_w or (w and w_val + order <= top):
             break
-        # Cancellation: raise the bound to what val(W) needs, or double it
-        # while W vanishes through it.
-        top = min(deg_w, w_val + order if w else 2 * top - lo)
+        # Cancellation: raise the bound to what val(W) needs, or double its
+        # window while W vanishes through it; at order 0 that window starts
+        # empty, so the bound grows by at least one degree.
+        top = min(deg_w, w_val + order if w else max(top + 1, 2 * top - lo))
     if not w:
         return LaurentJet()
     d_val, d = _times(_powers(sx, {vx}, order)[vx], _powers(sy, {vy}, order)[vy],
@@ -340,8 +339,7 @@ def pullback_halfline(
     tensor: HalfLineTensor, plot: PlotGerm, order: int = DEFAULT_ORDER
 ) -> SmoothnessVerdict:
     """Pull coeff(x) dx^k back along a plot germ and judge smoothness at t = 0."""
-    if index(order) < MIN_ORDER:
-        raise ValueError("order must be at least %d" % MIN_ORDER)
+    order = _read_order(index(order))
     if isinstance(plot, FlatGerm):
         # Flat curves tame any pole up to the capacity; beyond it the jet calculus
         # cannot decide, so no verdict is fabricated.
@@ -376,8 +374,7 @@ def pullback_quadrant_path(
     The dt^2 coefficient is a(px,py) px'^2 + b(px,py) py'^2 + 2 c(px,py) px'py',
     the cross term once per slot order.
     """
-    if index(order) < MIN_ORDER:
-        raise ValueError("order must be at least %d" % MIN_ORDER)
+    order = _read_order(index(order))
     if isinstance(germ.px, FlatGerm) or isinstance(germ.py, FlatGerm):
         raise ValueError("flat components are not supported in path pullback")
     terms = []

@@ -1,5 +1,7 @@
-"""Shared hypothesis strategies for exact jets and tensors."""
+"""Shared hypothesis strategies for exact jets and tensors, and a time limit."""
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -83,3 +85,21 @@ def quadrant_tensors(draw):
         bounds = [(-2, -2)] * len(QUADRANT_BASIS)
     return QuadrantTensor({
         basis: draw(quadrant_components(lo)) for basis, lo in zip(QUADRANT_BASIS, bounds)})
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise ``TimeoutError`` in the main thread if the block runs past ``seconds``.
+
+    A hang then fails its test instead of holding the whole run.
+    """
+    def expire(signum, frame):
+        raise TimeoutError("no answer within %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

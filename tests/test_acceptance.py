@@ -210,7 +210,7 @@ def test_criterion_7_discriminant_inequality_oracle():
                 squares, (center - half_width, center + half_width), grid_n=1024
             )
             assert glaeser_landau_check(f, tol=1e-9).passed
-        equality_case = SampledFunction.polynomial([0, 0, 1], (-1, 1), grid_n=1024)
+        equality_case = SampledFunction([0, 0, 1], (-1, 1), grid_n=1024)
         report = glaeser_landau_check(equality_case)
         assert abs(report.max_violation) <= 1e-12
 

@@ -11,7 +11,6 @@ from cornerjet import (
     verify_capacity,
 )
 from cornerjet.capacity import capacity_table
-from cornerjet.pullback import MIN_ORDER
 
 from oracles import make_boundary_plot, make_halfline_tensor
 
@@ -81,7 +80,7 @@ class TestVerifyCapacity:
         verify_capacity(4, 3, 6, order=256)
         assert len(asked) == 6
         capacity_table(3)
-        assert len(asked) > 6 and set(asked) == {MIN_ORDER}
+        assert len(asked) > 6 and set(asked) == {0}
 
     @settings(deadline=None)
     @given(st.integers(0, 12), st.integers(0, 7), st.integers(1, 6), st.integers(0, 256))

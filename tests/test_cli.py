@@ -43,7 +43,7 @@ from cornerjet.tensors import (
     basis_name,
 )
 
-from conftest import laurent2s, nonzero_laurent_jets, polynomial_laurent2s
+from conftest import laurent2s, nonzero_laurent_jets, polynomial_laurent2s, time_limit
 from oracles import (
     evaluate_expression,
     make_halfline_tensor,
@@ -951,21 +951,32 @@ class TestCliScenarios:
             assert payload["witness"]["witness"] == {
                 "valuation": -2, "coeffs": ["4/1", "0/1", "4/1", "0/1", "12/1"],
             }
-        assert run(["decompose", "--order", "1", tensor]) == 1
-        assert capsys.readouterr().err == "error: order must be at least 2\n"
+        # every window from 0 up is exact: 4 t^-2 + 0 t^-1 at order 1, and the
+        # leading term alone at order 0
+        for order, witness in (("2", "4*t^-2 + 4"), ("1", "4*t^-2"), ("0", "4*t^-2")):
+            assert run(["decompose", "--order", order, tensor]) == 2
+            assert capsys.readouterr().out.endswith("witness = %s\n" % witness)
 
     @pytest.mark.parametrize("command", ["decompose", "check-metric"])
     @pytest.mark.parametrize("order, code, out, err", [
-        ("0", 1, "", "error: order must be at least 2\n"),
-        ("1", 1, "", "error: order must be at least 2\n"),
-        ("2", 2, "rejected: not a smooth tensor on the half-line: capacity exceeded\n"
-                 "status = Pole(2)\nwitness = 4*t^-2\n", ""),
+        (order, 2, "rejected: not a smooth tensor on the half-line: capacity exceeded\n"
+                   "status = Pole(2)\nwitness = 4*t^-2\n", "")
+        for order in ("0", "1", "2")
     ])
     def test_capacity_witness_at_the_smallest_orders(self, capsys, command, order, code, out, err):
-        # --order 0 is a valid global order, but no witness window is shorter than 2
+        # every window from 0 up is exact, and 4 t^-2 is all of this witness
         assert run([command, "--order", order, "(1/x^2)*dx^2"]) == code
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out, err)
+
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_cancelled_numerator_ends_at_the_shortest_orders(self, capsys, order):
+        # W = 1 - (1 + t) vanishes at the first bound; a bound that does not
+        # grow at order 0 would never return
+        argv = ["--order", order, "pullback", "--plot", "interior(1; 1+t)", "(1-x)*dx"]
+        with time_limit(1):
+            assert run(argv) == 0
+        assert capsys.readouterr().out == "status = Smooth\nwitness = -t\n"
 
     def test_capacity_cross_check_failure_exits_one(self, capsys, monkeypatch):
         # A margin that disagrees with the pullback valuation is an internal

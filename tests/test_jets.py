@@ -329,7 +329,7 @@ _BOUNDARY = make_boundary_plot(1, 1)
 _METRIC = check_metric(tau_sing())
 _DECOMPOSITION = decompose_halfline(parse_tensor("(1/x + 3 - x/2)*dx^2"), order=1)
 _PARITY = check_gamma_parity(_QUADRANT)
-_SAMPLED = SampledFunction.polynomial([0, 0, 1], (-1, 1))
+_SAMPLED = SampledFunction([0, 0, 1], (-1, 1))
 _VERDICT = pullback_halfline(tau_sing(), _BOUNDARY, order=2)
 _CAPACITY = verify_capacity(2, 1, m_max=3)
 VALUES = [
@@ -466,7 +466,7 @@ class TestValueTypes:
         ("degree", lambda n: HalfLineTensor(n, LaurentJet(-1, [1])), 2,
          lambda t: pullback_halfline(t, _BOUNDARY, 4)),
         ("m", BoundaryGerm, 2, lambda g: pullback_halfline(tau_sing(), g, 4)),
-        ("grid_n", lambda n: SampledFunction.polynomial([0, 0, 1], (-1, 1), n), 32,
+        ("grid_n", lambda n: SampledFunction([0, 0, 1], (-1, 1), n), 32,
          lambda f: f.grid()),
     ])
     def test_int_fields_hold_the_integer_they_check(self, field, build, value, use):

@@ -55,7 +55,7 @@ def sos_functions(draw, grid_n=512):
 
 class TestGlaeserLandau:
     def test_equality_case(self):
-        f = SampledFunction.polynomial([0, 0, 1], (-1, 1))
+        f = SampledFunction([0, 0, 1], (-1, 1))
         report = glaeser_landau_check(f)
         assert report.C == 2.0
         assert report.max_violation == 0.0
@@ -63,11 +63,11 @@ class TestGlaeserLandau:
 
     def test_double_well(self):
         # (t^2 - 1)^2 on [-2, 2]
-        f = SampledFunction.polynomial([1, 0, -2, 0, 1], (-2, 2))
+        f = SampledFunction([1, 0, -2, 0, 1], (-2, 2))
         assert glaeser_landau_check(f).passed
 
     def test_not_nonnegative(self):
-        f = SampledFunction.polynomial([0, 1], (-1, 1))
+        f = SampledFunction([0, 1], (-1, 1))
         with pytest.raises(ValueError, match="not nonnegative"):
             glaeser_landau_check(f)
 
@@ -100,7 +100,7 @@ class TestGlaeserLandau:
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
-        f = SampledFunction.polynomial([0, 0, 1], (-1, 1))
+        f = SampledFunction([0, 0, 1], (-1, 1))
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
             glaeser_landau_check(f, tol=tol)
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
@@ -108,9 +108,9 @@ class TestGlaeserLandau:
 
     def test_interval_validation(self):
         with pytest.raises(ValueError, match="a < b"):
-            SampledFunction.polynomial([1], (1, 1))
+            SampledFunction([1], (1, 1))
         with pytest.raises(ValueError, match="grid_n"):
-            SampledFunction.polynomial([1], (0, 1), grid_n=2)
+            SampledFunction([1], (0, 1), grid_n=2)
 
     @pytest.mark.parametrize("grid_n", [16.5, "20"])
     def test_grid_size_is_an_integer(self, grid_n):
@@ -122,8 +122,8 @@ class TestGlaeserLandau:
         (lambda: SampledFunction((0.1, 0.0, 1.0), (0, 1)), "coefficient 0.1"),
         (lambda: SampledFunction((F(1),), (0.0, 1)), "interval endpoint 0.0"),
         (lambda: SampledFunction((F(1),), (0, 1), squares=((0.5,),)), "coefficient 0.5"),
-        (lambda: SampledFunction.polynomial((0.1,), (0, 1)), "coefficient 0.1"),
-        (lambda: SampledFunction.polynomial((1,), (0, 1.0)), "interval endpoint 1.0"),
+        (lambda: SampledFunction((0.1,), (0, 1)), "coefficient 0.1"),
+        (lambda: SampledFunction((1,), (0, 1.0)), "interval endpoint 1.0"),
         (lambda: SampledFunction.sum_of_squares([[0.5]], (0, 1)), "coefficient 0.5"),
     ], ids=["<lambda>%d" % i for i in range(6)])
     def test_the_record_refuses_floats(self, build, refused):
@@ -135,7 +135,7 @@ class TestGlaeserLandau:
 
     def test_the_record_holds_fractions(self):
         f = SampledFunction([F(1, 10), 0, 1], ["0", 1])
-        assert f == SampledFunction.polynomial(["1/10", 0, 1], (0, F(1)))
+        assert f == SampledFunction(["1/10", 0, 1], (0, F(1)))
         assert {type(c) for c in f.coeffs + f.interval} == {F}
         f = SampledFunction((1, 0, 1), (-1, 1), 16, [[1], ["0", 1]])
         assert f == SampledFunction.sum_of_squares([[1], [0, 1]], (F(-1), F(1)), 16)
@@ -144,16 +144,16 @@ class TestGlaeserLandau:
     def test_values_beyond_the_float_range_are_refused(self):
         huge = 10 ** 400
         with pytest.raises(ValueError, match="interval endpoint beyond the float range"):
-            SampledFunction.polynomial([0, 0, 1], (-1, huge))
+            SampledFunction([0, 0, 1], (-1, huge))
         with pytest.raises(ValueError, match="coefficient beyond the float range"):
-            SampledFunction.polynomial([0, 0, huge], (-1, 1))
+            SampledFunction([0, 0, huge], (-1, 1))
         # f'' = 2 * 10^308 does not fit a float although f's coefficients do
         with pytest.raises(ValueError, match="coefficient beyond the float range"):
-            SampledFunction.polynomial([0, 0, 10 ** 308], (-1, 1))
+            SampledFunction([0, 0, 10 ** 308], (-1, 1))
         with pytest.raises(ValueError, match="coefficient beyond the float range"):
             SampledFunction.sum_of_squares([[0, huge]], (-1, 1))
         # tiny values round to zero instead: they are in range
-        SampledFunction.polynomial([F(1, huge), 0, 1], (F(-1, huge), 1))
+        SampledFunction([F(1, huge), 0, 1], (F(-1, huge), 1))
 
 
 # C and max_violation exactly as the vectorised evaluation order produces them:
@@ -181,13 +181,13 @@ class TestSample:
     @pytest.mark.parametrize("squares", SQUARES)
     def test_squares_agree_with_the_expanded_polynomial(self, squares):
         sos = SampledFunction.sum_of_squares(squares, (-1, F(3, 2)), grid_n=101)
-        plain = SampledFunction.polynomial(sos.coeffs, sos.interval, grid_n=101)
+        plain = SampledFunction(sos.coeffs, sos.interval, grid_n=101)
         grid = sos.grid()
         for by_squares, expanded in zip(sos.sample(grid), plain.sample(grid)):
             assert by_squares == pytest.approx(expanded, rel=1e-9)
 
     @pytest.mark.parametrize("f", [
-        SampledFunction.polynomial([1, -2, 3], (-1, 1), grid_n=17),
+        SampledFunction([1, -2, 3], (-1, 1), grid_n=17),
         SampledFunction.sum_of_squares([[-1, 1, 1], [2]], (0, 1), grid_n=33),
     ], ids=["polynomial", "sum_of_squares"])
     def test_three_lists_of_the_grid_length(self, f):
@@ -200,7 +200,7 @@ class TestSample:
 class TestPinnedReports:
     @pytest.mark.parametrize("coeffs, interval, grid_n, c_sup, violation", PINNED_REPORTS)
     def test_polynomial_reports_keep_their_bits(self, coeffs, interval, grid_n, c_sup, violation):
-        report = glaeser_landau_check(SampledFunction.polynomial(coeffs, interval, grid_n))
+        report = glaeser_landau_check(SampledFunction(coeffs, interval, grid_n))
         assert (repr(report.C), repr(report.max_violation)) == (c_sup, violation)
 
     def test_sum_of_squares_report_keeps_its_bits(self):
@@ -214,7 +214,7 @@ class TestPinnedReports:
 
 class TestNumericPullbackProbe:
     def test_singular_tensor_attains_curvature_bound(self):
-        f = SampledFunction.polynomial([0, 0, 1], (-1, 1))
+        f = SampledFunction([0, 0, 1], (-1, 1))
         report = numeric_pullback_probe(tau_sing(), f)
         assert report.bounded
         assert report.bound == 4.0
@@ -222,20 +222,20 @@ class TestNumericPullbackProbe:
         assert abs(report.sup - 4.0) < 1e-12
 
     def test_double_pole_is_unbounded(self):
-        f = SampledFunction.polynomial([0, 0, 1], (-1, 1))
+        f = SampledFunction([0, 0, 1], (-1, 1))
         tensor = make_halfline_tensor(2, LaurentJet(-2, [1]))
         report = numeric_pullback_probe(tensor, f)
         assert not report.bounded
         assert report.growth > 2.0
 
     def test_singular_tensor_on_double_well(self):
-        f = SampledFunction.polynomial([1, 0, -2, 0, 1], (-2, 2))
+        f = SampledFunction([1, 0, -2, 0, 1], (-2, 2))
         report = numeric_pullback_probe(tau_sing(), f)
         assert report.bounded
         assert report.bound_ok
 
     def test_plot_must_be_nonnegative(self):
-        f = SampledFunction.polynomial([0, 1], (-1, 1))
+        f = SampledFunction([0, 1], (-1, 1))
         with pytest.raises(ValueError, match="not nonnegative"):
             numeric_pullback_probe(tau_sing(), f)
 
@@ -245,7 +245,7 @@ class TestNumericPullbackProbe:
     def test_agreement_with_exact_verdict(self, m, k, p):
         # plots t^(2m) are boundary germs and grid-samplable polynomials
         coeffs = [0] * (2 * m) + [1]
-        f = SampledFunction.polynomial(coeffs, (-1, 1), grid_n=512)
+        f = SampledFunction(coeffs, (-1, 1), grid_n=512)
         tensor = make_halfline_tensor(k, LaurentJet(-p, [1]) if p else LaurentJet(0, [1]))
         exact = pullback_halfline(tensor, make_boundary_plot(m, 1))
         probe = numeric_pullback_probe(tensor, f)
@@ -255,7 +255,7 @@ class TestNumericPullbackProbe:
         from cornerjet.jets import Jet1
 
         # t^2 (1 + t/2) on an interval keeping the unit positive
-        f = SampledFunction.polynomial([0, 0, 1, F(1, 2)], (-1, 1), grid_n=512)
+        f = SampledFunction([0, 0, 1, F(1, 2)], (-1, 1), grid_n=512)
         exact = pullback_halfline(tau_sing(), make_boundary_plot(1, Jet1([1, F(1, 2)])))
         probe = numeric_pullback_probe(tau_sing(), f)
         assert probe.bounded == exact.is_smooth

@@ -26,7 +26,9 @@ from conftest import (
     laurent_jets,
     nonzero_rationals,
     polynomial_laurent2s,
+    quadrant_tensors,
     rationals,
+    time_limit,
     unit_jet1s,
 )
 from oracles import (
@@ -122,8 +124,13 @@ class TestPullbackHalfline:
         assert verdict.witness == LaurentJet(1, [8])
 
     def test_order_precondition(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            pullback_halfline(tau_sing(), make_boundary_plot(1, 1), order=1)
+        # every order from 0 up is a window; only a negative one is refused,
+        # with the text of every entry's order reader
+        for order in (0, 1):
+            verdict = pullback_halfline(tau_sing(), make_boundary_plot(1, 1), order=order)
+            assert verdict.witness == LaurentJet(0, [4])
+        with pytest.raises(ValueError, match="^order -1 is below the minimum 0$"):
+            pullback_halfline(tau_sing(), make_boundary_plot(1, 1), order=-1)
 
     @pytest.mark.parametrize("order", [2.5, 16.0, "16"])
     @pytest.mark.parametrize("plot", ["t^2", "flat"])
@@ -176,6 +183,15 @@ class TestPullbackHalfline:
         assert verdict.witness.valuation == verdict.vanishing_order == 6004
         assert verdict.witness.coeffs[0] == 4 ** 2000
         assert verdict.witness.coeffs[1] == 4 ** 2000 + 2000 * 5 * 4 ** 1999
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_cancelled_numerator_ends_at_the_shortest_orders(self, order):
+        # 1 - x along 1 + t is -t: W vanishes at the first bound, lo + order,
+        # and at order 0 the raised bound must still pass it
+        tensor, plot = parse_tensor("(1-x)*dx"), parse_plot("interior(1; 1+t)")
+        with time_limit(1):
+            verdict = pullback_halfline(tensor, plot, order)
+        assert verdict.witness == LaurentJet(1, [-1])
 
     def test_zero_tensor_is_smooth(self):
         verdict = pullback_halfline(
@@ -359,8 +375,8 @@ class TestPullbackQuadrantPath:
     def test_preconditions(self):
         t = make_quadrant_tensor(1, 1, 0)
         germ = PairGerm(make_boundary_plot(1, 1), make_interior_plot(1))
-        with pytest.raises(ValueError, match="order must be at least 2"):
-            pullback_quadrant_path(t, germ, order=1)
+        with pytest.raises(ValueError, match="^order -1 is below the minimum 0$"):
+            pullback_quadrant_path(t, germ, order=-1)
         for flat in (PairGerm(FlatGerm(), germ.py), PairGerm(germ.px, FlatGerm())):
             with pytest.raises(ValueError, match="flat components are not supported"):
                 pullback_quadrant_path(t, flat)
@@ -391,10 +407,13 @@ class TestPullbackQuadrantPath:
         b = {(0, j): -sum(s[k] * comb(k, j) * (-1) ** (k - j) for k in range(j, cut + 1))
              for j in range(cut + 1)}
         tensor = make_quadrant_tensor({(-1, 0): 1}, b, 0)
-        verdict = pullback_quadrant_path(tensor, PairGerm(px, py), order=16)
-        assert verdict.status is Status.SMOOTH
-        assert verdict.witness == LaurentJet(cut + 1, s[cut + 1 : cut + 18])
-        assert verdict.vanishing_order == cut + 1
+        # At order 0 the first bound is lo itself, and still it must grow.
+        for order in (0, 1, 16):
+            with time_limit(5):
+                verdict = pullback_quadrant_path(tensor, PairGerm(px, py), order)
+            assert verdict.status is Status.SMOOTH
+            assert verdict.witness == LaurentJet(cut + 1, s[cut + 1 : cut + order + 2])
+            assert verdict.vanishing_order == cut + 1
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -548,3 +567,43 @@ class TestExponentGaps:
         monkeypatch.setattr("cornerjet.pullback._times", counted)
         pullback_halfline(parse_tensor("x^2048*dx^2048"), parse_plot("t^2*(3/2+t)"), 64)
         assert len(calls) <= 8
+
+
+# -- the shortest windows ------------------------------------------------------
+
+
+@st.composite
+def short_germs(draw):
+    """Boundary germs t^(2m) u and interior germs u, u of up to 4 terms, constant included."""
+    unit = draw(unit_jet1s(max_order=3))
+    if draw(st.booleans()):
+        return make_boundary_plot(draw(st.integers(1, 2)), unit)
+    return make_interior_plot(unit.coeffs[0], unit)
+
+
+class TestShortestWindows:
+    # Orders 0 and 1 are windows like any other: their witnesses are the first
+    # one and two coefficients of a longer one, with the same verdict.
+
+    @staticmethod
+    def assert_prefixes(pull):
+        full = pull(16)
+        for order in (0, 1):
+            with time_limit(5):
+                short = pull(order)
+            assert short.witness == LaurentJet(
+                full.witness.valuation, full.witness.coeffs[: order + 1])
+            assert (short.status, short.pole_order, short.vanishing_order) == (
+                full.status, full.pole_order, full.vanishing_order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(laurent_jets(min_valuation=-4, max_degree=5), st.integers(0, 4), short_germs())
+    def test_halfline_witness_is_a_prefix(self, coeff, k, plot):
+        tensor = make_halfline_tensor(k, coeff)
+        self.assert_prefixes(lambda order: pullback_halfline(tensor, plot, order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(quadrant_tensors(), short_germs(), short_germs())
+    def test_quadrant_witness_is_a_prefix(self, tensor, px, py):
+        germ = PairGerm(px, py)
+        self.assert_prefixes(lambda order: pullback_quadrant_path(tensor, germ, order))
