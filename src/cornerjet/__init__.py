@@ -12,13 +12,13 @@ module (``cornerjet.jets``, ``cornerjet.parser``, ``cornerjet.pullback``, ...).
 """
 
 from .capacity import capacity, verify_capacity
-from .decompose import check_gamma_parity, decompose_halfline, decompose_quadrant
+from .decompose import NotSmoothError, check_gamma_parity, decompose_halfline, decompose_quadrant
 from .jets import LaurentJet
 from .metric import check_metric
 from .numeric import SampledFunction, glaeser_landau_check
 from .parser import format_quadrant_tensor, parse_plot, parse_tensor
 from .plots import BoundaryGerm, PairGerm
-from .pullback import NotSmoothError, pullback_halfline, pullback_quadrant_path, pullback_sq2
+from .pullback import pullback_halfline, pullback_quadrant_path, pullback_sq2
 from .tensors import HalfLineTensor, tau_sing
 
 __version__ = "0.1.0"

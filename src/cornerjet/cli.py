@@ -38,13 +38,15 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .capacity import capacity, verify_capacity
-from .decompose import ParityReport, check_gamma_parity, decompose_halfline, decompose_quadrant
+from .decompose import NotSmoothError, ParityReport, check_gamma_parity, decompose_halfline
+from .decompose import decompose_quadrant
 from .jets import DEFAULT_ORDER, Jet1, LaurentJet2, Record
 from .metric import check_metric
 from .numeric import SampledFunction, check_tolerance, glaeser_landau_check
 from .parser import (
     MAX_EXPONENT,
     ParseError,
+    _literal,
     format_plot,
     format_quadrant_tensor,
     parse_plot,
@@ -53,7 +55,7 @@ from .parser import (
     parse_tensor,
 )
 from .plots import PlotGerm
-from .pullback import NotSmoothError, SmoothnessVerdict, Status, _read_order, pullback_halfline
+from .pullback import SmoothnessVerdict, Status, _read_order, pullback_halfline
 from .tensors import QuadrantTensor, basis_name
 
 # Caps on the sizes a command line may ask for; larger values exit 1 at once.
@@ -130,6 +132,14 @@ def _parity_line(report: ParityReport) -> str:
         for name, c in report.components.items()
     ]
     return "parity: " + "; ".join(bits)
+
+
+def _integer(text: str) -> int:
+    """An integer option, read as a literal of the grammar; any other form is a usage error."""
+    try:
+        return int(_literal(text, "integer"))
+    except ParseError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
@@ -256,7 +266,7 @@ def build_parser() -> _ArgumentParser:
     # Global options, before or after the subcommand: their defaults are in the
     # namespace that ``run`` parses into, so only a value written replaces one.
     common = _ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--order", type=int,
+    common.add_argument("--order", type=_integer,
                         help="global truncation order (default %d)" % DEFAULT_ORDER)
     common.add_argument("--format", choices=("text", "json"))
     top = _ArgumentParser(
@@ -281,14 +291,14 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("capacity", parents=[common],
                        help="maximal admissible pole order for a k-tensor")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p.set_defaults(handler=_cmd_capacity)
 
     p = sub.add_parser("verify-capacity", parents=[common],
                        help="margins k(2m-1) - 2mp checked against pullbacks")
-    p.add_argument("k", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("--m-max", type=int, default=6)
+    p.add_argument("k", type=_integer)
+    p.add_argument("p", type=_integer)
+    p.add_argument("--m-max", type=_integer, default=6)
     p.set_defaults(handler=_cmd_verify_capacity)
 
     p = sub.add_parser("check-metric", parents=[common],
@@ -300,7 +310,7 @@ def build_parser() -> _ArgumentParser:
                        help="grid check of f'(t)^2 <= 2 sup|f''| f(t) for nonnegative f")
     p.add_argument("--f", required=True, help="polynomial in t with rational coefficients")
     p.add_argument("--interval", nargs=2, default=("-1", "1"), metavar=("A", "B"))
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=_integer, default=1024)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=_cmd_gl_check)
 

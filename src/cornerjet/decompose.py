@@ -1,4 +1,12 @@
-"""Constructive singular/regular decomposition on the half-line and the quadrant.
+"""The decomposition theorem on the half-line and the quadrant: which poles a
+smooth tensor may carry, and the exact split of its singular part.
+
+Every rejection is raised here, as ``NotSmoothError``, by one of two gates:
+``_check_capacity`` on the half-line (no pole beyond ``tensors.capacity`` of
+the degree) and the parity report on the quadrant (no pole beyond
+``tensors.pole_bound``).  An accepted tensor splits into a ``Decomposition``
+(with its ``DecompositionTrace``) or a ``QuadrantDecomposition``, and each
+record's ``reconstruct`` puts the singular slice back where that rule says.
 
 The half-line algorithm follows the constructive route end to end, and its
 trace is part of the output: pull the tensor back through the square map to
@@ -22,19 +30,56 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .jets import SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record, whitney_descend
-from .pullback import NotSmoothError, _check_capacity, _read_order
-from .tensors import Decomposition, DecompositionTrace, HalfLineTensor, QuadrantTensor
-from .tensors import basis_name, pole_bound
+from .jets import (DEFAULT_ORDER, SECTOR_NAMES, Jet1, LaurentJet, LaurentJet2, Record,
+                   whitney_descend)
+from .plots import BoundaryGerm
+from .pullback import SmoothnessVerdict, _read_order, pullback_halfline
+from .tensors import HalfLineTensor, QuadrantTensor, basis_name, capacity, pole_bound
 
 __all__ = [
-    "ComponentParity",
-    "ParityReport",
-    "QuadrantDecomposition",
-    "decompose_halfline",
-    "decompose_quadrant",
-    "check_gamma_parity",
+    "NotSmoothError", "Decomposition", "DecompositionTrace", "ComponentParity", "ParityReport",
+    "QuadrantDecomposition", "decompose_halfline", "decompose_quadrant", "check_gamma_parity",
 ]
+
+
+class NotSmoothError(ValueError):
+    """An input tensor is not diffeologically smooth; carries the witness.
+
+    ``verdict`` holds a pullback verdict when the rejection came from a single
+    curve; ``parity`` the quadrant parity report, which the exponent formula of
+    ``check_gamma_parity`` decides and ``pullback_sq2`` is the test oracle of.
+    """
+
+    def __init__(self, message: str, verdict: SmoothnessVerdict | None = None, parity=None):
+        super().__init__(message)
+        self.verdict = verdict
+        self.parity = parity
+
+
+def _check_capacity(tensor: HalfLineTensor, order: int | None) -> None:
+    """Refuse a pole beyond ``capacity(degree)``, witnessed along t^2 at ``order`` (or default)."""
+    if tensor.pole_order > capacity(tensor.degree):
+        order = DEFAULT_ORDER if order is None else order
+        verdict = pullback_halfline(tensor, BoundaryGerm(1), order)
+        raise NotSmoothError("not a smooth tensor on the half-line: capacity exceeded", verdict)
+
+
+class DecompositionTrace(Record):
+    """Intermediate jets of the constructive split: g(t) = 4 t^2 f(t^2), h with g = h(t^2)."""
+
+    g: Jet1
+    h: Jet1
+
+
+class Decomposition(Record):
+    """Result of splitting coeff(x) dx^2 into c/x * dx^2 plus a pole-free part."""
+
+    c: Fraction
+    regular: Jet1
+    trace: DecompositionTrace
+
+    def reconstruct(self) -> HalfLineTensor:
+        return HalfLineTensor(2, LaurentJet(-capacity(2), (self.c, *self.regular.coeffs)))
 
 
 def decompose_halfline(tensor: HalfLineTensor, order: int | None = None) -> Decomposition:
@@ -115,8 +160,9 @@ class QuadrantDecomposition(Record):
 
     def reconstruct(self) -> QuadrantTensor:
         components = dict(self.regular.components)
-        components[2, 0] += LaurentJet2({(-1, j): c for j, c in enumerate(self.A.coeffs)})
-        components[0, 2] += LaurentJet2({(i, -1): c for i, c in enumerate(self.B.coeffs)})
+        (bx, _), (_, by) = pole_bound((2, 0)), pole_bound((0, 2))
+        components[2, 0] += LaurentJet2({(-bx, j): c for j, c in enumerate(self.A.coeffs)})
+        components[0, 2] += LaurentJet2({(i, -by): c for i, c in enumerate(self.B.coeffs)})
         return QuadrantTensor(components)
 
 

@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from .jets import DEFAULT_ORDER, Jet1, Record
 from .plots import BoundaryGerm, InteriorGerm, PlotGerm
-from .pullback import _check_capacity, _read_order, pullback_halfline
+from .decompose import _check_capacity
+from .pullback import _read_order, pullback_halfline
 from .tensors import HalfLineTensor
 
 __all__ = ["DEFAULT_FAMILY", "MetricWitness", "MetricVerdict", "check_metric"]

@@ -24,14 +24,15 @@ out only in the terms that have one.  Each term adds one ``Fraction`` per
 monomial, in place, to the expression's dict.
 
 Parentheses nest at most ``MAX_NESTING`` deep; deeper input is a parse error,
-not a recursion failure.  An integer literal has at most ``MAX_LITERAL_DIGITS``
-digits, on every Python version.  Exponents, written or reached by powers and
-products, are at most ``MAX_EXPONENT`` in absolute value, a power c^n of a
-coefficient is refused when |n| times the bit length of c exceeds
-``MAX_POWER_BITS``, one parse multiplies out sums into at most ``MAX_PRODUCTS``
-monomial products, and one term's numbers and coefficient powers, like the sum
-that one monomial collects, have at most ``MAX_TERM_BITS`` bits in all, so that
-no term asks for unbounded work.
+not a recursion failure.  An integer literal, also one in a rational literal
+or a CLI integer argument, has at most ``MAX_LITERAL_DIGITS`` digits, on every
+Python version.  Exponents, written or reached by powers and products, are at
+most ``MAX_EXPONENT`` in absolute value, a power c^n of a coefficient is refused
+when |n| times the bit length of c exceeds ``MAX_POWER_BITS``, one parse
+multiplies out sums into at most ``MAX_PRODUCTS`` monomial products, and one
+term's numbers and coefficient powers, like the sum that one monomial collects,
+have at most ``MAX_TERM_BITS`` bits in all, so that no term asks for unbounded
+work.
 """
 
 from __future__ import annotations
@@ -84,6 +85,13 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _check_literal(digits: str, column: int) -> None:
+    """Refuse a run of digits longer than ``MAX_LITERAL_DIGITS``, at its column."""
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError("integer literal of %d digits exceeds the maximum %d"
+                         % (len(digits), MAX_LITERAL_DIGITS), column)
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, column) triples: "num", "name" or an operator, then "end"."""
     tokens = []
@@ -91,10 +99,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         i = m.lastindex
         tok, column = m[i], m.start(i) + 1
         kind = m.lastgroup or tok
-        if kind == "num" and len(tok) > MAX_LITERAL_DIGITS:
-            raise ParseError("integer literal of %d digits exceeds the maximum %d"
-                             % (len(tok), MAX_LITERAL_DIGITS), column)
-        if kind == "bad":
+        if kind == "num":
+            _check_literal(tok, column)
+        elif kind == "bad":
             raise ParseError("unexpected character %r" % tok, column)
         tokens.append((kind, tok, column))
     tokens.append(("end", "", len(text) + 1))
@@ -378,7 +385,19 @@ def parse_polynomial(text: str) -> Jet1:
     return _value_to_jet1(_parse_raw(text, _CURVE_SYMBOLS))
 
 
-_RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+_LITERAL_RE = re.compile(r"\s*[+-]?([0-9]+)(?:/([0-9]+))?\s*")
+
+
+def _literal(text: str, kind: str) -> str:
+    """``text`` stripped, once it is a sign and ASCII digits, over a denominator
+    only if ``kind`` is "rational", each run of digits within the literal cap."""
+    m = _LITERAL_RE.fullmatch(text)
+    if not m or (m[2] and kind != "rational"):
+        raise ParseError("invalid %s literal %r" % (kind, text))
+    for group in (1, 2):
+        if m[group]:
+            _check_literal(m[group], m.start(group) + 1)
+    return text.strip()
 
 
 def parse_rational(text: str) -> Fraction:
@@ -387,10 +406,8 @@ def parse_rational(text: str) -> Fraction:
     if "." in text:
         raise ParseError("rational literals only; %r has a decimal point" % text)
     try:
-        if not _RATIONAL_RE.fullmatch(text):
-            raise ValueError
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+        return Fraction(_literal(text, "rational"))
+    except ZeroDivisionError:
         raise ParseError("invalid rational literal %r" % text) from None
 
 
@@ -419,7 +436,7 @@ def parse_plot(text: str) -> PlotGerm:
 def _parse_boundary(tokens: list[tuple[str, str, int]]) -> tuple[int, Jet1]:
     parser = _ExprParser(tokens, _CURVE_SYMBOLS)
     exponent = parser.factor()[0][0]  # the first token is t: t or t^N, as in any expression
-    if exponent < 2 or exponent % 2 != 0:
+    if exponent % 2:  # an even one is judged by the germ record
         raise ParseError("plot not certified nonnegative: leading term t^%d" % exponent)
     unit = Jet1((1,))
     if tokens[parser.pos][0] == "*":

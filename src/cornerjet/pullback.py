@@ -52,7 +52,6 @@ from .tensors import HalfLineTensor, QuadrantTensor, capacity
 __all__ = [
     "Status",
     "SmoothnessVerdict",
-    "NotSmoothError",
     "pullback_halfline",
     "pullback_sq2",
     "pullback_quadrant_path",
@@ -82,28 +81,6 @@ class SmoothnessVerdict(Record):
     @property
     def is_smooth(self) -> bool:
         return self.status in (Status.SMOOTH, Status.FLAT_SMOOTH)
-
-
-class NotSmoothError(ValueError):
-    """An input tensor is not diffeologically smooth; carries the witness.
-
-    ``verdict`` holds a pullback verdict when the rejection came from a single
-    curve; ``parity`` the quadrant parity report, which the exponent formula of
-    ``check_gamma_parity`` decides and ``pullback_sq2`` is the test oracle of.
-    """
-
-    def __init__(self, message: str, verdict: SmoothnessVerdict | None = None, parity=None):
-        super().__init__(message)
-        self.verdict = verdict
-        self.parity = parity
-
-
-def _check_capacity(tensor: HalfLineTensor, order: int | None) -> None:
-    """Refuse a pole beyond ``capacity(degree)``, witnessed along t^2 at ``order`` (or default)."""
-    if tensor.pole_order > capacity(tensor.degree):
-        order = DEFAULT_ORDER if order is None else order
-        verdict = pullback_halfline(tensor, BoundaryGerm(1), order)
-        raise NotSmoothError("not a smooth tensor on the half-line: capacity exceeded", verdict)
 
 
 def _read_order(order: int | None) -> int | None:

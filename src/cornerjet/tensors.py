@@ -7,10 +7,9 @@ coefficient; a quadrant tensor maps each basis element (p, q) of
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 
-from .jets import Jet1, LaurentJet, LaurentJet2, Record, format_terms
+from .jets import LaurentJet, LaurentJet2, Record, format_terms
 
 __all__ = [
     "MIN_VALUATION",
@@ -20,8 +19,6 @@ __all__ = [
     "pole_bound",
     "HalfLineTensor",
     "QuadrantTensor",
-    "Decomposition",
-    "DecompositionTrace",
     "tau_sing",
 ]
 
@@ -99,21 +96,3 @@ class QuadrantTensor(Record):
     a = property(lambda self: self.components[2, 0])
     b = property(lambda self: self.components[0, 2])
     c = property(lambda self: self.components[1, 1])
-
-
-class DecompositionTrace(Record):
-    """Intermediate jets of the constructive split: g(t) = 4 t^2 f(t^2), h with g = h(t^2)."""
-
-    g: Jet1
-    h: Jet1
-
-
-class Decomposition(Record):
-    """Result of splitting coeff(x) dx^2 into c/x * dx^2 plus a pole-free part."""
-
-    c: Fraction
-    regular: Jet1
-    trace: DecompositionTrace
-
-    def reconstruct(self) -> HalfLineTensor:
-        return HalfLineTensor(2, LaurentJet(-1, (self.c, *self.regular.coeffs)))

@@ -256,6 +256,8 @@ class TestParsePlot:
         ("t^-2049", "syntax error at 1:2: exponent -2049 exceeds the maximum 2048"),
         # the germ is built after its jet is read: the jet's error comes first
         ("interior(0; 1+x)", "syntax error at 1:15: unknown symbol 'x'"),
+        # a boundary germ too: its even contact exponent is judged by the record
+        ("t^-2*(1+x)", "syntax error at 1:9: unknown symbol 'x'"),
     ])
     def test_refusal_order(self, text, message):
         with pytest.raises(ParseError) as info:
@@ -319,11 +321,15 @@ PARSE_ERRORS = [
     ("polynomial", "1/t", "negative powers of t are not allowed"),
     ("rational", "0.5", "rational literals only; '0.5' has a decimal point"),
     ("rational", "1e1", "invalid rational literal '1e1'"),
+    ("rational", "1/" + "7" * 4301,
+     "syntax error at 1:3: integer literal of 4301 digits exceeds the maximum 4300"),
     ("plot", "flat x", "syntax error at 1:6: unexpected input after 'flat'"),
     ("plot", "s^2", "syntax error at 1:1: expected a plot germ (t^2, t^4*(1+t), interior(x0; jet), flat)"),
     ("plot", "t^x", "syntax error at 1:3: expected an integer exponent"),
     ("plot", "t^2050", "syntax error at 1:2: exponent 2050 exceeds the maximum 2048"),
     ("plot", "t^3", "plot not certified nonnegative: leading term t^3"),
+    ("plot", "t^0", "plot not certified nonnegative: leading term t^0"),
+    ("plot", "t", "plot not certified nonnegative: leading term t^1"),
     ("plot", "t^2*t", "syntax error at 1:5: expected a parenthesized unit factor"),
     ("plot", "t^2 t", "syntax error at 1:5: unexpected 't' after plot"),
     ("plot", "t^2*(0 + t)", "plot not certified nonnegative: unit constant term must be positive"),
@@ -1011,6 +1017,55 @@ class TestCliScenarios:
         )
         assert run(["decompose", "1" + "0" * 4299 + "*dx^2"]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("limit", ["default", "off"])
+    def test_interval_endpoint_is_capped_like_a_literal(self, capsys, limit):
+        # the cap is the grammar's, not CPython's int-to-str limit: with that
+        # limit off an endpoint of 20,000 digits is refused all the same
+        saved = sys.get_int_max_str_digits()
+        if limit == "off":
+            sys.set_int_max_str_digits(0)
+        try:
+            for digits in (4301, 20000):
+                argv = ["gl-check", "--f", "t^2", "--interval", "0", "1/" + "7" * digits]
+                assert run(argv) == 1
+                assert capsys.readouterr() == ("", "error: syntax error at 1:3: integer literal"
+                                               " of %d digits exceeds the maximum 4300\n" % digits)
+            assert run(["gl-check", "--f", "t^2", "--interval", "0", "1/" + "7" * 4300]) == 0
+            assert capsys.readouterr().err == ""
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (["capacity", "\u0664"], "k", "\u0664"),
+        (["capacity", "1_0"], "k", "1_0"),
+        (["capacity", "0x4"], "k", "0x4"),
+        (["capacity", "4.0"], "k", "4.0"),
+        (["capacity", "8/2"], "k", "8/2"),
+        (["--order", "1_6", "capacity", "4"], "--order", "1_6"),
+        (["capacity", "--order", "\uff11\uff16", "4"], "--order", "\uff11\uff16"),
+        (["verify-capacity", "4", "\u0663"], "p", "\u0663"),
+        (["verify-capacity", "4", "3", "--m-max", "6e0"], "--m-max", "6e0"),
+        (["gl-check", "--f", "t^2", "--grid", "\u0661\u0660\u0662\u0664"], "--grid",
+         "\u0661\u0660\u0662\u0664"),
+    ])
+    def test_integer_options_take_ascii_digits_only(self, capsys, argv, name, value):
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "", "usage error: argument %s: invalid integer literal %r\n" % (name, value))
+
+    def test_integer_options_take_a_sign_and_whitespace(self, capsys):
+        assert run(["capacity", " +4 "]) == 0
+        assert run(["--order", "\t16\n", "verify-capacity", "+4", " 2", "--m-max", "6 "]) == 0
+        assert run(["gl-check", "--f", "t^2", "--grid", "+1024"]) == 0
+        assert capsys.readouterr().err == ""
+        assert run(["capacity", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: tensor degree must be nonnegative\n")
+
+    def test_integer_option_is_capped_like_a_literal(self, capsys):
+        assert run(["capacity", "1" * 4301]) == 1
+        assert capsys.readouterr() == ("", "usage error: argument k: syntax error at 1:1: integer"
+                                       " literal of 4301 digits exceeds the maximum 4300\n")
 
     def test_internal_type_error_exits_one(self, capsys, monkeypatch):
         # An internal inconsistency that surfaces as a TypeError ends in a
