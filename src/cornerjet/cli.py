@@ -46,6 +46,7 @@ from .numeric import SampledFunction, check_tolerance, glaeser_landau_check
 from .parser import (
     MAX_EXPONENT,
     ParseError,
+    _echo,
     _literal,
     format_plot,
     format_quadrant_tensor,
@@ -140,6 +141,19 @@ def _integer(text: str) -> int:
         return int(_literal(text, "integer"))
     except ParseError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+
+
+# A tolerance: ASCII digits with an optional point and exponent, or inf or nan,
+# which check_tolerance refuses; a sign and whitespace around as for integers.
+# Compiled by the first --tol read, not by every process.
+_TOLERANCE = r"\s*[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)\s*"
+
+
+def _tolerance(text: str) -> float:
+    """The ``--tol`` option, read as a decimal; any other form is a usage error."""
+    if not re.fullmatch(_TOLERANCE, text):
+        raise argparse.ArgumentTypeError("invalid tolerance %s" % _echo(text))
+    return float(text)
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
@@ -311,7 +325,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--f", required=True, help="polynomial in t with rational coefficients")
     p.add_argument("--interval", nargs=2, default=("-1", "1"), metavar=("A", "B"))
     p.add_argument("--grid", type=_integer, default=1024)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(handler=_cmd_gl_check)
 
     p = sub.add_parser("parity", parents=[common],

@@ -16,6 +16,11 @@ c (dx (x) dy + dy (x) dx).
 
 Plot germs:  ``t^2``, ``t^4*(1+t)``, ``interior(1; 1+t)``, ``flat``.
 
+One search of one regex first refuses a character that starts no token and a
+literal over the digit cap, at the leftmost; one ``findall`` then gives the
+tokens, each its text, with "" for the end of input.  An error names a token
+by its index, and its column is found only when the error is raised.
+
 Evaluation runs with the parse, one term at a time.  The term's monomial
 factors (``3``, ``x``, ``/7``, ``x^7``, ``(3/2*x)^5``) add into four exponents
 and multiply into an integer numerator and denominator; a parenthesized factor
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 
 from .jets import Jet1, LaurentJet, LaurentJet2, format_terms
 from .plots import BoundaryGerm, FlatGerm, InteriorGerm, PlotGerm
@@ -79,10 +85,12 @@ class ParseError(ValueError):
 
 
 # Digits and names are ASCII only; whitespace is whatever str.isspace accepts,
-# as \s does.  The operator group is unnamed: an operator's kind is its text.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|([-+*/^();])|(?P<bad>\S))"
-)
+# as \s does.  A token is its text, and the end of input is "".
+_TOKEN_RE = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9]*|[-+*/^();]|\S)")
+# What no token may be: a character that starts none, or a run of digits that
+# does not continue a name and is longer than MAX_LITERAL_DIGITS.
+_REFUSED_RE = re.compile(r"[^\sA-Za-z0-9()*/^;+-]|(?<![A-Za-z0-9])[0-9]{%d,}"
+                         % (MAX_LITERAL_DIGITS + 1))
 
 
 def _check_literal(digits: str, column: int) -> None:
@@ -92,20 +100,21 @@ def _check_literal(digits: str, column: int) -> None:
                          % (len(digits), MAX_LITERAL_DIGITS), column)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, column) triples: "num", "name" or an operator, then "end"."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        i = m.lastindex
-        tok, column = m[i], m.start(i) + 1
-        kind = m.lastgroup or tok
-        if kind == "num":
-            _check_literal(tok, column)
-        elif kind == "bad":
-            raise ParseError("unexpected character %r" % tok, column)
-        tokens.append((kind, tok, column))
-    tokens.append(("end", "", len(text) + 1))
+def _tokenize(text: str) -> list[str]:
+    """The token texts, then "", once the leftmost refused token, if any, is raised."""
+    m = _REFUSED_RE.search(text)
+    if m:
+        _check_literal(m[0], m.start() + 1)  # a run of digits; else one character
+        raise ParseError("unexpected character %r" % m[0], m.start() + 1)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
+
+
+def _column(text: str, index: int) -> int:
+    """The column of token ``index`` of ``text``, or one past the end for the end token."""
+    m = next(islice(_TOKEN_RE.finditer(text), index, None), None)
+    return m.start(1) + 1 if m else len(text) + 1
 
 
 # A parsed value is a sum of monomials: (x exp, y exp, dx power, dy power) -> coeff.
@@ -142,70 +151,75 @@ def _sum_bits(f: Fraction, g: Fraction) -> int:
     return max(f.numerator.bit_length() + gd, g.numerator.bit_length() + fd) + 1 + fd + gd
 
 
-def _single_term(value: _Value, what: str, column: int) -> tuple:
+def _single_term(value: _Value, what: str, parser: _ExprParser, index: int) -> tuple:
     """The one nonzero monomial of ``value`` as (key, num, den); (None, 0, 1) if none."""
     value = _clean(value)
     if len(value) > 1:
-        raise ParseError("cannot %s a sum" % what, column)
+        raise parser.error("cannot %s a sum" % what, index)
     if not value:
         return None, 0, 1
     (key, c), = value.items()
     return key, c.numerator, c.denominator
 
 
-def _check_exponent(e: int, column: int) -> None:
+def _check_exponent(e: int, parser: _ExprParser, index: int) -> None:
     if abs(e) > MAX_EXPONENT:
-        raise ParseError("exponent %d exceeds the maximum %d" % (e, MAX_EXPONENT), column)
+        raise parser.error("exponent %d exceeds the maximum %d" % (e, MAX_EXPONENT), index)
 
 
-def _raised(key: _Key, n: int, column: int) -> _Key:
+def _raised(key: _Key, n: int, parser: _ExprParser, index: int) -> _Key:
     x, y, p, q = key
     out = (x * n, y * n, p * n, q * n)
-    _check_exponent(max(out, key=abs), column)
+    _check_exponent(max(out, key=abs), parser, index)
     return out
 
 
-def _power(key: _Key, num: int, den: int, n: int, column: int) -> tuple[_Key, int, int]:
+def _power(key: _Key, num: int, den: int, n: int, parser: _ExprParser,
+           index: int) -> tuple[_Key, int, int]:
     """The monomial (key, num/den) raised to n; num/den is nonzero, in lowest terms."""
     if n < 0 and (key[2] or key[3]):
-        raise ParseError("differential symbols cannot carry negative powers", column)
-    key = _raised(key, n, column)
+        raise parser.error("differential symbols cannot carry negative powers", index)
+    key = _raised(key, n, parser, index)
     if num == den == 1:  # the common case, x^3
         return key, 1, 1
     if abs(n) * max(num.bit_length(), den.bit_length()) > MAX_POWER_BITS:
-        raise ParseError("power too large: its coefficient exceeds %d bits" % MAX_POWER_BITS,
-                         column)
+        raise parser.error("power too large: its coefficient exceeds %d bits" % MAX_POWER_BITS,
+                           index)
     return (key, num ** n, den ** n) if n >= 0 else (key, den ** -n, num ** -n)
 
 
 class _ExprParser:
-    """Evaluates while it parses, one term at a time (see the module docstring)."""
+    """Evaluates while it parses, one term at a time (see the module docstring).
+    Errors name a token by its index, and ``error`` finds its column."""
 
-    def __init__(self, tokens: list[tuple[str, str, int]], symbols: dict[str, _Key]):
-        self.tokens = tokens
+    def __init__(self, text: str, symbols: dict[str, _Key]):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.symbols = symbols
         self.depth = 0
         self.products = 0
 
+    def error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, _column(self.text, index))
+
     def expect_op(self, text: str) -> None:
-        kind, _, column = self.tokens[self.pos]
-        if kind != text:
-            raise ParseError("expected %r" % text, column)
+        if self.tokens[self.pos] != text:
+            raise self.error("expected %r" % text, self.pos)
         self.pos += 1
 
     def expr(self) -> _Value:
         value: _Value = {}
         sign = 1
-        if self.tokens[self.pos][0] == "-":
+        if self.tokens[self.pos] == "-":
             self.pos, sign = self.pos + 1, -1
         while True:
             self.term(value, sign)
-            kind = self.tokens[self.pos][0]
-            if kind != "+" and kind != "-":
+            tok = self.tokens[self.pos]
+            if tok != "+" and tok != "-":
                 return value
             self.pos += 1
-            sign = 1 if kind == "+" else -1
+            sign = 1 if tok == "+" else -1
 
     def term(self, value: _Value, sign: int) -> None:
         """Add sign times the next term to ``value`` in place."""
@@ -217,32 +231,33 @@ class _ExprParser:
             key, fnum, fden = self.factor()
             if divide:
                 if key is None:
-                    key, fnum, fden = _single_term(fnum, "divide by", column)
+                    key, fnum, fden = _single_term(fnum, "divide by", self, at)
                 if not fnum:
-                    raise ParseError("division by zero", column)
+                    raise self.error("division by zero", at)
                 if key[2] or key[3]:
-                    raise ParseError("cannot divide by a differential symbol", column)
+                    raise self.error("cannot divide by a differential symbol", at)
                 key, fnum, fden = (-key[0], -key[1], 0, 0), fden, fnum
             if key is None:
                 if sums is not None:
                     self.products += len(sums) * len(fnum) + _bits(sums) * _bits(fnum) // (1 << 17)
                     if self.products > MAX_PRODUCTS:
-                        raise ParseError("product too large: multiplying out exceeds %d"
-                                         " monomial products" % MAX_PRODUCTS, column)
+                        raise self.error("product too large: multiplying out exceeds %d"
+                                         " monomial products" % MAX_PRODUCTS, at)
                 sums = fnum if sums is None else _vmul(sums, fnum)
             else:
                 x, y, p, q = x + key[0], y + key[1], p + key[2], q + key[3]
                 if fnum != 1 or fden != 1:  # a number or a power of one, not a symbol
                     bits += fnum.bit_length() + fden.bit_length()
                     if bits > MAX_TERM_BITS:
-                        raise ParseError("term too large: its numbers exceed %d bits"
-                                         % MAX_TERM_BITS, column)
+                        raise self.error("term too large: its numbers exceed %d bits"
+                                         % MAX_TERM_BITS, at)
                     num, den = num * fnum, den * fden
-            kind, _, column = self.tokens[self.pos]
-            if kind != "*" and kind != "/":
+            at = self.pos
+            tok = self.tokens[at]
+            if tok != "*" and tok != "/":
                 break
             self.pos += 1
-            divide = kind == "/"
+            divide = tok == "/"
         coeff = Fraction(num, den)
         terms = {_UNIT_KEY: coeff} if sums is None else {k: c * coeff for k, c in sums.items()}
         square_cap = MAX_EXPONENT * MAX_EXPONENT
@@ -251,11 +266,11 @@ class _ExprParser:
             old = value.get(key)
             if old is None:  # a new monomial: its exponents, reached by products, are capped
                 if a * a + b * b + c * c + d * d > square_cap:  # else none exceeds the cap
-                    _check_exponent(max(key, key=abs), column)
+                    _check_exponent(max(key, key=abs), self, at)
                 value[key] = v
             elif _sum_bits(old, v) > MAX_TERM_BITS:
-                raise ParseError("sum too large: the coefficients of one monomial exceed"
-                                 " %d bits" % MAX_TERM_BITS, column)
+                raise self.error("sum too large: the coefficients of one monomial exceed"
+                                 " %d bits" % MAX_TERM_BITS, at)
             else:
                 value[key] = old + v
 
@@ -263,48 +278,50 @@ class _ExprParser:
         """The next factor: a monomial (key, num, den), or (None, value, 0) for a
         parenthesized expression that is not raised to a power."""
         tokens = self.tokens
-        kind, text, column = tokens[self.pos]
+        at = self.pos
+        tok = tokens[at]
         self.pos += 1
-        if kind == "num":
-            key, num, den = _UNIT_KEY, int(text), 1
-        elif kind == "name":
-            key, num, den = self.symbols.get(text), 1, 1
-            if key is None:
-                raise ParseError("unknown symbol %r" % text, column)
-        elif kind == "(":
+        key = self.symbols.get(tok)
+        if key is not None:
+            num, den = 1, 1
+        elif tok.isdigit():  # the tokens are ASCII
+            key, num, den = _UNIT_KEY, int(tok), 1
+        elif tok == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError("expression nested too deeply", column)
+                raise self.error("expression nested too deeply", at)
             key, num, den = None, self.expr(), 0
             self.expect_op(")")
             self.depth -= 1
+        elif tok.isalnum():
+            raise self.error("unknown symbol %r" % tok, at)
         else:
-            raise ParseError("unexpected %s" % (text or "end of input"), column)
-        kind, _, column = tokens[self.pos]
-        if kind != "^":
+            raise self.error("unexpected %s" % (tok or "end of input"), at)
+        at = self.pos
+        if tokens[at] != "^":
             return key, num, den
-        negative = tokens[self.pos + 1][0] == "-"
+        negative = tokens[at + 1] == "-"
         self.pos += 3 if negative else 2
-        kind, text, at = tokens[self.pos - 1]
-        if kind != "num":
-            raise ParseError("expected an integer exponent", at)
-        n = -int(text) if negative else int(text)
-        _check_exponent(n, column)
+        tok = tokens[self.pos - 1]
+        if not tok.isdigit():
+            raise self.error("expected an integer exponent", self.pos - 1)
+        n = -int(tok) if negative else int(tok)
+        _check_exponent(n, self, at)
         if key is None:  # a parenthesized expression, whose value is in num
             terms = num
-            key, num, den = _single_term(terms, "exponentiate", column)
+            key, num, den = _single_term(terms, "exponentiate", self, at)
         if num:
-            return _power(key, num, den, n, column)
+            return _power(key, num, den, n, self, at)
         if n <= 0:
-            raise ParseError("zero cannot carry exponent %d" % n, column)
+            raise self.error("zero cannot carry exponent %d" % n, at)
         if key is None:
-            return None, {_raised(k, n, column): Fraction(0) for k in terms}, 0
+            return None, {_raised(k, n, self, at): Fraction(0) for k in terms}, 0
         return key, 0, 1  # the literal 0: raising the unit key leaves it unchanged
 
     def expect_end(self):
-        kind, text, column = self.tokens[self.pos]
-        if kind != "end":
-            raise ParseError("unexpected %r after expression" % text, column)
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self.error("unexpected %r after expression" % tok, self.pos)
 
 
 _HALFLINE_SYMBOLS = {"x": (1, 0, 0, 0), "dx": (0, 0, 1, 0)}
@@ -319,7 +336,7 @@ _CURVE_SYMBOLS = {"t": (1, 0, 0, 0)}
 
 def _parse_raw(text: str, symbols: dict[str, _Key]) -> _Value:
     """The parsed value, cancelled monomials included (coefficient zero)."""
-    parser = _ExprParser(_tokenize(text), symbols)
+    parser = _ExprParser(text, symbols)
     value = parser.expr()
     parser.expect_end()
     return value
@@ -388,12 +405,23 @@ def parse_polynomial(text: str) -> Jet1:
 _LITERAL_RE = re.compile(r"\s*[+-]?([0-9]+)(?:/([0-9]+))?\s*")
 
 
+# The most characters of a refused literal that its message repeats.
+_ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    """``text`` quoted; a longer one than ``_ECHO_CHARS`` is cut, and its length named."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:_ECHO_CHARS], len(text))
+
+
 def _literal(text: str, kind: str) -> str:
     """``text`` stripped, once it is a sign and ASCII digits, over a denominator
     only if ``kind`` is "rational", each run of digits within the literal cap."""
     m = _LITERAL_RE.fullmatch(text)
     if not m or (m[2] and kind != "rational"):
-        raise ParseError("invalid %s literal %r" % (kind, text))
+        raise ParseError("invalid %s literal %s" % (kind, _echo(text)))
     for group in (1, 2):
         if m[group]:
             _check_literal(m[group], m.start(group) + 1)
@@ -404,63 +432,61 @@ def parse_rational(text: str) -> Fraction:
     """Exact rational literal: '3', '1/2', '-7/3'.  Decimal points, exponents
     and digit separators are refused."""
     if "." in text:
-        raise ParseError("rational literals only; %r has a decimal point" % text)
+        raise ParseError("rational literals only; %s has a decimal point" % _echo(text))
     try:
         return Fraction(_literal(text, "rational"))
     except ZeroDivisionError:
-        raise ParseError("invalid rational literal %r" % text) from None
+        raise ParseError("invalid rational literal %s" % _echo(text)) from None
 
 
 def parse_plot(text: str) -> PlotGerm:
     """Parse a plot germ: t^2, t^4*(1+t), interior(1; 1+t), or flat.  The germ
     records check their own rules, and a refusal keeps the record's text."""
-    tokens = _tokenize(text)
-    head = tokens[0]
-    if head[1] == "flat":
-        if tokens[1][0] != "end":
-            raise ParseError("unexpected input after 'flat'", tokens[1][2])
+    parser = _ExprParser(text, _CURVE_SYMBOLS)
+    head = parser.tokens[0]
+    if head == "flat":
+        if parser.tokens[1]:
+            raise parser.error("unexpected input after 'flat'", 1)
         return FlatGerm()
-    if head[1] == "interior":
-        build, data = InteriorGerm, _parse_interior(text, tokens)
-    elif head[1] == "t":
-        build, data = BoundaryGerm, _parse_boundary(tokens)
+    if head == "interior":
+        build, data = InteriorGerm, _parse_interior(parser)
+    elif head == "t":
+        build, data = BoundaryGerm, _parse_boundary(parser)
     else:
-        raise ParseError("expected a plot germ (t^2, t^4*(1+t), interior(x0; jet), flat)",
-                         head[2])
+        raise parser.error("expected a plot germ (t^2, t^4*(1+t), interior(x0; jet), flat)", 0)
     try:
         return build(*data)
     except ValueError as e:
         raise ParseError(str(e)) from None
 
 
-def _parse_boundary(tokens: list[tuple[str, str, int]]) -> tuple[int, Jet1]:
-    parser = _ExprParser(tokens, _CURVE_SYMBOLS)
+def _parse_boundary(parser: _ExprParser) -> tuple[int, Jet1]:
+    tokens = parser.tokens
     exponent = parser.factor()[0][0]  # the first token is t: t or t^N, as in any expression
     if exponent % 2:  # an even one is judged by the germ record
         raise ParseError("plot not certified nonnegative: leading term t^%d" % exponent)
     unit = Jet1((1,))
-    if tokens[parser.pos][0] == "*":
+    if tokens[parser.pos] == "*":
         parser.pos += 1
-        if tokens[parser.pos][0] != "(":
-            raise ParseError("expected a parenthesized unit factor", tokens[parser.pos][2])
+        if tokens[parser.pos] != "(":
+            raise parser.error("expected a parenthesized unit factor", parser.pos)
         parser.pos += 1
         unit = _value_to_jet1(parser.expr())
         parser.expect_op(")")
-    kind, text, column = tokens[parser.pos]
-    if kind != "end":
-        raise ParseError("unexpected %r after plot" % text, column)
+    if tokens[parser.pos]:
+        raise parser.error("unexpected %r after plot" % tokens[parser.pos], parser.pos)
     return exponent // 2, unit
 
 
-def _parse_interior(text: str, tokens: list[tuple[str, str, int]]) -> tuple[Jet1]:
-    if tokens[1][0] != "(":
-        raise ParseError("interior germ syntax is interior(x0; jet)", tokens[1][2])
-    semi = next((i for i, tok in enumerate(tokens) if tok[0] == ";"), None)
-    if semi is None:
+def _parse_interior(parser: _ExprParser) -> tuple[Jet1]:
+    text, tokens = parser.text, parser.tokens
+    if tokens[1] != "(":
+        raise parser.error("interior germ syntax is interior(x0; jet)", 1)
+    if ";" not in tokens:
         raise ParseError("interior germ needs a ';' between base point and jet")
-    x0 = parse_rational(text[tokens[1][2] : tokens[semi][2] - 1])
-    parser = _ExprParser(tokens, _CURVE_SYMBOLS)
-    parser.pos = semi + 1
+    # the first ( and ; of the text are tokens 1 and the first ; token
+    x0 = parse_rational(text[text.index("(") + 1 : text.index(";")])
+    parser.pos = tokens.index(";") + 1
     jet = _value_to_jet1(parser.expr())
     parser.expect_op(")")
     parser.expect_end()

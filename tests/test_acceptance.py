@@ -266,3 +266,25 @@ def test_criterion_9_cli_contract(capsys):
         assert quadrant_payload["parity"]["rule_holds"] is True
         assert run(["capacity", "--format", "json", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["capacity"] == 2
+
+
+@pytest.mark.parametrize("text, outcome", [
+    # 30 literals at the digit cap: accepted, a degree-0 tensor
+    ("+".join(["7" * 4300] * 30), "accepted"),
+    # one name: its 128,000 digits continue it and are no literal
+    ("x" + "7" * 128_000, "syntax error at 1:1: unknown symbol 'x777"),
+], ids=["literals-at-the-cap", "long-name"])
+def test_refusal_search_is_linear_on_an_argv_sized_input(text, outcome):
+    """The tokenizer's one search for a refused token reads a digit run once:
+    about 128 kB, near Linux's argv limit, parses well within the budget."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        try:
+            parse_tensor(text)
+            result = "accepted"
+        except ValueError as err:
+            result = str(err)
+        best = min(best, time.perf_counter() - start)
+        assert result.startswith(outcome)
+    assert best < 0.1, "took %.4f s, budget 0.1 s" % best

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import string
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -349,6 +350,13 @@ PARSE_ERRORS = [
     ("polynomial", "1 + t^1024*t^1025", "syntax error at 1:18: exponent 2049 exceeds the maximum 2048"),
     ("halfline", "x/7^2048/7^2048*dx + x/11^2048/11^2048*dx + x/13^2048/13^2048*dx",
      "syntax error at 1:65: sum too large: the coefficients of one monomial exceed 65536 bits"),
+    # a column counts characters, whitespace of every kind included
+    ("halfline", "x\t*\t)", "syntax error at 1:5: unexpected )"),
+    ("halfline", "\u2003x*\u2003dz", "syntax error at 1:5: unknown symbol 'dz'"),
+    ("halfline", "x*  ", "syntax error at 1:5: unexpected end of input"),
+    ("plot", "t^2*(1\t+t)\u2003 t", "syntax error at 1:13: unexpected 't' after plot"),
+    ("rational", "1e" + "0" * 5000,
+     "invalid rational literal '1e00000000000000000000000000000000000000'... (5002 characters)"),
 ]
 
 _PARSERS = {
@@ -368,6 +376,39 @@ def test_parse_error_messages(space, text, message):
     with pytest.raises(ParseError) as err:
         _PARSERS[space](text)
     assert str(err.value) == message
+
+
+def _token_starts(text: str) -> set[int]:
+    """Where the grammar's tokens start: a run of digits or a name runs on, and a
+    name may follow digits; whitespace starts none."""
+    starts, run = set(), ""
+    for i, ch in enumerate(text):
+        if (run == "name" and ch in _NAME_CHARS) or (run == "num" and ch in string.digits):
+            continue
+        run = "num" if ch in string.digits else "name" if ch in string.ascii_letters else ""
+        if not ch.isspace():
+            starts.add(i)
+    return starts
+
+
+_NAME_CHARS = string.ascii_letters + string.digits
+_TOKEN_SOUP = st.lists(st.sampled_from([
+    "x", "y", "t", "dx", "dy", "dz", "x1", "flat", "interior", "0", "2", "12", "2049",
+    "(", ")", "+", "-", "*", "/", "^", ";", " ", "  ", "\t", "\u2003", "$", "\u0664",
+    "7" * 4301,
+]), max_size=16).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_PARSERS)), _TOKEN_SOUP)
+def test_a_located_error_points_at_a_token(space, text):
+    """A column is found apart from the parse, by token index: it must be the
+    first character of a token, or one past the end of the text."""
+    try:
+        _PARSERS[space](text)
+    except ParseError as err:
+        if err.column is not None:
+            assert err.column - 1 in _token_starts(text) | {len(text)}, (text, str(err))
 
 
 def _nested(depth: int, core: str = "x") -> str:
@@ -859,6 +900,18 @@ class TestCliScenarios:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tolerance must be finite and nonnegative" in captured.err
+
+    @pytest.mark.parametrize("tol", ["\u0660", "1_0e-9", "0x1", "1e", "1.2.3", "infinity", ""])
+    def test_gl_check_reads_tolerance_as_an_ascii_decimal(self, capsys, tol):
+        assert run(["gl-check", "--f", "t^2", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "usage error: argument --tol: invalid tolerance %r\n" % tol)
+
+    @pytest.mark.parametrize("tol", ["1e-9", "0", "1E-12", " .5 ", "+2.", "1e+3"])
+    def test_gl_check_runs_with_a_decimal_tolerance(self, capsys, tol):
+        assert run(["gl-check", "--f", "t^2", "--tol", tol]) == 0
+        assert capsys.readouterr().out.endswith("pass\n")
 
     @pytest.mark.parametrize("text", ["0*dx^2", "x*dx^2 - x*dx^2"])
     def test_cancelled_tensor_is_a_two_tensor(self, capsys, text):
