@@ -294,7 +294,7 @@ class _ExprParser:
             self.expect_op(")")
             self.depth -= 1
         elif tok.isalnum():
-            raise self.error("unknown symbol %r" % tok, at)
+            raise self.error("unknown symbol %s" % _echo(tok), at)
         else:
             raise self.error("unexpected %s" % (tok or "end of input"), at)
         at = self.pos
@@ -321,7 +321,7 @@ class _ExprParser:
     def expect_end(self):
         tok = self.tokens[self.pos]
         if tok:
-            raise self.error("unexpected %r after expression" % tok, self.pos)
+            raise self.error("unexpected %s after expression" % _echo(tok), self.pos)
 
 
 _HALFLINE_SYMBOLS = {"x": (1, 0, 0, 0), "dx": (0, 0, 1, 0)}
@@ -405,7 +405,7 @@ def parse_polynomial(text: str) -> Jet1:
 _LITERAL_RE = re.compile(r"\s*[+-]?([0-9]+)(?:/([0-9]+))?\s*")
 
 
-# The most characters of a refused literal that its message repeats.
+# The most characters of a refused literal, name or token that its message repeats.
 _ECHO_CHARS = 40
 
 
@@ -474,7 +474,7 @@ def _parse_boundary(parser: _ExprParser) -> tuple[int, Jet1]:
         unit = _value_to_jet1(parser.expr())
         parser.expect_op(")")
     if tokens[parser.pos]:
-        raise parser.error("unexpected %r after plot" % tokens[parser.pos], parser.pos)
+        raise parser.error("unexpected %s after plot" % _echo(tokens[parser.pos]), parser.pos)
     return exponent // 2, unit
 
 

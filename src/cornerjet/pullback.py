@@ -33,9 +33,12 @@ The stage computes on integers from the curves to the witness: each curve is
 scaled once by the lcm of its denominators, it and its derivative carry their
 content as one fraction, and every term's scalar is an integer over one common
 denominator.  The division is fraction-free (pseudo-division; Knuth, TAOCP
-vol. 2, 4.6.1): Q_k = q_k d0^(k+1) stays an integer, and each witness
-coefficient is one reduced fraction built from Q_k, the power of d0 and the
-scalar that W / D carries.
+vol. 2, 4.6.1), and the scalar sn / sd that W / D carries enters it at the
+start: sn multiplies W's coefficients once and sd starts the chain of powers
+of d0, so Q_k = sn q_k d0^(k+1) stays an integer and each witness
+coefficient is the one reduced fraction Q_k / (sd d0^(k+1)).  Those
+fractions, a gcd each, are the floor of a long window: most of an order-256
+half-line pullback.
 """
 
 from __future__ import annotations
@@ -133,11 +136,16 @@ def _times(a: _Series, b: _Series, top: int) -> _Series:
     """The product a * b through degree ``top``; nothing above it is formed.
 
     One pass per coefficient of the shorter factor adds that multiple of the
-    longer one at its shift; the product keeps its trailing zeros.
+    longer one at its shift; the product keeps its trailing zeros.  A factor of
+    one coefficient c makes no pass: the other is cut to the window, times c
+    unless c is 1.
     """
     val, x, y = a[0] + b[0], a[1], b[1]
     if len(x) > len(y):
         x, y = y, x
+    if len(x) == 1:
+        c, y = x[0], y[: max(0, top - val + 1)]
+        return val, y if c == 1 else [c * v for v in y]
     n = len(y)
     out = [0] * max(0, min(top - val + 1, len(x) + n - 1))
     for i, c in enumerate(x[: len(out)]):
@@ -148,7 +156,10 @@ def _times(a: _Series, b: _Series, top: int) -> _Series:
 
 
 def _combine(parts: list[tuple[int, _Series]]) -> _Series:
-    """The sum of c * s over the (c, s) in ``parts``."""
+    """The sum of c * s over the (c, s) in ``parts``; a single part is passed through."""
+    if len(parts) == 1:
+        c, (val, coeffs) = parts[0]
+        return val, coeffs if c == 1 else [c * v for v in coeffs]
     low = min(s[0] for _, s in parts)
     out: list[int] = []
     for c, (val, coeffs) in parts:
@@ -192,18 +203,27 @@ def _powers(base: _Series, exponents: set[int], keep: int) -> dict[int, _Series]
 def _divide(w: list[int], d: list[int], terms: int, scale: Fraction) -> list[Fraction]:
     """The first ``terms`` coefficients of scale * w / d, both read from their valuations.
 
-    Q_k = q_k d0^(k+1) = w_k d0^k - sum over j >= 1 of d_j d0^(j-1) Q_(k-j)
-    is an integer, and each output is built once, in lowest terms, as
-    Q_k sn / (d0^(k+1) sd) with scale = sn / sd.
+    With scale = sn / sd, Q_k = sn q_k d0^(k+1) = sn w_k d0^k - sum over j >= 1
+    of d_j d0^(j-1) Q_(k-j) is an integer: the scale's numerator enters once,
+    in sn w, and its denominator starts the chain sd d0^(k+1), so each output
+    is the one reduced fraction Q_k / (sd d0^(k+1)).  Those reductions, one
+    gcd per coefficient, are the floor of an order-256 call.
     """
-    d0, powers, quotient = d[0], [1], []
+    d0, out, quotient = d[0], [], []
     steps = [(j, c * d0 ** (j - 1)) for j, c in enumerate(d) if j and c]
+    w, power, den = [c * scale.numerator for c in w[:terms]], 1, scale.denominator
     for k in range(terms):
-        acc = w[k] * powers[k] if k < len(w) else 0
-        quotient.append(acc - sum(e * quotient[k - j] for j, e in steps if j <= k))
-        powers.append(powers[k] * d0)
-    sn, sd = scale.numerator, scale.denominator
-    return [Fraction(q * sn, powers[k + 1] * sd) for k, q in enumerate(quotient)]
+        acc = 0
+        if k < len(w):
+            acc, power = w[k] * power, power * d0
+        for j, e in steps:
+            if j > k:
+                break
+            acc -= e * quotient[k - j]
+        den *= d0
+        quotient.append(acc)
+        out.append(Fraction(acc, den))
+    return out
 
 
 def _curve(plot: PlotGerm) -> LaurentJet:
@@ -312,6 +332,11 @@ def _verdict(witness: LaurentJet, boundary: bool) -> SmoothnessVerdict:
     return SmoothnessVerdict(Status.POLE, witness=witness, pole_order=-val)
 
 
+# The half-line's second curve: its tensors are the q = 0 face of the quadrant's,
+# pulled back along (P, 1).
+_CONSTANT = LaurentJet(0, (1,))
+
+
 def pullback_halfline(
     tensor: HalfLineTensor, plot: PlotGerm, order: int = DEFAULT_ORDER
 ) -> SmoothnessVerdict:
@@ -324,7 +349,7 @@ def pullback_halfline(
             return SmoothnessVerdict(Status.FLAT_INDETERMINATE)
         return SmoothnessVerdict(Status.FLAT_SMOOTH)
     terms = [(d, 0, tensor.degree, 0, c) for d, c in tensor.coeff.terms()]
-    witness = _pull_back(terms, _curve(plot), LaurentJet(0, (1,)), order)
+    witness = _pull_back(terms, _curve(plot), _CONSTANT, order)
     return _verdict(witness, isinstance(plot, BoundaryGerm))
 
 

@@ -357,6 +357,15 @@ PARSE_ERRORS = [
     ("plot", "t^2*(1\t+t)\u2003 t", "syntax error at 1:13: unexpected 't' after plot"),
     ("rational", "1e" + "0" * 5000,
      "invalid rational literal '1e00000000000000000000000000000000000000'... (5002 characters)"),
+    # a refused name or trailing token repeats at most 40 of its characters
+    ("halfline", "x" + "7" * 128_000,
+     "syntax error at 1:1: unknown symbol 'x777777777777777777777777777777777777777'... (128001 characters)"),
+    ("halfline", "x*dx^2 " + "z" * 5000,
+     "syntax error at 1:8: unexpected 'zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz'... (5000 characters)"
+     " after expression"),
+    ("plot", "t^2 " + "t" * 5000,
+     "syntax error at 1:5: unexpected 'tttttttttttttttttttttttttttttttttttttttt'... (5000 characters)"
+     " after plot"),
 ]
 
 _PARSERS = {

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cornerjet import LaurentJet
-from cornerjet.pullback import _divide, _powers, _times
+from cornerjet.pullback import _combine, _divide, _powers, _times
 
 from conftest import rationals
 from oracles import long_divide, schoolbook_product
@@ -291,3 +291,99 @@ def test_shift_add_product_matches_schoolbook_in_either_order(case):
 def test_the_first_power_is_the_base_itself(val, lead, tail, keep):
     base = (val, [lead, *tail])
     assert _powers(base, {1}, keep) == {1: (val, base[1][: keep + 1])}
+
+
+# -- one-coefficient factors and single sums pass through ----------------------
+
+# The constants that the half-line makes most: 0, 1 and -1, and integers far
+# beyond a machine word.
+lone_coefficients = st.one_of(st.sampled_from([0, 1, -1]), integers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-6, 6), lone_coefficients, st.integers(-6, 6), st.lists(integers, max_size=20),
+       st.booleans(), st.data())
+def test_a_one_coefficient_factor_scales_the_other(v, c, w, coeffs, first, data):
+    one, other = (v, [c]), (w, coeffs)
+    val = v + w
+    # Below the product's valuation, inside it, and past its degree.
+    top = data.draw(st.integers(val - 3, val + len(coeffs) + 3))
+    product = _times(*((one, other) if first else (other, one)), top)
+    assert product[0] == val
+    assert len(product[1]) == max(0, min(top - val + 1, len(coeffs)))
+    assert all(type(x) is int for x in product[1])
+    full = schoolbook_product({v: c}, {w + i: x for i, x in enumerate(coeffs)})
+    assert {val + i: x for i, x in enumerate(product[1]) if x} == {
+        d: x for d, x in full.items() if d <= top}
+
+
+@st.composite
+def parts(draw):
+    """1-4 terms (c, s) of a sum, c often 0 or 1, s at mixed valuations, some
+    starting or ending with zeros."""
+    return draw(st.lists(st.tuples(
+        lone_coefficients,
+        st.tuples(st.integers(-6, 6), st.lists(st.one_of(st.just(0), integers), max_size=8)),
+    ), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts())
+def test_combine_matches_a_dict_sum(terms):
+    val, coeffs = _combine(terms)
+    # The sum runs from the lowest valuation to the highest end, zeros kept.
+    assert val == min(s[0] for _, s in terms)
+    assert len(coeffs) == max(0, max(s[0] + len(s[1]) for _, s in terms) - val)
+    assert all(type(x) is int for x in coeffs)
+    oracle: dict[int, int] = {}
+    for c, (v, series) in terms:
+        for i, x in enumerate(series):
+            oracle[v + i] = oracle.get(v + i, 0) + c * x
+    assert dict(enumerate(coeffs, val)) == {d: oracle.get(d, 0) for d in range(val, val + len(coeffs))}
+
+
+@pytest.mark.parametrize("terms, expected", [
+    ([(1, (-2, [0, 0, 3]))], (-2, [0, 0, 3])),
+    ([(0, (1, [4, 5]))], (1, [0, 0])),
+    ([(-3, (2, [1, 0, 2]))], (2, [-3, 0, -6])),
+    ([(2, (0, [0, 1])), (1, (-1, [0]))], (-1, [0, 0, 2])),
+    ([(1, (0, [1, 2])), (-1, (0, [1, 2]))], (0, [0, 0])),
+])
+def test_combine_keeps_leading_zeros(terms, expected):
+    # The stage strips W once, after the sum; no part is stripped here.
+    assert _combine(terms) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(integers.filter(bool), st.lists(integers, max_size=3)).map(lambda t: [t[0], *t[1]]),
+       divisors(), st.integers(5, 20),
+       st.fractions(max_denominator=10**6).filter(lambda q: q and q.numerator != 1))
+def test_divide_runs_past_a_short_numerator_with_a_scale(w, den, terms, scale):
+    # W is used up after at most 4 of 5-20 terms; from there on only the
+    # divisor's recurrence and the denominator chain grow.
+    d = scaled(den)[1][1]
+    exact = long_divide(dict(enumerate(w)), dict(enumerate(d)), terms)
+    assert _divide(w, d, terms, scale) == [exact.get(k, 0) * scale for k in range(terms)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_and_long(), parts(), lone_coefficients.filter(bool), st.integers(0, 8),
+       st.sets(st.integers(0, 5), min_size=1), divisors(), st.integers(1, 10))
+def test_no_kernel_changes_its_inputs(case, sums, lead, keep, exponents, den, terms):
+    # A kernel may return a slice of an input, or the very list: neither the
+    # inputs nor what a later kernel is given may change under it.
+    short, long, top = case
+    one = (0, [lead])
+    base = (long[0], [lead, *long[1]])
+    d = scaled(den)[1][1]
+    inputs = (short, long, one, sums, base, d)
+    before = repr(inputs)
+    _times(short, long, top)
+    _times(long, short, top)
+    _times(one, long, top)
+    _times(long, one, top)
+    _combine(sums)
+    _combine(sums[:1])
+    _powers(base, exponents, keep)
+    _divide(base[1], d, terms, F(-3, 7))
+    assert repr(inputs) == before

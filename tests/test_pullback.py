@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction as F
 from math import comb
@@ -477,14 +478,23 @@ def cleared_pullback(tensor: QuadrantTensor, germ: PairGerm, order: int) -> Laur
     """Oracle: the path pullback through ``order`` degrees above its valuation, as W / D.
 
     W = sum c px^(i+vx) py^(j+vy) px'^p py'^q with D = px^vx py^vy, each term
-    counted comb(p+q, p) times.  Every factor has valuation >= 0, so schoolbook
-    products cut at one degree are exact through it; the cut grows until W
-    shows its valuation or is complete.  One long division gives W / D.
+    counted comb(p+q, p) times (``cleared_terms``).
     """
-    curves = [dict(realize_jet(g, 64).terms()) for g in (germ.px, germ.py)]
-    bases = curves + [{d - 1: d * c for d, c in s.items() if d} for s in curves]
     terms = [(i, j, p, q, comb(p + q, p) * c)
              for (p, q), jet in tensor.components.items() for i, j, c in jet.terms()]
+    return cleared_terms(terms, germ.px, germ.py, order)
+
+
+def cleared_terms(terms, px, py, order: int) -> LaurentJet:
+    """Oracle: sum c px^i py^j px'^p py'^q over the terms (i, j, p, q, c), through
+    ``order`` degrees above its valuation, as W / D.
+
+    Every factor of W has valuation >= 0, so schoolbook products cut at one
+    degree are exact through it; the cut grows until W shows its valuation or
+    is complete.  One long division gives W / D.
+    """
+    curves = [dict(realize_jet(g, 64).terms()) for g in (px, py)]
+    bases = curves + [{d - 1: d * c for d, c in s.items() if d} for s in curves]
     vx = max([0] + [-t[0] for t in terms])
     vy = max([0] + [-t[1] for t in terms])
     terms = [((i + vx, j + vy, p, q), c) for i, j, p, q, c in terms
@@ -504,7 +514,7 @@ def cleared_pullback(tensor: QuadrantTensor, germ: PairGerm, order: int) -> Laur
         w = {d: x for d, x in w.items() if x}
         if top >= deg or (w and min(w) + order <= top):
             break
-        top += order
+        top += max(order, 1)
     if not w:
         return LaurentJet()
     d = schoolbook_product(power(curves[0], vx), power(curves[1], vy))
@@ -607,3 +617,64 @@ class TestShortestWindows:
     def test_quadrant_witness_is_a_prefix(self, tensor, px, py):
         germ = PairGerm(px, py)
         self.assert_prefixes(lambda order: pullback_quadrant_path(tensor, germ, order))
+
+
+# -- a seeded set of pullbacks against the composition oracle ------------------
+
+PULLBACK_SEED = 3232
+PULLBACK_ORDERS = (0, 1, 16, 64)
+
+
+def pullback_cases(seed: int, count: int) -> list[tuple]:
+    """``count`` seeded cases (tensor, px, py), half-line and quadrant in turn.
+
+    Half-line tensors f dx^k, k from 0 to 4 and f of 1-4 terms, are pulled
+    back along (px, 1); quadrant tensors, of 0-3 terms per component, along a
+    pair germ.  Exponents run from the parse floor -4 up to 6; germs are
+    boundary germs t^(2m) u, m from 1 to 3, and interior germs, their jets of
+    1-4 terms, a constant one included.  A larger count extends the same list, so two versions of the
+    stage can be compared witness by witness on as many cases as wanted.
+    """
+    rng = random.Random(seed)
+
+    def rational(positive=False):
+        num = rng.randint(1, 9) if positive else rng.choice([-1, 1]) * rng.randint(1, 9)
+        return F(num, rng.choice([1, 1, 2, 3, 7]))
+
+    def germ():
+        head = [rational(positive=True)]
+        tail = [rng.choice([F(0), rational()]) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.5:
+            return make_boundary_plot(rng.randint(1, 3), Jet1(head + tail))
+        return make_interior_plot(head[0], Jet1(head + tail))
+
+    def exponents(n):
+        return rng.sample(range(-4, 7), n)
+
+    cases = []
+    for index in range(count):
+        if index % 2 == 0:
+            coeff = LaurentJet.from_terms({e: rational() for e in exponents(rng.randint(1, 4))})
+            cases.append((make_halfline_tensor(rng.randint(0, 4), coeff), germ(), None))
+        else:
+            tensor = make_quadrant_tensor(*[
+                {(i, j): rational() for i, j in zip(exponents(n), exponents(n))}
+                for n in (rng.randint(0, 3) for _ in QUADRANT_BASIS)])
+            cases.append((tensor, germ(), germ()))
+    return cases
+
+
+def test_seeded_pullbacks_match_the_composition_oracle():
+    # A fixed set from one seed: 100 cases at four orders each, every witness
+    # equal to the oracle's by Record equality.
+    for tensor, px, py in pullback_cases(PULLBACK_SEED, 100):
+        for order in PULLBACK_ORDERS:
+            if py is None:
+                verdict = pullback_halfline(tensor, px, order)
+                terms = [(d, 0, tensor.degree, 0, c) for d, c in tensor.coeff.terms()]
+                oracle = cleared_terms(terms, px, make_interior_plot(1, Jet1((1,))), order)
+            else:
+                germ = PairGerm(px, py)
+                verdict = pullback_quadrant_path(tensor, germ, order)
+                oracle = cleared_pullback(tensor, germ, order)
+            assert verdict.witness == oracle, (tensor, px, py, order)
